@@ -6,7 +6,10 @@ square-root-count class function.  The symbolic search enumerates the
 multiplicity-free index candidates, groups them by character, and runs an
 exact cover over the irreducible labels.  Covers are then expanded back to
 index-level models and counted up to strong or full equivalence, where two
-models are equivalent when their members match up elementwise.
+models are equivalent when their members match up elementwise.  One
+exact-cover engine, `exact_covers`, serves types A, B and D, the dihedral
+groups and the certificate below; the icosahedral group takes its covers
+from the group oracle and shares only the class expansion.
 
 The even-rank type D nonexistence argument is packaged as a replayable
 certificate built from the degenerate labels: a perfect model needs both
@@ -149,8 +152,49 @@ def is_perfect_symbolic(indices, policy: DegenSplitPolicy = EXACT) -> dict:
 # --- exact cover search ---------------------------------------------------------
 
 
+def exact_covers(masks, primary: int):
+    """Every set of pairwise-disjoint rows covering each bit of `primary`.
+
+    Rows are bitmasks over the columns.  Bits outside `primary` are
+    secondary columns: at most one chosen row may hold each, but they may
+    stay uncovered.  This is Knuth's Algorithm X on bitmasks: branch on the
+    uncovered primary column with the fewest usable rows (the first such
+    column on ties), trying its rows in order.  Yields tuples of row
+    positions in the order they were chosen.
+    """
+    columns = [i for i in range(primary.bit_length()) if primary >> i & 1]
+    by_column = {i: [r for r, m in enumerate(masks) if m >> i & 1] for i in columns}
+    chosen: list[int] = []
+
+    def rec(covered):
+        best = None
+        for i in columns:
+            if covered >> i & 1:
+                continue
+            usable = [r for r in by_column[i] if masks[r] & covered == 0]
+            if best is None or len(usable) < len(best):
+                best = usable
+                if not usable:
+                    break
+        if best is None:
+            yield tuple(chosen)
+            return
+        for r in best:
+            chosen.append(r)
+            yield from rec(covered | masks[r])
+            chosen.pop()
+
+    return rec(0)
+
+
+def _label_masks(labels, chars):
+    """One bitmask per character: the positions of its labels in `labels`."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    return [sum(1 << pos[lab] for lab in chi) for chi in chars]
+
+
 def _candidate_rows(ctype: str, n: int):
-    """Multiplicity-free candidates grouped by character."""
+    """Multiplicity-free candidates grouped by character, with label masks."""
     rows: dict = {}
     for idx in enumerate_indices(ctype, n, mf_only=True):
         chi = character_of_index(idx)
@@ -158,71 +202,63 @@ def _candidate_rows(ctype: str, n: int):
             raise ValueError(f"unexpected unresolved candidate {idx}")
         key = tuple(sorted(chi.coeffs.items(), key=lambda kv: str(kv)))
         rows.setdefault(key, (chi, []))[1].append(idx)
-    return [(chi, tuple(ids)) for chi, ids in rows.values()]
+    rows = [(chi, tuple(ids)) for chi, ids in rows.values()]
+    return rows, _label_masks(irr_universe(ctype, n), [chi.coeffs for chi, _ in rows])
 
 
 def search_perfect_models(ctype: str, n: int):
     """Every perfect model at this rank, as covers of character rows."""
-    if n > SEARCH_CAPS.get(ctype, 0):
+    if ctype not in SEARCH_CAPS:
+        raise ValueError(f"bad character type: {ctype!r}")
+    if n > SEARCH_CAPS[ctype]:
         raise ValueError(f"search capped at rank {SEARCH_CAPS[ctype]} for type {ctype}")
-    universe = irr_universe(ctype, n)
-    pos = {lab: i for i, lab in enumerate(universe)}
-    rows = _candidate_rows(ctype, n)
-    masks = []
-    for chi, ids in rows:
-        mask = 0
-        for lab in chi.coeffs:
-            mask |= 1 << pos[lab]
-        masks.append(mask)
-    full = (1 << len(universe)) - 1
-    by_label = [
-        [r for r in range(len(rows)) if masks[r] >> i & 1]
-        for i in range(len(universe))
-    ]
-    covers = []
-    chosen: list[int] = []
-
-    def rec(covered):
-        if covered == full:
-            covers.append(tuple(chosen))
-            return
-        # branch on the uncovered label with the fewest usable rows
-        best, best_rows = None, None
-        for i in range(len(universe)):
-            if covered >> i & 1:
-                continue
-            usable = [r for r in by_label[i] if masks[r] & covered == 0]
-            if best_rows is None or len(usable) < len(best_rows):
-                best, best_rows = i, usable
-                if not usable:
-                    break
-        for r in best_rows:
-            chosen.append(r)
-            rec(covered | masks[r])
-            chosen.pop()
-
-    rec(0)
-    return [tuple(rows[r] for r in cover) for cover in covers]
+    rows, masks = _candidate_rows(ctype, n)
+    full = (1 << len(irr_universe(ctype, n))) - 1
+    return [tuple(rows[r] for r in cover) for cover in exact_covers(masks, full)]
 
 
-def classify(ctype: str, n: int, relation: str = "strong") -> dict:
-    """Count and list the perfect models up to the chosen equivalence."""
-    covers = search_perfect_models(ctype, n)
+def _expand_classes(ctype, n, relation, cover_pools, canon, member_key=None) -> dict:
+    """Expand covers into models and count them up to equivalence.
+
+    A cover is a list of pools, one per row; each choice of one member per
+    pool is a model, and two models are equivalent when their members have
+    the same set of `canon` images.  The first model met in a class
+    represents it.  Members are sorted by `member_key`, or kept in cover
+    order when it is None; models are sorted by their members' keys.
+    """
     classes: dict = {}
-    for cover in covers:
-        pools = [ids for _, ids in cover]
+    for pools in cover_pools:
         for combo in product(*pools):
-            key = frozenset(canonical_form(idx, relation) for idx in combo)
-            if key not in classes:
-                classes[key] = tuple(sorted(combo, key=ModelIndex.key))
-    models = sorted(classes.values(), key=lambda c: [i.key() for i in c])
+            classes.setdefault(frozenset(map(canon, combo)), combo)
+    key = member_key or str
+    models = [tuple(sorted(c, key=key)) if member_key else c for c in classes.values()]
+    models.sort(key=lambda c: [key(x) for x in c])
     return {
         "type": ctype,
         "rank": n,
         "relation": relation,
-        "count": len(classes),
+        "count": len(models),
         "models": models,
     }
+
+
+def classify(ctype: str, n: int, relation: str = "strong") -> dict:
+    """Count and list the perfect models up to the chosen equivalence."""
+    if ctype == "I2":
+        return classify_dihedral(n, relation)
+    if ctype == "H3":
+        if n != 3 or relation != "strong":
+            raise ValueError("H3 is classified at rank 3 under the strong relation only")
+        return classify_h3()
+    covers = search_perfect_models(ctype, n)
+    return _expand_classes(
+        ctype,
+        n,
+        relation,
+        ([ids for _, ids in cover] for cover in covers),
+        lambda idx: canonical_form(idx, relation),
+        ModelIndex.key,
+    )
 
 
 # --- even rank type D nonexistence ---------------------------------------------
@@ -234,82 +270,42 @@ def d_even_nonexistence(n: int) -> dict:
     Every perfect model must hit both signs of each degenerate core
     exactly once, using candidate characters that are pairwise disjoint in
     every constituent.  The certificate records, per core, which candidates
-    carry it, and shows that no disjoint selection covers all cores.
+    carry it, and shows that no disjoint selection covers all cores: an
+    exact cover whose primary columns are the degenerate labels, with every
+    other label secondary.
     """
     if n < 6 or n % 2 != 0:
         raise ValueError("certificate applies to even rank >= 6")
-    rows = _candidate_rows("D", n)
+    rows, masks = _candidate_rows("D", n)
     cores = pt.partitions_of(n // 2)
-    info = []
-    for chi, ids in rows:
-        degens = {
-            (lab[1], lab[2]) for lab in chi.coeffs if lab[0] == "deg"
-        }
-        info.append(
-            {
-                "indices": ids,
-                "labels": frozenset(chi.coeffs),
-                "degens": degens,
-            }
-        )
-    relevant = [i for i, r in enumerate(info) if r["degens"]]
-
-    def disjoint(i, j):
-        return not (info[i]["labels"] & info[j]["labels"])
-
-    # try to select pairwise-disjoint rows covering (core, +) and (core, -)
-    # for every core; exhaustive over the relevant rows.
-    need = [(core, s) for core in cores for s in "+-"]
     trace = {"per_core": {}}
-    for core, s in need:
-        carriers = [i for i in relevant if (core, s) in info[i]["degens"]]
-        trace["per_core"].setdefault(pt.format_partition(core), {})[s] = [
-            [idx.to_json() for idx in info[i]["indices"]] for i in carriers
-        ]
-    chosen: list[int] = []
-    found: list[tuple] = []
-
-    def rec(k):
-        if found:
-            return
-        if k == len(need):
-            found.append(tuple(chosen))
-            return
-        core, s = need[k]
-        if any((core, s) in info[i]["degens"] for i in chosen):
-            rec(k + 1)
-            return
-        for i in relevant:
-            if (core, s) not in info[i]["degens"]:
-                continue
-            if any(not disjoint(i, j) for j in chosen):
-                continue
-            chosen.append(i)
-            rec(k + 1)
-            chosen.pop()
-
-    rec(0)
-    if not found:
-        cert = {
-            "rank": n,
-            "stage": "degenerate-selection",
-            "cores": [pt.format_partition(c) for c in cores],
-            "trace": trace,
-            "conclusion": "no disjoint candidate selection covers every "
-            "degenerate core with both signs",
-        }
-        return cert
-    # a selection exists on the degenerate side; fall back to the full
-    # exact cover, which must come up empty.
-    covers = search_perfect_models("D", n)
-    if covers:
-        raise AssertionError(f"perfect model found at even rank {n}")
+    for core in cores:
+        for s in "+-":
+            trace["per_core"].setdefault(pt.format_partition(core), {})[s] = [
+                [idx.to_json() for idx in ids]
+                for chi, ids in rows
+                if ("deg", core, s) in chi.coeffs
+            ]
+    universe = irr_universe("D", n)
+    degenerate = sum(1 << i for i, lab in enumerate(universe) if lab[0] == "deg")
+    if next(exact_covers(masks, degenerate), None) is None:
+        stage = "degenerate-selection"
+        conclusion = (
+            "no disjoint candidate selection covers every degenerate core with both signs"
+        )
+    else:
+        # a selection exists on the degenerate side; fall back to the full
+        # exact cover, which must come up empty.
+        if search_perfect_models("D", n):
+            raise AssertionError(f"perfect model found at even rank {n}")
+        stage = "exhaustive"
+        conclusion = "exact cover over all multiplicity-free candidates is empty"
     return {
         "rank": n,
-        "stage": "exhaustive",
+        "stage": stage,
         "cores": [pt.format_partition(c) for c in cores],
         "trace": trace,
-        "conclusion": "exact cover over all multiplicity-free candidates is empty",
+        "conclusion": conclusion,
     }
 
 
@@ -395,52 +391,23 @@ def classify_dihedral(m: int, relation: str = "strong") -> dict:
     if m < 5:
         raise ValueError("dihedral classification needs m >= 5")
     labels = dihedral_labels(m)
-    triples = dihedral_triples(m)
     # dedupe triples by character (distinct reflection classes with equal
     # characters collapse here, matching strong equivalence)
     rows: dict = {}
-    for name, char in triples:
+    for name, char in dihedral_triples(m):
         key = tuple(sorted((str(k), v) for k, v in char.items()))
         rows.setdefault(key, (char, []))[1].append(name)
     rows = list(rows.values())
-    pos = {lab: i for i, lab in enumerate(labels)}
-    masks = []
-    for char, _ in rows:
-        mask = 0
-        for lab in char:
-            mask |= 1 << pos[lab]
-        masks.append(mask)
-    full = (1 << len(labels)) - 1
-    covers = []
-
-    def rec(start, covered, chosen):
-        if covered == full:
-            covers.append(tuple(chosen))
-            return
-        for r in range(start, len(rows)):
-            if masks[r] & covered:
-                continue
-            rec(r + 1, covered | masks[r], chosen + [r])
-
-    rec(0, 0, [])
-    # each cover actually covering every label exactly once is a model
-    classes: dict = {}
-    for cover in covers:
-        pools = [rows[r][1] for r in cover]
-        for combo in product(*pools):
-            key = frozenset(
-                _dihedral_triple_canonical(m, t, relation) for t in combo
-            )
-            if key not in classes:
-                classes[key] = tuple(sorted(combo, key=str))
-    models = sorted(classes.values(), key=str)
-    return {
-        "type": "I2",
-        "rank": m,
-        "relation": relation,
-        "count": len(classes),
-        "models": models,
-    }
+    masks = _label_masks(labels, [char for char, _ in rows])
+    covers = exact_covers(masks, (1 << len(labels)) - 1)
+    return _expand_classes(
+        "I2",
+        m,
+        relation,
+        ([rows[r][1] for r in cover] for cover in covers),
+        lambda t: _dihedral_triple_canonical(m, t, relation),
+        str,
+    )
 
 
 def dihedral_known_models(m: int):
@@ -516,24 +483,15 @@ def _h3_triple_key(group, desc):
 
 
 def classify_h3() -> dict:
-    """Exhaustive oracle classification for the rank three icosahedral group."""
+    """Exhaustive oracle classification for the rank three icosahedral group.
+
+    Members stay in the oracle's cover order.
+    """
     from . import oracle as oc
 
     group = oc.get_group("h3")
-    covers = oc.oracle_search(group)
-    classes: dict = {}
-    for cover in covers:
-        pools = []
-        for _, descs in cover:
-            pools.append(sorted({_h3_triple_key(group, d) for d in descs}))
-        for combo in product(*pools):
-            key = frozenset(combo)
-            classes.setdefault(key, combo)
-    models = sorted(classes.values(), key=str)
-    return {
-        "type": "H3",
-        "rank": 3,
-        "relation": "strong",
-        "count": len(classes),
-        "models": models,
-    }
+    cover_pools = (
+        [sorted({_h3_triple_key(group, d) for d in descs}) for _, descs in cover]
+        for cover in oc.oracle_search(group)
+    )
+    return _expand_classes("H3", 3, "strong", cover_pools, lambda key: key)

@@ -185,46 +185,21 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+# How one member of a classified model is written, per type.
+_MEMBER_JSON = {
+    "I2": lambda triple: "%s:%s" % triple,
+    "H3": lambda member: {"J": list(member[0]), "centralizer_order": len(member[1])},
+}
+
+
 def _classify_payload(args) -> dict:
-    if args.type in ("A", "B", "D"):
-        r = cl.classify(args.type, args.rank, args.relation)
-        return {
-            "command": "classify",
-            "type": r["type"],
-            "rank": r["rank"],
-            "relation": r["relation"],
-            "count": r["count"],
-            "models": [[i.to_json() for i in model] for model in r["models"]],
-        }
-    if args.type == "I2":
-        r = cl.classify_dihedral(args.rank, args.relation)
-        return {
-            "command": "classify",
-            "type": "I2",
-            "rank": r["rank"],
-            "relation": r["relation"],
-            "count": r["count"],
-            "models": [
-                ["%s:%s" % (j, s) for j, s in model] for model in r["models"]
-            ],
-        }
-    if args.type == "H3":
-        r = cl.classify_h3()
-        return {
-            "command": "classify",
-            "type": "H3",
-            "rank": 3,
-            "relation": "strong",
-            "count": r["count"],
-            "models": [
-                [
-                    {"J": list(J), "centralizer_order": len(values)}
-                    for J, values in model
-                ]
-                for model in r["models"]
-            ],
-        }
-    raise DomainError(f"bad type {args.type!r}")
+    r = cl.classify(args.type, args.rank, args.relation)
+    encode = _MEMBER_JSON.get(args.type, ModelIndex.to_json)
+    return {
+        "command": "classify",
+        **{k: r[k] for k in ("type", "rank", "relation", "count")},
+        "models": [[encode(member) for member in model] for model in r["models"]],
+    }
 
 
 def _cmd_classify(args) -> int:
@@ -260,6 +235,8 @@ def _cmd_oracle(args) -> int:
     if args.type not in kinds:
         raise DomainError(f"bad type {args.type!r}")
     if args.type == "H3":
+        if args.rank != 3:
+            raise DomainError("H3 exists at rank 3 only")
         group = oc.get_group("h3")
     else:
         group = oc.get_group(kinds[args.type], args.rank)
@@ -367,3 +344,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import partitions as pt
-from .char_ring import (
-    VirtualCharacter,
-    char_of,
-    d_deg,
-    d_set,
-    twist,
-)
+from .char_ring import VirtualCharacter, d_deg, d_set
 from .lr import lr_coefficient, lr_expand
 from .partitions import Partition
 
@@ -34,21 +28,17 @@ class DegenSplitPolicy:
 
     exact_closed_form: use the known closed forms; leave the rest as
     unresolved mass.  unresolved: leave every degenerate split unresolved.
-    oracle_assisted: like exact_closed_form, but callers may resolve the
-    leftover mass through the brute-force group oracle up to rank_cap.
     """
 
     mode: str = "exact_closed_form"
-    rank_cap: int = 10
 
     def __post_init__(self):
-        if self.mode not in ("exact_closed_form", "unresolved", "oracle_assisted"):
+        if self.mode not in ("exact_closed_form", "unresolved"):
             raise ValueError(f"bad policy mode: {self.mode!r}")
 
 
 EXACT = DegenSplitPolicy("exact_closed_form")
 UNRESOLVED = DegenSplitPolicy("unresolved")
-ORACLE = DegenSplitPolicy("oracle_assisted")
 
 
 # --- the bullet products ------------------------------------------------------

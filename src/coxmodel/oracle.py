@@ -233,7 +233,13 @@ class Group:
         )
 
 
+# The least rank at which each classical family's generators make sense.
+_MIN_RANK = {"symA": 1, "symB": 1, "symD": 2, "dihedral": 2}
+
+
 def build_group(kind: str, n: int = 0) -> Group:
+    if n < _MIN_RANK.get(kind, n):
+        raise ValueError(f"{kind} needs rank >= {_MIN_RANK[kind]}, got {n}")
     if kind == "symA":
         # the symmetric group on n letters
         gens = [_transposition(n, i, i + 1) for i in range(1, n)]
@@ -492,11 +498,6 @@ def triple_character(group: Group, triple):
     cent = twisted_centralizer(group, sub, triple["min"], theta)
     values = {g: linear_value(sub, triple["sigma"], g) for g in cent}
     return induced_character(group, cent, values)
-
-
-def oracle_is_mf(group: Group, chi) -> bool:
-    r2 = sqrt_count(group)
-    return inner_product(group, chi, chi) == inner_product(group, chi, r2)
 
 
 def oracle_is_perfect(group: Group, chars) -> bool:

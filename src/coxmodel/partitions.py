@@ -10,11 +10,9 @@ All enumeration functions return labels in a deterministic canonical order
 output is stable across runs.
 """
 
-from fractions import Fraction
 from functools import cache
-from itertools import chain, product
-from math import comb, factorial, prod
-from typing import Iterator, Sequence
+from math import factorial, prod
+from typing import Iterator
 
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
@@ -170,11 +168,6 @@ def orows(n: int, q: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == q)
 
 
-def ocols(n: int, q: int) -> tuple[Partition, ...]:
-    out = [transpose(p) for p in orows(n, q)]
-    return tuple(sorted(out, key=sort_key))
-
-
 def erows_b(n: int) -> tuple[BiPartition, ...]:
     """Bipartitions of n where both components have all even parts."""
     return tuple(
@@ -186,23 +179,6 @@ def erows_b(n: int) -> tuple[BiPartition, ...]:
 
 def ecols_b(n: int) -> tuple[BiPartition, ...]:
     out = [(transpose(lam), transpose(mu)) for lam, mu in erows_b(n)]
-    order = {bp: i for i, bp in enumerate(bipartitions_of(n))}
-    return tuple(sorted(out, key=order.__getitem__))
-
-
-def orows_b(n: int, q: int) -> tuple[BiPartition, ...]:
-    """Bipartitions of n whose multiset union has exactly q odd parts."""
-    if (n - q) % 2 != 0:
-        raise ValueError(f"orows_b({n},{q}): parity mismatch")
-    return tuple(
-        (lam, mu)
-        for lam, mu in bipartitions_of(n)
-        if odd_part_count(lam) + odd_part_count(mu) == q
-    )
-
-
-def ocols_b(n: int, q: int) -> tuple[BiPartition, ...]:
-    out = [(transpose(lam), transpose(mu)) for lam, mu in orows_b(n, q)]
     order = {bp: i for i, bp in enumerate(bipartitions_of(n))}
     return tuple(sorted(out, key=order.__getitem__))
 
@@ -221,21 +197,6 @@ def ecols_d(n: int) -> tuple[BiPartition, ...]:
     return tuple(p for p in unordered_bipartitions_of(n) if p in out)
 
 
-def orows_d(n: int, q: int) -> tuple[BiPartition, ...]:
-    if (n - q) % 2 != 0:
-        raise ValueError(f"orows_d({n},{q}): parity mismatch")
-    return tuple(
-        pair
-        for pair in unordered_bipartitions_of(n)
-        if odd_part_count(pair[0]) + odd_part_count(pair[1]) == q
-    )
-
-
-def ocols_d(n: int, q: int) -> tuple[BiPartition, ...]:
-    out = {unordered_pair(transpose(a), transpose(b)) for a, b in orows_d(n, q)}
-    return tuple(p for p in unordered_bipartitions_of(n) if p in out)
-
-
 def degenerate_labels(n: int) -> tuple[tuple[Partition, str], ...]:
     """All (core, sign) labels for even ambient rank n."""
     if n % 2 != 0:
@@ -245,44 +206,6 @@ def degenerate_labels(n: int) -> tuple[tuple[Partition, str], ...]:
         out.append((core, "+"))
         out.append((core, "-"))
     return tuple(out)
-
-
-_FAMILIES = {
-    "all": lambda n: partitions_of(n),
-    "erows": lambda n: erows(n),
-    "ecols": lambda n: ecols(n),
-    "erowsB": lambda n: erows_b(n),
-    "ecolsB": lambda n: ecols_b(n),
-    "erowsD": lambda n: erows_d(n),
-    "ecolsD": lambda n: ecols_d(n),
-    "bipartitions": lambda n: tuple(bipartitions_of(n)),
-    "unordered": lambda n: tuple(unordered_bipartitions_of(n)),
-    "degenerate": lambda n: degenerate_labels(n),
-}
-
-_Q_FAMILIES = {
-    "orows": orows,
-    "ocols": ocols,
-    "orowsB": orows_b,
-    "ocolsB": ocols_b,
-    "orowsD": orows_d,
-    "ocolsD": ocols_d,
-}
-
-
-def enumerate_family(n: int, family: str, q: int | None = None) -> Sequence:
-    """Dispatch over every label family by name."""
-    if n < 0:
-        raise ValueError(f"negative rank: {n}")
-    if family in _FAMILIES:
-        if q is not None:
-            raise ValueError(f"family {family!r} takes no q")
-        return _FAMILIES[family](n)
-    if family in _Q_FAMILIES:
-        if q is None:
-            raise ValueError(f"family {family!r} needs q")
-        return _Q_FAMILIES[family](n, q)
-    raise ValueError(f"unknown family: {family!r}")
 
 
 # --- text forms --------------------------------------------------------------

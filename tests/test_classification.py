@@ -1,6 +1,9 @@
 """Known model families, exhaustive searches, and equivalence counting."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coxmodel import oracle as oc
 from coxmodel.classification import (
@@ -11,6 +14,7 @@ from coxmodel.classification import (
     d_even_nonexistence,
     dihedral_known_models,
     dihedral_labels,
+    exact_covers,
     h3_known_models,
     is_perfect_symbolic,
     known_model,
@@ -55,6 +59,44 @@ def test_is_perfect_reports_witnesses():
     verdict = is_perfect_symbolic(model)
     assert verdict["status"] == "not_perfect"
     assert verdict["multiplicity"] != 1
+
+
+def _brute_force_covers(masks, primary):
+    """Pairwise-disjoint row subsets whose rows all meet `primary` and cover it."""
+    rows = [r for r, m in enumerate(masks) if m & primary]
+    out = set()
+    for k in range(len(rows) + 1):
+        for subset in combinations(rows, k):
+            union = 0
+            for r in subset:
+                if masks[r] & union:
+                    break
+                union |= masks[r]
+            else:
+                if union & primary == primary:
+                    out.add(frozenset(subset))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**7 - 1), max_size=9),
+    st.integers(0, 2**7 - 1),
+)
+@example([], 0)
+@example([0, 0b11], 0)
+@example([0, 0], 0b1)
+@example([0b101, 0b110, 0b001, 0b010], 0b011)  # bit 2 is secondary
+def test_exact_covers_matches_brute_force(masks, primary):
+    covers = list(exact_covers(masks, primary))
+    found = {frozenset(c) for c in covers}
+    assert len(found) == len(covers)  # no cover twice
+    assert found == _brute_force_covers(masks, primary)
+
+
+def test_classify_dispatches_i2_and_h3():
+    assert classify("I2", 7, "full") == classify_dihedral(7, "full")
+    assert classify("H3", 3) == classify_h3()
 
 
 def test_search_respects_rank_caps():

@@ -98,6 +98,14 @@ def test_classify_dihedral_and_h3(capsys):
     assert json.loads(out)["count"] == 4
 
 
+@pytest.mark.parametrize("option", [("--rank", "9"), ("--relation", "full")])
+def test_classify_h3_rejects_other_ranks_and_relations(capsys, option):
+    code, out, err = invoke(capsys, "classify", "--type", "H3", *option)
+    assert code == 1
+    assert out == ""
+    assert "rank 3" in err
+
+
 def test_classify_golden_roundtrip(tmp_path, capsys):
     code, out, _ = invoke(capsys, "classify", "--type", "A", "--rank", "4")
     assert code == 0
@@ -127,6 +135,40 @@ def test_oracle_search(capsys):
     code, out, _ = invoke(capsys, "oracle", "search", "--type", "I2", "--rank", "6")
     assert code == 0
     assert json.loads(out)["count"] == 4
+
+
+@pytest.mark.parametrize("action", ["search", "classes"])
+@pytest.mark.parametrize(
+    "ctype,rank",
+    [
+        ("A", 0), ("A", -1), ("B", 0), ("D", 0), ("D", 1),
+        ("I2", 0), ("I2", 1), ("H3", 2), ("H3", 9),
+    ],
+)
+def test_oracle_rejects_small_ranks(capsys, action, ctype, rank):
+    code, out, err = invoke(capsys, "oracle", action, "--type", ctype, "--rank", str(rank))
+    assert code == 1
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import coxmodel
+
+    src = str(Path(coxmodel.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxmodel.cli", "lr", "--lam", "(1)", "--mu", "(1)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["expansion"] == [["(2)", 1], ["(1,1)", 1]]
 
 
 def test_console_script_entry_point():

@@ -1,0 +1,43 @@
+"""Golden outputs: `classify` documents and the even-rank D certificates.
+
+The files under tests/golden/ were recorded from the program before its
+searches were merged into one exact-cover engine; any drift in a class
+representative, an ordering or a count shows up here as a diff.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from coxmodel.classification import d_even_nonexistence
+from coxmodel.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+CLASSIFY = sorted(GOLDEN.glob("classify_*.json"))
+
+
+def test_golden_files_are_present():
+    assert len(CLASSIFY) == 43
+
+
+@pytest.mark.parametrize("path", CLASSIFY, ids=lambda p: p.stem)
+def test_classify_matches_golden(path, capsys):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    argv = [
+        "classify",
+        "--type", doc["type"],
+        "--rank", str(doc["rank"]),
+        "--relation", doc["relation"],
+        "--golden", str(path),
+    ]
+    code = run(argv)
+    _, err = capsys.readouterr()
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_d_even_certificate_matches_golden(n):
+    want = (GOLDEN / f"d_even_nonexistence_{n}.json").read_text(encoding="utf-8")
+    got = json.dumps(d_even_nonexistence(n), indent=2, sort_keys=True) + "\n"
+    assert got == want
