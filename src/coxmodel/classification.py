@@ -24,7 +24,6 @@ from itertools import product
 
 from . import partitions as pt
 from .char_ring import VirtualCharacter, irr_universe
-from .induction import EXACT, DegenSplitPolicy
 from .model_index import (
     ModelIndex,
     canonical_form,
@@ -105,7 +104,7 @@ KNOWN_FAMILIES = ("PA", "PB", "PBhat", "PD", "Aextra4", "B3extra1", "B3extra2")
 # --- perfection test -----------------------------------------------------------
 
 
-def is_perfect_symbolic(indices, policy: DegenSplitPolicy = EXACT) -> dict:
+def is_perfect_symbolic(indices) -> dict:
     """Verdict on a candidate model given as a list of indexes.
 
     Returns {"status": "perfect" | "not_perfect" | "needs_oracle", ...}
@@ -119,7 +118,7 @@ def is_perfect_symbolic(indices, policy: DegenSplitPolicy = EXACT) -> dict:
     for idx in indices:
         if idx.ctype != ctype or idx.rank != n:
             raise ValueError("mixed types or ranks in model")
-        total.add_char(character_of_index(idx, policy))
+        total.add_char(character_of_index(idx))
     universe = irr_universe(ctype, n)
     cores_unknown = []
     for lab in universe:

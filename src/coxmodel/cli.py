@@ -21,7 +21,6 @@ import sys
 
 from . import classification as cl
 from . import partitions as pt
-from .induction import EXACT
 from .lr import lr_coefficient, lr_expand
 from .model_index import (
     ModelIndex,
@@ -66,15 +65,13 @@ def _cmd_lr(args) -> int:
             }
         )
         return 0
-    terms = lr_expand(lam, mu)
     _emit(
         {
             "command": "lr",
             "lam": pt.format_partition(lam),
             "mu": pt.format_partition(mu),
             "expansion": [
-                [pt.format_partition(nu), c]
-                for nu, c in sorted(terms.items(), key=lambda kv: pt.sort_key(kv[0]))
+                [pt.format_partition(nu), c] for nu, c in lr_expand(lam, mu).items()
             ],
         }
     )
@@ -94,7 +91,7 @@ def _cmd_char(args) -> int:
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON: {exc}") from exc
     idx = _load_index(doc)
-    chi = character_of_index(idx, EXACT)
+    chi = character_of_index(idx)
     _emit({"command": "char", "index": format_index(idx), "character": chi.to_json()})
     return 0
 
@@ -113,6 +110,8 @@ def _load_model(text: str):
         if name in ("I2odd", "I2even"):
             return ("I2", name, n)
         if name == "H3":
+            if n != 3:
+                raise DomainError("H3 exists at rank 3 only")
             return ("H3", name, n)
         try:
             return ("index", name, cl.known_model(name, n))
@@ -130,14 +129,11 @@ def _load_model(text: str):
 def _oracle_check_model(indices) -> bool:
     from . import oracle as oc
 
-    ctype, n = indices[0].ctype, indices[0].rank
-    kind = {"A": "symA", "B": "symB", "D": "symD"}[ctype]
-    group = oc.get_group(kind, n)
-    r2 = oc.sqrt_count(group)
+    group = oc.get_group(oc.GROUP_KIND[indices[0].ctype], indices[0].rank)
     chars = [oc.oracle_char_of_index(group, idx) for idx in indices]
-    if tuple(sum(v) for v in zip(*chars)) != r2:
+    if tuple(sum(v) for v in zip(*chars)) != oc.sqrt_count(group):
         return False
-    return all(oc.check_index_against_oracle(idx) for idx in indices)
+    return all(oc.index_agrees_with_oracle(group, idx, orc) for idx, orc in zip(indices, chars))
 
 
 def _cmd_verify(args) -> int:
@@ -231,7 +227,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle as oc
 
-    kinds = {"A": "symA", "B": "symB", "D": "symD", "I2": "dihedral", "H3": "h3"}
+    kinds = {**oc.GROUP_KIND, "I2": "dihedral", "H3": "h3"}
     if args.type not in kinds:
         raise DomainError(f"bad type {args.type!r}")
     if args.type == "H3":

@@ -7,14 +7,14 @@ D product uses the coefficient case table on unordered / degenerate labels;
 every label-level D product is also cross-checked against its induction to
 type B, which must equal the B product of the inductions of the factors.
 
-Degenerate splits that have no closed form are carried as unresolved mass;
-policy objects decide whether that is acceptable or must be resolved.
+Degenerate splits that have no closed form are carried as unresolved mass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cache
+from types import MappingProxyType
 
 from . import partitions as pt
 from .char_ring import VirtualCharacter, d_deg, d_set
@@ -22,42 +22,18 @@ from .lr import lr_coefficient, lr_expand
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class DegenSplitPolicy:
-    """How to handle degenerate sign splits with no closed form.
-
-    exact_closed_form: use the known closed forms; leave the rest as
-    unresolved mass.  unresolved: leave every degenerate split unresolved.
-    """
-
-    mode: str = "exact_closed_form"
-
-    def __post_init__(self):
-        if self.mode not in ("exact_closed_form", "unresolved"):
-            raise ValueError(f"bad policy mode: {self.mode!r}")
-
-
-EXACT = DegenSplitPolicy("exact_closed_form")
-UNRESOLVED = DegenSplitPolicy("unresolved")
-
-
 # --- the bullet products ------------------------------------------------------
 
 
 @cache
-def _bullet_a_labels(lam: Partition, mu: Partition) -> tuple:
-    return tuple(lr_expand(lam, mu).items())
-
-
-@cache
-def _bullet_b_labels(lab1, lab2) -> tuple:
+def _bullet_b_labels(lab1, lab2) -> Mapping:
     (l1, l2), (m1, m2) = lab1, lab2
     out = {}
     for n1, a in lr_expand(l1, m1).items():
         for n2, b in lr_expand(l2, m2).items():
             key = (n1, n2)
             out[key] = out.get(key, 0) + a * b
-    return tuple(out.items())
+    return MappingProxyType(out)
 
 
 def _lift_components(dlab) -> tuple[Partition, Partition]:
@@ -110,7 +86,7 @@ def taylor_coefficient(lab1, lab2, out) -> int:
 
 
 @cache
-def _bullet_d_labels(lab1, lab2) -> tuple:
+def _bullet_d_labels(lab1, lab2) -> Mapping:
     """Full D product of two labels, with the type-B lift consistency check."""
     a1, a2 = _lift_components(lab1)
     b1, b2 = _lift_components(lab2)
@@ -122,7 +98,7 @@ def _bullet_d_labels(lab1, lab2) -> tuple:
     pairs2 = [(b1, b2)] if lab2[0] == "deg" else [(b1, b2), (b2, b1)]
     for p1 in pairs1:
         for p2 in pairs2:
-            for key, v in _bullet_b_labels(p1, p2):
+            for key, v in _bullet_b_labels(p1, p2).items():
                 blift[key] = blift.get(key, 0) + v
     out = {}
     check = {}
@@ -141,7 +117,7 @@ def _bullet_d_labels(lab1, lab2) -> tuple:
                 out[d_deg(n1, "+")] = plus
             if minus:
                 out[d_deg(n1, "-")] = minus
-    return tuple(out.items())
+    return MappingProxyType(out)
 
 
 def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualCharacter:
@@ -151,12 +127,10 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
     if f.has_unresolved() or g.has_unresolved():
         raise ValueError("bullet: unresolved degenerate input; resolve first")
     out = VirtualCharacter(ctype, f.rank + g.rank)
-    table = {"A": _bullet_a_labels, "B": _bullet_b_labels, "D": _bullet_d_labels}[
-        ctype
-    ]
+    table = {"A": lr_expand, "B": _bullet_b_labels, "D": _bullet_d_labels}[ctype]
     for lab1, c1 in f.coeffs.items():
         for lab2, c2 in g.coeffs.items():
-            for lab, d in table(lab1, lab2):
+            for lab, d in table(lab1, lab2).items():
                 out.add(lab, c1 * c2 * d)
     return out
 
@@ -177,7 +151,7 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     return out
 
 
-def _ind_label_A_to_D(nu: Partition, side: str, policy: DegenSplitPolicy):
+def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
     n = sum(nu)
     out = VirtualCharacter("D", n)
     for lam, mu in pt.unordered_bipartitions_of(n):
@@ -190,11 +164,11 @@ def _ind_label_A_to_D(nu: Partition, side: str, policy: DegenSplitPolicy):
         mass = lr_coefficient(core, core, nu)
         if not mass:
             continue
-        if policy.mode != "unresolved" and nu == (n,):
+        if nu == (n,):
             # trivial character: the single degenerate constituent follows
             # the subgroup side.
             out.add(d_deg(core, "+" if side == "plus" else "-"), mass)
-        elif policy.mode != "unresolved" and nu == (1,) * n:
+        elif nu == (1,) * n:
             flip = (n // 2) % 2 == 1
             sign = "+" if (side == "plus") != flip else "-"
             out.add(d_deg(core, sign), mass)
@@ -203,9 +177,7 @@ def _ind_label_A_to_D(nu: Partition, side: str, policy: DegenSplitPolicy):
     return out
 
 
-def ind_A_to_D(
-    chi: VirtualCharacter, side: str = "plus", policy: DegenSplitPolicy = EXACT
-) -> VirtualCharacter:
+def ind_A_to_D(chi: VirtualCharacter, side: str = "plus") -> VirtualCharacter:
     """Induction from S_n (side=plus) or its diamond image (side=minus)."""
     if chi.ctype != "A":
         raise ValueError("ind_A_to_D expects a type A character")
@@ -213,7 +185,7 @@ def ind_A_to_D(
         raise ValueError(f"bad side: {side!r}")
     out = VirtualCharacter("D", chi.rank)
     for nu, c in chi.coeffs.items():
-        out.add_char(_ind_label_A_to_D(nu, side, policy), c)
+        out.add_char(_ind_label_A_to_D(nu, side), c)
     return out
 
 

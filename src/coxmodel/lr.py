@@ -1,115 +1,72 @@
-"""Littlewood-Richardson coefficients by lattice-word tableau enumeration.
+"""Littlewood-Richardson coefficients by growing LR tableaux strip by strip.
 
-c^nu_{lam,mu} counts semistandard fillings of the skew shape nu/lam with
-content mu whose reverse reading word (rows top to bottom, each row right
-to left) is a lattice word.  The search runs cell by cell in reverse
-reading order, so the lattice condition can be checked incrementally and
-dead branches are cut early.
-
-Single-row and single-column mu take the Pieri shortcut (horizontal or
-vertical strip test) instead of the full search.
-
-All arithmetic is on Python integers, so results are exact at any size.
+c^nu_{lam,mu} counts the semistandard fillings of nu/lam with content mu
+whose reverse reading word (rows top to bottom, each right to left) is a
+lattice word.  `lr_expand` grows them on lam one horizontal strip per
+letter, row by row from the top; a row is read right to left, so the strip
+of letter i+1 keeps the word lattice iff, for every row r, the (i+1)s in
+rows <= r do not outnumber the i's in rows < r.  Each finished tableau
+counts once for its outer shape, so one pass yields the whole expansion.
 """
 
+from collections.abc import Mapping
 from functools import cache
-
 from math import comb
+from types import MappingProxyType
 
-from .partitions import Partition, contains, partitions_of, standard_tableau_count
-
-
-def _is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
-    """True when outer/inner has at most one cell per column."""
-    if not contains(outer, inner):
-        return False
-    for i in range(1, len(outer)):
-        if outer[i] > (inner[i - 1] if i - 1 < len(inner) else 0):
-            return False
-    return True
+from .partitions import Partition, contains, sort_key, standard_tableau_count
 
 
-def _is_vertical_strip(inner: Partition, outer: Partition) -> bool:
-    """True when outer/inner has at most one cell per row."""
-    if not contains(outer, inner):
-        return False
-    for i in range(len(outer)):
-        if outer[i] - (inner[i] if i < len(inner) else 0) > 1:
-            return False
-    return True
+def _strips(shape: Partition, size: int, above: tuple[int, ...]):
+    """Horizontal strips of `size` cells on `shape` that keep the word lattice.
+
+    `above` is the previous letter's cells per row, empty for the first
+    letter (no bound).  Yields the outer shape and the strip's cells per row.
+    """
+    rows = shape + (0,)
+    counts = [0] * len(rows)
+
+    def grow(r: int, left: int, slack: int):
+        # slack: the previous letter's cells in rows < r minus this one's
+        if not left:
+            yield tuple(a + b for a, b in zip(rows, counts) if a + b), tuple(counts[:r])
+            return
+        if r and left > rows[r - 1]:  # rows r.. hold at most rows[r-1] strip cells
+            return
+        room = min(left, slack, rows[r - 1] - rows[r] if r else left)
+        gain = above[r] if r < len(above) else 0
+        for x in range(room, -1, -1):
+            counts[r] = x
+            yield from grow(r + 1, left - x, slack - x + gain)
+        counts[r] = 0
+
+    yield from grow(0, size, 0 if above else size)
 
 
-def _count_lattice_fillings(lam: Partition, mu: Partition, nu: Partition) -> int:
-    rows = len(nu)
-    lam_ext = tuple(lam) + (0,) * (rows - len(lam))
-    # Cells in reverse reading order: row by row, right to left.
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_ext[r] - 1, -1):
-            cells.append((r, c))
-    m = len(mu)
-    counts = [0] * (m + 1)
-    filling = {}
-    total = 0
+@cache
+def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    """{nu: c^nu_{lam,mu}}, read-only, keys in `partitions_of` order."""
+    found: dict[Partition, int] = {}
 
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = filling.get((r, c + 1))  # already placed (right neighbor)
-        above = filling.get((r - 1, c)) if r > 0 and c >= lam_ext[r - 1] else None
-        hi = right if right is not None else m
-        lo = (above + 1) if above is not None else 1
-        found = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            filling[(r, c)] = v
-            found += rec(idx + 1)
-            del filling[(r, c)]
-            counts[v] -= 1
-        return found
+    def place(k: int, shape: Partition, above: tuple[int, ...]) -> None:
+        if k == len(mu):
+            found[shape] = found.get(shape, 0) + 1
+            return
+        for outer, counts in _strips(shape, mu[k], above):
+            place(k + 1, outer, counts)
 
-    total = rec(0)
-    return total
+    place(0, lam, ())
+    return MappingProxyType(dict(sorted(found.items(), key=lambda kv: sort_key(kv[0]))))
 
 
 @cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,mu}."""
-    if sum(lam) + sum(mu) != sum(nu):
+    # The A-to-B and A-to-D inductions try every bipartition (lam, mu) of
+    # |nu|; most fail containment and must not cost an expansion each.
+    if not (contains(nu, lam) and contains(nu, mu)):
         return 0
-    if not contains(nu, lam):
-        return 0
-    if not mu:
-        return 1
-    if not lam:
-        return 1 if nu == mu else 0
-    if len(mu) == 1:
-        return 1 if _is_horizontal_strip(lam, nu) else 0
-    if mu[0] == 1:
-        return 1 if _is_vertical_strip(lam, nu) else 0
-    # Put the smaller partition in the content slot; c is symmetric in lam, mu.
-    if sum(mu) > sum(lam) and contains(nu, mu):
-        lam, mu = mu, lam
-    return _count_lattice_fillings(lam, mu, nu)
-
-
-@cache
-def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Full expansion of the induction product as {nu: c^nu_{lam,mu}}."""
-    n = sum(lam) + sum(mu)
-    out = {}
-    for nu in partitions_of(n):
-        if not contains(nu, lam):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+    return lr_expand(lam, mu).get(nu, 0)
 
 
 def lr_mass_check(lam: Partition, mu: Partition) -> bool:

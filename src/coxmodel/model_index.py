@@ -25,14 +25,7 @@ from __future__ import annotations
 import json
 
 from .char_ring import VirtualCharacter
-from .induction import (
-    EXACT,
-    DegenSplitPolicy,
-    bullet,
-    column_char,
-    ind_A_to_B,
-    ind_A_to_D,
-)
+from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
 
 A_BETAS = ("id", "idplus", "fpf", "fpfplus")
 D_BETAS = ("id", "idplus", "fpf", "fpfdiamond")
@@ -446,9 +439,7 @@ def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
 # --- characters ----------------------------------------------------------------
 
 
-def character_of_index(
-    idx: ModelIndex, policy: DegenSplitPolicy = EXACT
-) -> VirtualCharacter:
+def character_of_index(idx: ModelIndex) -> VirtualCharacter:
     """The model character attached to an index."""
     check_valid(idx)
     if idx.ctype == "A":
@@ -472,7 +463,7 @@ def character_of_index(
     if a1:
         side = "minus" if a1 < 0 else "plus"
         inner = column_char("A", (abs(a1), b1, g1))
-        chi1 = ind_A_to_D(inner, side, policy)
+        chi1 = ind_A_to_D(inner, side)
     else:
         chi1 = None
     if chi0 is None:
@@ -620,11 +611,6 @@ def _raw_indices(ctype: str, n: int):
         for comp in _compositions(n):
             pools = [_a_column_options(a) for a in comp]
             yield from _product_indices("A", pools)
-        # two-column extended forms with an empty side
-        empty = (0, "id", "triv")
-        for opt in _a_column_options(n):
-            yield ModelIndex("A", [empty, opt])
-            yield ModelIndex("A", [opt, empty])
         return
     if ctype == "B":
         for a0 in range(n + 1):

@@ -233,6 +233,9 @@ class Group:
         )
 
 
+# The group kind of each classical character type.
+GROUP_KIND = {"A": "symA", "B": "symB", "D": "symD"}
+
 # The least rank at which each classical family's generators make sense.
 _MIN_RANK = {"symA": 1, "symB": 1, "symD": 2, "dihedral": 2}
 
@@ -682,8 +685,7 @@ def irr_value(ctype: str, label, w) -> int:
 @cache
 def _irr_table_checked(ctype: str, n: int) -> bool:
     """Orthonormality audit of the labeled nondegenerate values."""
-    kind = {"A": "symA", "B": "symB", "D": "symD"}[ctype]
-    group = get_group(kind, n)
+    group = get_group(GROUP_KIND[ctype], n)
     from .char_ring import degree, irr_universe
 
     labels = [
@@ -942,7 +944,13 @@ def oracle_char_of_index(group: Group, idx):
 
 
 def check_index_against_oracle(idx) -> bool:
-    """Symbolic and group-theoretic characters of one index must agree.
+    """Symbolic and group-theoretic characters of one index must agree."""
+    group = get_group(GROUP_KIND[idx.ctype], idx.rank)
+    return index_agrees_with_oracle(group, idx, oracle_char_of_index(group, idx))
+
+
+def index_agrees_with_oracle(group: Group, idx, orc) -> bool:
+    """Compare the symbolic character of `idx` with its oracle character `orc`.
 
     When the symbolic side carries unresolved degenerate mass, the oracle
     decomposition must match it in total over the two signs and dominate
@@ -951,10 +959,7 @@ def check_index_against_oracle(idx) -> bool:
     """
     from .model_index import character_of_index
 
-    kind = {"A": "symA", "B": "symB", "D": "symD"}[idx.ctype]
-    group = get_group(kind, idx.rank)
     sym = character_of_index(idx)
-    orc = oracle_char_of_index(group, idx)
     if not sym.unresolved:
         return virtual_char_values(group, sym) == orc
     dec = decompose(group, idx.ctype, idx.rank, orc)

@@ -81,6 +81,14 @@ def test_verify_bad_family_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("model", ["family:H3:5", "family:H3:0", "family:H3:-3"])
+def test_verify_h3_rejects_other_ranks(capsys, model):
+    code, out, err = invoke(capsys, "verify", "--model", model)
+    assert code == 1
+    assert out == ""
+    assert "rank 3" in err
+
+
 def test_classify_is_byte_identical(capsys):
     code1, out1, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")
     code2, out2, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")

@@ -13,8 +13,6 @@ from coxmodel.char_ring import (
     twist,
 )
 from coxmodel.induction import (
-    EXACT,
-    UNRESOLVED,
     bullet,
     column_char,
     ind_A_to_B,
@@ -82,8 +80,6 @@ def test_ind_a_to_d_middle_core_tracks_mass():
     # core (2) carries unresolved degenerate mass
     got = ind_A_to_D(char_of("A", (3, 1)))
     assert got.unresolved == {(2,): 1}
-    fully = ind_A_to_D(char_of("A", (3, 1)), policy=UNRESOLVED)
-    assert fully.unresolved == {(2,): 1}
 
 
 def test_restrict_b_to_d():

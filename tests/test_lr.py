@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmodel import partitions as pt
+from coxmodel.char_ring import char_of
+from coxmodel.induction import bullet
 from coxmodel.lr import lr_coefficient, lr_expand, lr_mass_check
 
 
@@ -90,13 +92,26 @@ def test_pieri_column():
 
 
 def test_expand_against_reference():
-    for wl in range(1, 5):
-        for wm in range(1, 5):
+    # every pair with |lam| + |mu| <= 9, empty partitions included
+    for n in range(10):
+        for wl in range(n + 1):
             for lam in pt.partitions_of(wl):
-                for mu in pt.partitions_of(wm):
+                for mu in pt.partitions_of(n - wl):
                     exp = lr_expand(lam, mu)
-                    for nu in pt.partitions_of(wl + wm):
-                        assert exp.get(nu, 0) == _reference_lr(lam, mu, nu)
+                    assert list(exp) == [nu for nu in pt.partitions_of(n) if nu in exp]
+                    for nu in pt.partitions_of(n):
+                        want = _reference_lr(lam, mu, nu)
+                        assert exp.get(nu, 0) == want
+                        assert lr_coefficient(lam, mu, nu) == want
+
+
+def test_expansion_is_read_only():
+    one = char_of("A", (1,))
+    before = bullet("A", one, one)
+    with pytest.raises(TypeError):
+        lr_expand((1,), (1,))[(2,)] = 7
+    assert lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    assert bullet("A", one, one) == before
 
 
 small = st.integers(0, 5).flatmap(
