@@ -113,7 +113,8 @@ def degree(ctype: str, label) -> int:
     core = label[1]
     n = 2 * sum(core)
     full = comb(n, n // 2) * pt.standard_tableau_count(core) ** 2
-    assert full % 2 == 0
+    if full % 2:
+        raise RuntimeError(f"odd degree sum for a degenerate pair: {label}")
     return full // 2
 
 

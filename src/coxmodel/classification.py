@@ -449,13 +449,11 @@ def verify_h3_model(model) -> bool:
     group = oc.get_group("h3")
     chars = []
     for J, signs in model:
-        sub = group.subgroup(tuple(J))
         triple = {
             "J": tuple(J),
             "min": group.identity,
             "theta": tuple(range(len(J))),
             "sigma": tuple(signs),
-            "_sub": sub,
         }
         chars.append(oc.triple_character(group, triple))
     return oc.oracle_is_perfect(group, chars)
@@ -473,8 +471,7 @@ def _h3_triple_key(group, desc):
 
     J, zmin, theta_perm, sigma = desc
     sub = group.subgroup(J)
-    theta = {w: sub.apply_auto(theta_perm, w) for w in sub.elements}
-    cent = oc.twisted_centralizer(group, sub, zmin, theta)
+    cent = oc.twisted_centralizer(group, sub, zmin, sub.theta(theta_perm))
     values = tuple(
         sorted((group.index[g], oc.linear_value(sub, sigma, g)) for g in cent)
     )

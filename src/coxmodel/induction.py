@@ -81,7 +81,8 @@ def taylor_coefficient(lab1, lab2, out) -> int:
     e2 = 1 if lab2[2] == "+" else -1
     e3 = 1 if out[2] == "+" else -1
     num = cc * (cc + e1 * e2 * e3)
-    assert num % 2 == 0 and num >= 0
+    if num % 2 or num < 0:
+        raise RuntimeError(f"bad Taylor coefficient numerator: {num}")
     return num // 2
 
 
@@ -101,18 +102,21 @@ def _bullet_d_labels(lab1, lab2) -> Mapping:
             for key, v in _bullet_b_labels(p1, p2).items():
                 blift[key] = blift.get(key, 0) + v
     out = {}
-    check = {}
     for (n1, n2), v in blift.items():
         if n1 > n2:
             lab = d_set(n1, n2)
             d = taylor_coefficient(lab1, lab2, lab)
-            assert d == v, (lab1, lab2, lab, d, v)
+            if d != v:
+                raise RuntimeError(f"type-B lift disagrees: {(lab1, lab2, lab, d, v)}")
             if d:
                 out[lab] = d
         elif n1 == n2:
             plus = taylor_coefficient(lab1, lab2, d_deg(n1, "+"))
             minus = taylor_coefficient(lab1, lab2, d_deg(n1, "-"))
-            assert plus + minus == v, (lab1, lab2, n1, plus, minus, v)
+            if plus + minus != v:
+                raise RuntimeError(
+                    f"type-B lift disagrees: {(lab1, lab2, n1, plus, minus, v)}"
+                )
             if plus:
                 out[d_deg(n1, "+")] = plus
             if minus:

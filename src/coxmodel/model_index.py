@@ -36,6 +36,29 @@ _BETA_ORDER = {"id": 0, "idplus": 1, "fpf": 2, "fpfplus": 3, "fpfdiamond": 4}
 _GAMMA_ORDER = {"triv": 0, "sgn": 1, "pm": 2, "mp": 3}
 
 
+# The argument types of the tuple beta symbols after their tag.
+_BETA_SHAPES = {"pq": (int, int), "tri": (int, int, str)}
+
+
+def _is(x, typ) -> bool:
+    return isinstance(x, typ) and not isinstance(x, bool)
+
+
+def _beta_symbol(beta):
+    """A beta symbol as stored: a str, ("pq", p, q) or ("tri", p, q, d)."""
+    if isinstance(beta, str):
+        return beta
+    if isinstance(beta, (list, tuple)) and beta and isinstance(beta[0], str):
+        shape = _BETA_SHAPES.get(beta[0])
+        if (
+            shape is not None
+            and len(beta) == 1 + len(shape)
+            and all(map(_is, beta[1:], shape))
+        ):
+            return tuple(beta)
+    raise ValueError(f"bad beta symbol: {beta!r}")
+
+
 def _beta_key(beta) -> tuple:
     if isinstance(beta, str):
         return (_BETA_ORDER[beta],)
@@ -55,9 +78,11 @@ class ModelIndex:
         cols = []
         for col in columns:
             alpha, beta, gamma = col
-            if isinstance(beta, list):
-                beta = tuple(beta)
-            cols.append((int(alpha), beta, gamma))
+            if not _is(alpha, int):
+                raise ValueError(f"bad block size: {alpha!r}")
+            if not isinstance(gamma, str):
+                raise ValueError(f"bad character symbol: {gamma!r}")
+            cols.append((alpha, _beta_symbol(beta), gamma))
         object.__setattr__(self, "ctype", ctype)
         object.__setattr__(self, "columns", tuple(cols))
 

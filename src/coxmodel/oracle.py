@@ -42,16 +42,6 @@ def _sp_mult(x, y):
     return tuple(_sp_apply(x, y[i]) for i in range(len(y)))
 
 
-def _sp_inv(w):
-    out = [0] * len(w)
-    for i, v in enumerate(w):
-        if v > 0:
-            out[v - 1] = i + 1
-        else:
-            out[-v - 1] = -(i + 1)
-    return tuple(out)
-
-
 def _dih_mult_factory(m):
     def mult(x, y):
         k1, f1 = x
@@ -59,14 +49,6 @@ def _dih_mult_factory(m):
         return ((k1 + (k2 if f1 == 0 else -k2)) % m, f1 ^ f2)
 
     return mult
-
-
-def _dih_inv_factory(m):
-    def inv(x):
-        k, f = x
-        return ((-k) % m, 0) if f == 0 else x
-
-    return inv
 
 
 def _sp_identity(n):
@@ -90,55 +72,54 @@ def _neg_transposition(n):
 
 
 class Group:
-    """Fully enumerated group with lengths, words, and conjugacy classes."""
+    """Fully enumerated Coxeter group; every derived map is computed once.
 
-    def __init__(self, kind, gens, gen_names, mult, inv, identity, cap=None):
+    Generators must be involutions, so no inverse is ever needed.
+    """
+
+    def __init__(self, kind, gens, gen_names, mult, identity, cap=None):
         self.kind = kind
         self.gens = tuple(gens)
         self.gen_names = tuple(gen_names)
         self.mult = mult
-        self.inv = inv
         self.identity = identity
-        cap = oracle_cap() if cap is None else cap
-        self._enumerate(cap)
+        for g in self.gens:
+            if mult(g, g) != identity:
+                raise ValueError(f"generator {g} of {kind} is not an involution")
+        self._enumerate(oracle_cap() if cap is None else cap)
         self._classes = None
-        self._auto_cache = {}
+        self._thetas = {}
+        self._subgroups = {}
 
     def _enumerate(self, cap):
+        """One BFS queue, checking the exchange condition on each known w.s."""
         index = {self.identity: 0}
         elements = [self.identity]
         words = [()]
         lengths = [0]
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                base = index[w]
-                for gi, g in enumerate(self.gens):
-                    v = self.mult(w, g)
-                    if v not in index:
-                        if len(elements) >= cap:
-                            raise CapExceeded(
-                                f"group {self.kind} exceeds cap {cap}"
-                            )
-                        index[v] = len(elements)
-                        elements.append(v)
-                        words.append(words[base] + (gi,))
-                        lengths.append(lengths[base] + 1)
-                        nxt.append(v)
-            frontier = nxt
+        parents = [0]
+        # the queue is `elements` itself, which grows under the loop
+        for base, w in enumerate(elements):
+            for gi, g in enumerate(self.gens):
+                v = self.mult(w, g)
+                seen = index.get(v)
+                if seen is not None:
+                    if abs(lengths[seen] - lengths[base]) != 1:
+                        raise RuntimeError("length function is not Coxeter-like")
+                    continue
+                if len(elements) >= cap:
+                    raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
+                index[v] = len(elements)
+                elements.append(v)
+                words.append(words[base] + (gi,))
+                lengths.append(lengths[base] + 1)
+                parents.append(base)
         self.elements = tuple(elements)
         self.index = index
         self.words = tuple(words)
         self.lengths = tuple(lengths)
+        self._parents = parents
         self.order = len(elements)
-        # exchange-condition sanity: multiplying by a generator moves the
-        # length by exactly one.
-        for w in elements:
-            lw = lengths[index[w]]
-            for g in self.gens:
-                lv = lengths[index[self.mult(w, g)]]
-                assert abs(lv - lw) == 1, "length function is not Coxeter-like"
 
     def coxeter_length(self, w) -> int:
         return self.lengths[self.index[w]]
@@ -146,58 +127,41 @@ class Group:
     def word(self, w):
         return self.words[self.index[w]]
 
-    @cache
-    def element_order(self, w) -> int:
-        k, v = 1, w
-        while v != self.identity:
-            v = self.mult(v, w)
-            k += 1
-        return k
-
     def conjugacy_classes(self):
-        """(class_of: dict elem -> class id, reps, sizes)."""
+        """(class_of: elem -> class id, reps, sizes); a rep is first in BFS order."""
         if self._classes is None:
+            inner = dict(zip(self.gens, self.gens))
             class_of = {}
             reps = []
             sizes = []
             for w in self.elements:
                 if w in class_of:
                     continue
-                cid = len(reps)
-                orbit = {w}
-                stack = [w]
-                while stack:
-                    x = stack.pop()
-                    for g in self.gens:
-                        y = self.mult(self.mult(g, x), self.inv(g))
-                        if y not in orbit:
-                            orbit.add(y)
-                            stack.append(y)
-                for x in orbit:
-                    class_of[x] = cid
-                reps.append(min(orbit, key=lambda e: self.index[e]))
+                orbit = _twisted_orbit(self, w, inner)
+                class_of.update(dict.fromkeys(orbit, len(reps)))
+                reps.append(w)
                 sizes.append(len(orbit))
             self._classes = (class_of, tuple(reps), tuple(sizes))
         return self._classes
 
     def reflections(self):
-        out = set()
-        for g in self.gens:
-            for x in self.elements:
-                out.add(self.mult(self.mult(x, g), self.inv(x)))
-        return out
+        """The conjugates of the generators."""
+        inner = dict(zip(self.gens, self.gens))
+        return set().union(*(_twisted_orbit(self, g, inner) for g in self.gens))
 
     # diagram automorphisms ----------------------------------------------
 
     def coxeter_matrix(self):
+        """m[i][j] is the order of s_i s_j."""
         k = len(self.gens)
-        return tuple(
-            tuple(
-                self.element_order(self.mult(self.gens[i], self.gens[j]))
-                for j in range(k)
-            )
-            for i in range(k)
-        )
+        out = [[1] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                x = v = self.mult(self.gens[i], self.gens[j])
+                while v != self.identity:
+                    v = self.mult(v, x)
+                    out[i][j] += 1
+        return tuple(map(tuple, out))
 
     def diagram_automorphisms(self):
         """All generator permutations preserving the Coxeter matrix."""
@@ -211,26 +175,37 @@ class Group:
                 out.append(pi)
         return tuple(out)
 
-    def apply_auto(self, pi, w):
-        key = (pi, w)
-        got = self._auto_cache.get(key)
+    def theta(self, pi):
+        """Images of s_i -> s_pi[i] on all elements, by theta(ws) = theta(w) pi(s)."""
+        pi = tuple(pi)
+        got = self._thetas.get(pi)
         if got is None:
-            got = self.identity
-            for gi in self.word(w):
-                got = self.mult(got, self.gens[pi[gi]])
-            self._auto_cache[key] = got
+            if pi == tuple(range(len(self.gens))):
+                images = self.elements
+            else:
+                images = [self.identity]
+                for i in range(1, self.order):
+                    s = self.gens[pi[self.words[i][-1]]]
+                    images.append(self.mult(images[self._parents[i]], s))
+            got = self._thetas[pi] = dict(zip(self.elements, images))
         return got
 
+    def apply_auto(self, pi, w):
+        return self.theta(pi)[w]
+
     def subgroup(self, gen_ids):
-        """Parabolic subgroup on a subset of the generators."""
-        return Group(
-            f"{self.kind}|{gen_ids}",
-            [self.gens[i] for i in gen_ids],
-            [self.gen_names[i] for i in gen_ids],
-            self.mult,
-            self.inv,
-            self.identity,
-        )
+        """Parabolic subgroup on a subset of the generators, built once."""
+        gen_ids = tuple(gen_ids)
+        sub = self._subgroups.get(gen_ids)
+        if sub is None:
+            sub = self._subgroups[gen_ids] = Group(
+                f"{self.kind}|{gen_ids}",
+                [self.gens[i] for i in gen_ids],
+                [self.gen_names[i] for i in gen_ids],
+                self.mult,
+                self.identity,
+            )
+        return sub
 
 
 # The group kind of each classical character type.
@@ -247,25 +222,24 @@ def build_group(kind: str, n: int = 0) -> Group:
         # the symmetric group on n letters
         gens = [_transposition(n, i, i + 1) for i in range(1, n)]
         names = [f"s{i}" for i in range(1, n)]
-        return Group("symA", gens, names, _sp_mult, _sp_inv, _sp_identity(n))
+        return Group("symA", gens, names, _sp_mult, _sp_identity(n))
     if kind == "symB":
         s0 = tuple([-1] + list(range(2, n + 1)))
         gens = [s0] + [_transposition(n, i, i + 1) for i in range(1, n)]
         names = ["s0"] + [f"s{i}" for i in range(1, n)]
-        return Group("symB", gens, names, _sp_mult, _sp_inv, _sp_identity(n))
+        return Group("symB", gens, names, _sp_mult, _sp_identity(n))
     if kind == "symD":
         gens = [_neg_transposition(n)] + [
             _transposition(n, i, i + 1) for i in range(1, n)
         ]
         names = ["s-1"] + [f"s{i}" for i in range(1, n)]
-        return Group("symD", gens, names, _sp_mult, _sp_inv, _sp_identity(n))
+        return Group("symD", gens, names, _sp_mult, _sp_identity(n))
     if kind == "dihedral":
         m = n
         s = (0, 1)
         t = (1, 1)
         return Group(
-            f"dihedral{m}", [s, t], ["s", "t"], _dih_mult_factory(m),
-            _dih_inv_factory(m), (0, 0),
+            f"dihedral{m}", [s, t], ["s", "t"], _dih_mult_factory(m), (0, 0)
         )
     if kind == "h3":
         size = 6
@@ -276,8 +250,7 @@ def build_group(kind: str, n: int = 0) -> Group:
         h2 = _sp_mult(s[2], s[4])
         h3 = _sp_mult(s[0], s[5])
         return Group(
-            "h3", [h1, h2, h3], ["h1", "h2", "h3"], _sp_mult, _sp_inv,
-            _sp_identity(size),
+            "h3", [h1, h2, h3], ["h1", "h2", "h3"], _sp_mult, _sp_identity(size)
         )
     raise ValueError(f"unknown group kind: {kind!r}")
 
@@ -308,14 +281,14 @@ def sqrt_count(group: Group):
     vec = tuple(counts)
     # every irreducible of these groups is orthogonal, so the norm of the
     # square-root count must equal the number of classes.
-    assert inner_product(group, vec, vec) == len(reps), "square-root sanity failed"
+    if inner_product(group, vec, vec) != len(reps):
+        raise RuntimeError("square-root sanity failed")
     return vec
 
 
 def inner_product(group: Group, f, g) -> Fraction:
     _, _, sizes = group.conjugacy_classes()
-    total = sum(Fraction(sizes[i] * f[i] * g[i]) for i in range(len(sizes)))
-    return total / group.order
+    return Fraction(sum(s * a * b for s, a, b in zip(sizes, f, g)), group.order)
 
 
 def class_values(group: Group, func):
@@ -381,26 +354,19 @@ def perfect_classes(group: Group):
     elements (frozenset of group elements paired with that theta), and
     min (the unique minimal-length element).
     """
-    refl = sorted(group.reflections(), key=lambda e: group.index[e])
+    refl = sorted(group.reflections(), key=group.index.__getitem__)
     out = []
-    seen = set()
     for pi in _involutive_autos(group):
-        theta = {w: group.apply_auto(pi, w) for w in group.elements}
+        theta = group.theta(pi)
+        seen = set()
         for w in group.elements:
-            if (w, pi) in seen:
-                continue
-            if group.mult(w, theta[w]) != group.identity:
-                continue
-            # orbit under twisted conjugation first; perfection is a class
-            # property so test it on the starting point only.
-            if not _is_perfect(group, w, theta, refl):
-                # still mark the whole orbit as visited
-                for x in _twisted_orbit(group, w, theta):
-                    seen.add((x, pi))
+            if w in seen or group.mult(w, theta[w]) != group.identity:
                 continue
             orbit = _twisted_orbit(group, w, theta)
-            for x in orbit:
-                seen.add((x, pi))
+            seen |= orbit
+            # perfection is a class property, so test it on w only
+            if not _is_perfect(group, w, theta, refl):
+                continue
             min_len = min(group.coxeter_length(x) for x in orbit)
             mins = [x for x in orbit if group.coxeter_length(x) == min_len]
             if len(mins) != 1:
@@ -422,12 +388,13 @@ def _is_perfect(group: Group, w, theta, refl) -> bool:
 
 
 def _twisted_orbit(group: Group, w, theta):
+    """Twisted conjugacy orbit of w; theta is read on the generators only."""
     orbit = {w}
     stack = [w]
     while stack:
         x = stack.pop()
         for g in group.gens:
-            y = group.mult(group.mult(g, x), theta[group.inv(g)])
+            y = group.mult(group.mult(g, x), theta[g])
             if y not in orbit:
                 orbit.add(y)
                 stack.append(y)
@@ -438,26 +405,23 @@ def _twisted_orbit(group: Group, w, theta):
 
 
 def twisted_centralizer(group: Group, sub: Group, w, theta):
-    """Elements g of the subgroup with g . w . theta(g)^-1 == w."""
-    out = []
-    for g in sub.elements:
-        if group.mult(group.mult(g, w), group.inv(theta[g])) == w:
-            out.append(g)
-    return out
+    """Elements g of the subgroup with g . w == w . theta(g)."""
+    return [g for g in sub.elements if group.mult(g, w) == group.mult(w, theta[g])]
 
 
 def induced_character(group: Group, subgroup_elems, values: dict):
-    """Induce a character given by values on a subgroup; exact and integral."""
+    """Induce integer values on a subgroup; the result must be integral."""
     class_of, reps, sizes = group.conjugacy_classes()
-    sums = [Fraction(0)] * len(reps)
+    sums = [0] * len(reps)
     for y in subgroup_elems:
         sums[class_of[y]] += values[y]
     out = []
     h = len(subgroup_elems)
-    for cid in range(len(reps)):
-        v = Fraction(group.order, sizes[cid]) * sums[cid] / h
-        assert v.denominator == 1, "induced character value not integral"
-        out.append(int(v))
+    for total, size in zip(sums, sizes):
+        v, r = divmod(group.order * total, size * h)
+        if r:
+            raise RuntimeError("induced character value not integral")
+        out.append(v)
     return tuple(out)
 
 
@@ -467,13 +431,9 @@ def all_triples(group: Group):
     out = []
     for mask in range(1 << k):
         gen_ids = tuple(i for i in range(k) if (mask >> i) & 1)
-        sub = group.subgroup(gen_ids) if gen_ids else None
-        if sub is None:
-            # empty J: the only class is the identity, inducing the regular
-            # character; never multiplicity-free for nontrivial groups, but
-            # keep it for completeness.
-            out.append({"J": (), "min": group.identity, "theta": (), "sigma": ()})
-            continue
+        # empty J gives the trivial subgroup: its one class, the identity,
+        # induces the regular character
+        sub = group.subgroup(gen_ids)
         for cls in perfect_classes(sub):
             for sigma in linear_characters(sub):
                 out.append(
@@ -482,7 +442,6 @@ def all_triples(group: Group):
                         "min": cls["min"],
                         "theta": cls["theta"],
                         "sigma": sigma,
-                        "_sub": sub,
                     }
                 )
     return out
@@ -490,15 +449,8 @@ def all_triples(group: Group):
 
 def triple_character(group: Group, triple):
     """The induced model character of one triple, as a class-value tuple."""
-    if not triple["J"]:
-        cent = [group.identity]
-        values = {group.identity: 1}
-        return induced_character(group, cent, values)
-    sub = triple.get("_sub")
-    if sub is None:
-        sub = group.subgroup(triple["J"])
-    theta = {w: sub.apply_auto(triple["theta"], w) for w in sub.elements}
-    cent = twisted_centralizer(group, sub, triple["min"], theta)
+    sub = group.subgroup(triple["J"])
+    cent = twisted_centralizer(group, sub, triple["min"], sub.theta(triple["theta"]))
     values = {g: linear_value(sub, triple["sigma"], g) for g in cent}
     return induced_character(group, cent, values)
 
@@ -549,8 +501,8 @@ def oracle_search(group: Group):
 
     def rec(start, remaining):
         if remaining == 0:
-            chars = [items[i][0] for i in chosen]
-            assert oracle_is_perfect(group, chars)
+            if not oracle_is_perfect(group, [items[i][0] for i in chosen]):
+                raise RuntimeError("cover is not a perfect model")
             covers.append(tuple(chosen))
             return
         for i in range(start, len(items)):
@@ -630,22 +582,6 @@ def mn_value_b(lam: Partition, mu: Partition, cycles: tuple) -> int:
     return total
 
 
-def cycle_type_a(w) -> tuple:
-    n = len(w)
-    seen = [False] * n
-    cycles = []
-    for i in range(1, n + 1):
-        if seen[i - 1]:
-            continue
-        j, length = i, 0
-        while not seen[j - 1]:
-            seen[j - 1] = True
-            j = abs(w[j - 1])
-            length += 1
-        cycles.append(length)
-    return tuple(sorted(cycles, reverse=True))
-
-
 def signed_cycle_type(w) -> tuple:
     """Cycles of |w| with the product of the signs met along each cycle."""
     n = len(w)
@@ -672,7 +608,7 @@ def irr_value(ctype: str, label, w) -> int:
     Type D degenerate labels are not handled here; see d4_degenerate_table.
     """
     if ctype == "A":
-        return mn_value_a(label, cycle_type_a(w))
+        return mn_value_a(label, tuple(length for length, _ in signed_cycle_type(w)))
     if ctype == "B":
         return mn_value_b(label[0], label[1], signed_cycle_type(w))
     if ctype == "D":
@@ -695,17 +631,15 @@ def _irr_table_checked(ctype: str, n: int) -> bool:
     ]
     vecs = {lab: class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r)) for lab in labels}
     for lab in labels:
-        assert vecs[lab][_identity_class(group)] == degree(ctype, lab), lab
+        # the identity is element 0, so its class is class 0
+        if vecs[lab][0] != degree(ctype, lab):
+            raise RuntimeError(f"wrong degree: {lab}")
     for i, l1 in enumerate(labels):
         for l2 in labels[i:]:
             ip = inner_product(group, vecs[l1], vecs[l2])
-            assert ip == (1 if l1 == l2 else 0), (l1, l2, ip)
+            if ip != (1 if l1 == l2 else 0):
+                raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
     return True
-
-
-def _identity_class(group: Group) -> int:
-    class_of, _, _ = group.conjugacy_classes()
-    return class_of[group.identity]
 
 
 @cache
@@ -731,7 +665,6 @@ def d4_degenerate_table():
                 "min": zmin,
                 "theta": (0, 1, 2, 3),
                 "sigma": tuple(1 if gamma == "triv" else -1 for _ in range(4)),
-                "_sub": group,
             }
             chi = triple_character(group, triple)
             fam = pt.erows_d(4) if gamma == "triv" else pt.ecols_d(4)
@@ -742,7 +675,8 @@ def d4_degenerate_table():
                 )
                 rest = [a - b for a, b in zip(rest, vals)]
             vec = tuple(rest)
-            assert inner_product(group, vec, vec) == 1, (beta, gamma)
+            if inner_product(group, vec, vec) != 1:
+                raise RuntimeError(f"degenerate character not irreducible: {(beta, gamma)}")
             out[("deg", core, sign)] = vec
     # the "+" member takes the larger value at s1 s3
     class_of, _, _ = group.conjugacy_classes()
@@ -751,7 +685,8 @@ def d4_degenerate_table():
     for core in ((2,), (1, 1)):
         plus = out[("deg", core, "+")][cid]
         minus = out[("deg", core, "-")][cid]
-        assert plus - minus == 4 * pt.standard_tableau_count(core), core
+        if plus - minus != 4 * pt.standard_tableau_count(core):
+            raise RuntimeError(f"degenerate sign convention broken: {core}")
     return out
 
 
@@ -792,13 +727,15 @@ def decompose(group: Group, ctype: str, n: int, values):
         else:
             vec = class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r))
         c = inner_product(group, tuple(residual), vec)
-        assert c.denominator == 1, (lab, c)
+        if c.denominator != 1:
+            raise RuntimeError(f"non-integral multiplicity: {(lab, c)}")
         c = int(c)
         if c:
             out.add(lab, c)
             for i in range(len(residual)):
                 residual[i] -= c * vec[i]
-    assert all(v == 0 for v in residual), "decomposition left a residue"
+    if any(residual):
+        raise RuntimeError("decomposition left a residue")
     return out
 
 

@@ -100,7 +100,8 @@ def standard_tableau_count(p: Partition) -> int:
         return 1
     num = factorial(n)
     den = hook_product(p)
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"hook product does not divide |p|!: {p}")
     return num // den
 
 

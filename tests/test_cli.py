@@ -89,6 +89,30 @@ def test_verify_h3_rejects_other_ranks(capsys, model):
     assert "rank 3" in err
 
 
+@pytest.mark.parametrize("command", ["char", "verify"])
+@pytest.mark.parametrize(
+    "beta,gamma",
+    [
+        (["pq"], "triv"),
+        (["tri", 3], "triv"),
+        ([], "triv"),
+        ({"a": 1}, "triv"),
+        ("id", ["x"]),
+    ],
+    ids=["pq-without-sizes", "tri-too-short", "empty", "object", "gamma-list"],
+)
+def test_malformed_index_symbols_exit_1(capsys, command, beta, gamma):
+    idx = {"type": "B", "alpha": [2, 1], "beta": [beta, "id"], "gamma": [gamma, "triv"]}
+    if command == "char":
+        argv = ("char", "--index", json.dumps(idx))
+    else:
+        argv = ("verify", "--model", json.dumps([idx]))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 def test_classify_is_byte_identical(capsys):
     code1, out1, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")
     code2, out2, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")

@@ -1,0 +1,58 @@
+"""Invariant checks must be real raises, so that `python -O` keeps them."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import coxmodel
+
+SRC = Path(coxmodel.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+_REJECTIONS = """
+import sys
+from coxmodel.oracle import Group
+
+assert False, "unreachable under -O"
+mult = lambda x, y: tuple(x[i - 1] if i > 0 else -x[-i - 1] for i in y)
+cases = {
+    "three-cycle": [(2, 3, 1)],
+    "not Coxeter": [(-1, 2), (1, -2), (-1, -2)],
+}
+for name, gens in cases.items():
+    ident = tuple(range(1, len(gens[0]) + 1))
+    try:
+        Group(name, gens, [str(g) for g in gens], mult, ident)
+    except (ValueError, RuntimeError) as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}")
+    else:
+        print(f"{name}: accepted")
+print(f"optimize={sys.flags.optimize}")
+"""
+
+
+def test_group_rejects_non_coxeter_generators_under_dash_o():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REJECTIONS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("three-cycle: ValueError: ")
+    assert "not an involution" in lines[0]
+    assert lines[1] == "not Coxeter: RuntimeError: length function is not Coxeter-like"
+    assert lines[2] == "optimize=1"

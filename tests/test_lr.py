@@ -3,6 +3,7 @@
 The reference implementation below counts LR skew tableaux directly from
 the definition (semistandard fillings of nu/lam with content mu whose
 reverse reading word is a lattice word), sharing no code with the library.
+It fills cells row by row and checks the word's prefix as each row ends.
 """
 
 from itertools import zip_longest
@@ -25,25 +26,25 @@ def _reference_lr(lam, mu, nu):
     count = 0
     filling = {}
 
-    def lattice_ok():
-        word = []
-        for r in range(rows):
-            for c in range(nu[r] - 1, lam[r] - 1, -1):
-                word.append(filling[(r, c)])
+    def lattice_ok(last_row):
+        # the reverse reading word of rows 0..last_row must be a lattice word
         seen = [0] * (len(mu) + 1)
-        for v in word:
-            seen[v - 1] += 1
-            if v > 1 and seen[v - 1] > seen[v - 2]:
-                return False
+        for r in range(last_row + 1):
+            for c in range(nu[r] - 1, lam[r] - 1, -1):
+                v = filling[(r, c)]
+                seen[v - 1] += 1
+                if v > 1 and seen[v - 1] > seen[v - 2]:
+                    return False
         return True
 
     def fill(k, content):
         nonlocal count
         if k == len(cells):
-            if tuple(content) == mu and lattice_ok():
+            if tuple(content) == mu:
                 count += 1
             return
         r, c = cells[k]
+        row_done = k + 1 == len(cells) or cells[k + 1][0] != r
         for v in range(1, len(mu) + 1):
             if content[v - 1] == mu[v - 1]:
                 continue
@@ -55,7 +56,9 @@ def _reference_lr(lam, mu, nu):
                 continue
             filling[(r, c)] = v
             content[v - 1] += 1
-            fill(k + 1, content)
+            # a finished row fixes a prefix of the word: prune there
+            if not row_done or lattice_ok(r):
+                fill(k + 1, content)
             content[v - 1] -= 1
             del filling[(r, c)]
 

@@ -141,3 +141,64 @@ def test_search_covers_are_perfect():
             for J, w, theta, sigma in descs:
                 triple = {"J": J, "min": w, "theta": theta, "sigma": sigma}
                 assert triple_character(g, triple) == chi
+
+
+# (kind, n, Coxeter matrix, number of conjugacy classes, diagram automorphisms)
+PINNED = [
+    ("symA", 4, ((1, 3, 2), (3, 1, 3), (2, 3, 1)), 5, 2),
+    ("symB", 3, ((1, 4, 2), (4, 1, 3), (2, 3, 1)), 10, 1),
+    (
+        "symD",
+        4,
+        ((1, 2, 3, 2), (2, 1, 3, 2), (3, 3, 1, 3), (2, 2, 3, 1)),
+        13,
+        6,  # triality: every permutation of the three outer nodes
+    ),
+    ("dihedral", 6, ((1, 6), (6, 1)), 6, 2),
+    ("h3", 0, ((1, 5, 2), (5, 1, 3), (2, 3, 1)), 10, 1),
+]
+PINNED_IDS = [f"{kind}{n}" if n else kind for kind, n, *_ in PINNED]
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_theta_is_the_word_walk(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    assert len(g.diagram_automorphisms()) == autos
+    for pi in g.diagram_automorphisms():
+        theta = g.theta(pi)
+        for w in g.elements:
+            walked = g.identity
+            for gi in g.word(w):
+                walked = g.mult(walked, g.gens[pi[gi]])
+            assert theta[w] == walked
+            assert g.apply_auto(pi, w) == walked
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_reflections_are_all_conjugates_of_generators(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    inverse = {x: y for x in g.elements for y in g.elements if g.mult(x, y) == g.identity}
+    brute = {g.mult(g.mult(x, s), inverse[x]) for s in g.gens for x in g.elements}
+    assert g.reflections() == brute
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_coxeter_matrix_and_classes(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    assert g.coxeter_matrix() == matrix
+    class_of, reps, sizes = g.conjugacy_classes()
+    assert len(reps) == classes
+    assert sum(sizes) == g.order
+    for cid, rep in enumerate(reps):
+        members = [w for w in g.elements if class_of[w] == cid]
+        assert len(members) == sizes[cid]
+        assert rep == members[0]  # the least BFS index in its class
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_parabolic_subgroups_are_built_once(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    k = len(g.gens)
+    for J in [(), (0,), tuple(range(k)), tuple(range(1, k))]:
+        assert g.subgroup(J) is g.subgroup(J)
+        assert g.subgroup(J).gens == tuple(g.gens[i] for i in J)
