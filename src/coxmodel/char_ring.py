@@ -12,12 +12,19 @@ larger value at the standard fixed-point-free involution s1 s3 ... s(n-1),
 so chi[nu,+](w) - chi[nu,-](w) = 2^(n/2) * deg(nu) there.  This matches
 GAP's CharacterTable("WeylD", n) labels.
 
-A VirtualCharacter may carry "unresolved" degenerate mass: a total +/-
-multiplicity per core whose split into signs is not yet known.
+The difference character delta = chi[nu,+] - chi[nu,-] vanishes except on
+the split classes, whose signed cycle type 2mu has only positive cycles of
+even length.  There delta(w) = eps(w) * 2^len(mu) * chi^nu(mu), with
+eps(w) = +1 exactly when w is D_n-conjugate to an unsigned permutation
+(Geck and Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+Algebras, 2000, type D).  The Murnaghan-Nakayama values below serve both
+the symbolic split of an induction from S_n and the oracle's class values,
+so every character here is exact.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from . import partitions as pt
@@ -118,26 +125,86 @@ def degree(ctype: str, label) -> int:
     return full // 2
 
 
+# --- symmetric and hyperoctahedral values (Murnaghan-Nakayama) ----------------
+
+
+def _beta_set(lam: Partition, r: int):
+    return tuple(lam[i] + (r - 1 - i) if i < len(lam) else (r - 1 - i) for i in range(r))
+
+
+def _from_beta(beta):
+    r = len(beta)
+    lam = tuple(
+        b - (r - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))
+    )
+    return tuple(x for x in lam if x > 0)
+
+
+@cache
+def _strip_removals(lam: Partition, length: int):
+    """(smaller partition, height sign) pairs after removing a border strip."""
+    r = len(lam) + length  # enough beta numbers
+    beta = set(_beta_set(lam, r))
+    out = []
+    for b in sorted(beta, reverse=True):
+        nb = b - length
+        if nb < 0 or nb in beta:
+            continue
+        crossed = sum(1 for x in beta if nb < x < b)
+        newset = set(beta)
+        newset.remove(b)
+        newset.add(nb)
+        out.append((_from_beta(tuple(newset)), (-1) ** crossed))
+    return tuple(out)
+
+
+@cache
+def mn_value_a(lam: Partition, cycles: tuple) -> int:
+    """Symmetric group character value at the given cycle type."""
+    if not cycles:
+        return 1 if not lam else 0
+    head, rest = cycles[0], cycles[1:]
+    return sum(s * mn_value_a(mu, rest) for mu, s in _strip_removals(lam, head))
+
+
+@cache
+def mn_value_b(lam: Partition, mu: Partition, cycles: tuple) -> int:
+    """Hyperoctahedral character value; cycles are (length, sign) pairs.
+
+    A border strip for a cycle comes off either component; taking it off
+    the second component of the label flips the sign for negative cycles.
+    """
+    if not cycles:
+        return 1 if (not lam and not mu) else 0
+    (length, sign), rest = cycles[0], cycles[1:]
+    total = 0
+    for nl, s in _strip_removals(lam, length):
+        total += s * mn_value_b(nl, mu, rest)
+    for nm, s in _strip_removals(mu, length):
+        total += sign * s * mn_value_b(lam, nm, rest)
+    return total
+
+
+def difference_value(core: Partition, mu: Partition) -> int:
+    """chi[core,+] - chi[core,-] at an unsigned permutation of cycle type 2mu."""
+    return 2 ** len(mu) * mn_value_a(core, mu)
+
+
 # --- virtual characters ------------------------------------------------------
 
 
 class VirtualCharacter:
     """Sparse integer combination of irreducible labels of one type/rank."""
 
-    __slots__ = ("ctype", "rank", "coeffs", "unresolved")
+    __slots__ = ("ctype", "rank", "coeffs")
 
-    def __init__(self, ctype: str, rank: int, coeffs=None, unresolved=None):
+    def __init__(self, ctype: str, rank: int, coeffs=None):
         self.ctype = ctype
         self.rank = rank
         self.coeffs: dict = {}
-        self.unresolved: dict[Partition, int] = {}
         if coeffs:
             for lab, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 self.add(lab, c)
-        if unresolved:
-            items = unresolved.items() if isinstance(unresolved, dict) else unresolved
-            for core, m in items:
-                self.add_unresolved(core, m)
 
     def add(self, label, c: int = 1) -> "VirtualCharacter":
         if c == 0:
@@ -154,43 +221,24 @@ class VirtualCharacter:
             self.coeffs.pop(label, None)
         return self
 
-    def add_unresolved(self, core: Partition, mass: int) -> "VirtualCharacter":
-        if mass == 0:
-            return self
-        if mass < 0:
-            raise ValueError("unresolved mass must be nonnegative")
-        if self.ctype != "D" or self.rank % 2 != 0 or 2 * sum(core) != self.rank:
-            raise ValueError(f"bad unresolved core {core} for {self.ctype}{self.rank}")
-        self.unresolved[core] = self.unresolved.get(core, 0) + mass
-        return self
-
     def add_char(self, other: "VirtualCharacter", scale: int = 1) -> "VirtualCharacter":
         if (other.ctype, other.rank) != (self.ctype, self.rank):
             raise ValueError("type/rank mismatch in character sum")
         for lab, c in other.coeffs.items():
             self.add(lab, scale * c)
-        for core, m in other.unresolved.items():
-            self.add_unresolved(core, scale * m)
         return self
 
     def copy(self) -> "VirtualCharacter":
         out = VirtualCharacter(self.ctype, self.rank)
         out.coeffs = dict(self.coeffs)
-        out.unresolved = dict(self.unresolved)
         return out
-
-    def has_unresolved(self) -> bool:
-        return bool(self.unresolved)
 
     def sorted_items(self):
         idx = _universe_index(self.ctype, self.rank)
         return sorted(self.coeffs.items(), key=lambda kv: idx[kv[0]])
 
     def degree(self) -> int:
-        total = sum(c * degree(self.ctype, lab) for lab, c in self.coeffs.items())
-        for core, m in self.unresolved.items():
-            total += m * degree("D", ("deg", core, "+"))
-        return total
+        return sum(c * degree(self.ctype, lab) for lab, c in self.coeffs.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -198,43 +246,27 @@ class VirtualCharacter:
             and self.ctype == other.ctype
             and self.rank == other.rank
             and self.coeffs == other.coeffs
-            and self.unresolved == other.unresolved
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.ctype,
-                self.rank,
-                frozenset(self.coeffs.items()),
-                frozenset(self.unresolved.items()),
-            )
-        )
+        return hash((self.ctype, self.rank, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         parts = [
             (f"{c}*" if c != 1 else "") + format_label(self.ctype, lab)
             for lab, c in self.sorted_items()
         ]
-        for core, m in sorted(self.unresolved.items(), key=lambda kv: pt.sort_key(kv[0])):
-            parts.append(f"{m}?[{pt.format_partition(core)},±]")
         body = " + ".join(parts) if parts else "0"
         return f"<{self.ctype}{self.rank}: {body}>"
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "type": self.ctype,
             "rank": self.rank,
             "coeffs": [
                 [format_label(self.ctype, lab), c] for lab, c in self.sorted_items()
             ],
         }
-        if self.ctype == "D":
-            doc["unresolved"] = [
-                [pt.format_partition(core), m]
-                for core, m in sorted(self.unresolved.items(), key=lambda kv: pt.sort_key(kv[0]))
-            ]
-        return doc
 
 
 def char_of(ctype: str, label, c: int = 1) -> VirtualCharacter:
@@ -281,41 +313,20 @@ def twist(chi: VirtualCharacter, kind: str) -> VirtualCharacter:
     out = VirtualCharacter(chi.ctype, chi.rank)
     for lab, c in chi.coeffs.items():
         out.add(_twist_label(chi.ctype, lab, kind), c)
-    for core, m in chi.unresolved.items():
-        if kind == "sgn":
-            out.add_unresolved(pt.transpose(core), m)
-        elif kind == "diamond":
-            out.add_unresolved(core, m)
-        else:
-            raise ValueError(f"twist {kind!r} undefined on unresolved mass")
     return out
 
 
 # --- multiplicity-freeness -----------------------------------------------------
 
 
-def is_multiplicity_free(chi: VirtualCharacter) -> bool | None:
-    """True/False, or None when an unresolved degenerate split decides it.
-
-    A degenerate core with total unresolved mass m splits as (a, m-a):
-    m <= 1 is always multiplicity-free, m >= 3 never is, and m == 2 could
-    be either (1,1) or (2,0), so the verdict is unknown (None).
-    """
+def is_multiplicity_free(chi: VirtualCharacter) -> bool:
+    """Does every constituent occur at most once?"""
     for lab, c in chi.coeffs.items():
         if c < 0:
             raise ValueError(f"negative coefficient at {format_label(chi.ctype, lab)}")
         if c >= 2:
             return False
-    unknown = False
-    for core, m in chi.unresolved.items():
-        both = sum(
-            chi.coeffs.get(("deg", core, s), 0) for s in "+-"
-        )
-        if m + both >= 3 or (m >= 2 and both >= 1):
-            return False
-        if m == 2:
-            unknown = True
-    return None if unknown else True
+    return True
 
 
 # --- parsing ---------------------------------------------------------------------

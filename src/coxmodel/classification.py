@@ -107,8 +107,9 @@ KNOWN_FAMILIES = ("PA", "PB", "PBhat", "PD", "Aextra4", "B3extra1", "B3extra2")
 def is_perfect_symbolic(indices) -> dict:
     """Verdict on a candidate model given as a list of indexes.
 
-    Returns {"status": "perfect" | "not_perfect" | "needs_oracle", ...}
-    with a witness label or the undecided degenerate cores attached.
+    Returns {"status": "perfect"}, or {"status": "not_perfect"} with the
+    first irreducible label whose multiplicity in the sum is not one as
+    the witness.
     """
     indices = [idx if isinstance(idx, ModelIndex) else ModelIndex(**idx) for idx in indices]
     if not indices:
@@ -119,32 +120,10 @@ def is_perfect_symbolic(indices) -> dict:
         if idx.ctype != ctype or idx.rank != n:
             raise ValueError("mixed types or ranks in model")
         total.add_char(character_of_index(idx))
-    universe = irr_universe(ctype, n)
-    cores_unknown = []
-    for lab in universe:
-        if ctype == "D" and lab[0] == "deg":
-            continue
-        if total.coeffs.get(lab, 0) != 1:
-            return {
-                "status": "not_perfect",
-                "witness": lab,
-                "multiplicity": total.coeffs.get(lab, 0),
-            }
-    if ctype == "D" and n % 2 == 0:
-        for core in pt.partitions_of(n // 2):
-            a = total.coeffs.get(("deg", core, "+"), 0)
-            b = total.coeffs.get(("deg", core, "-"), 0)
-            m = total.unresolved.get(core, 0)
-            if a > 1 or b > 1 or a + b + m != 2:
-                return {
-                    "status": "not_perfect",
-                    "witness": ("deg", core, "+"),
-                    "multiplicity": a + b + m,
-                }
-            if m:
-                cores_unknown.append(core)
-    if cores_unknown:
-        return {"status": "needs_oracle", "cores": cores_unknown}
+    for lab in irr_universe(ctype, n):
+        m = total.coeffs.get(lab, 0)
+        if m != 1:
+            return {"status": "not_perfect", "witness": lab, "multiplicity": m}
     return {"status": "perfect"}
 
 
@@ -197,8 +176,6 @@ def _candidate_rows(ctype: str, n: int):
     rows: dict = {}
     for idx in enumerate_indices(ctype, n, mf_only=True):
         chi = character_of_index(idx)
-        if chi.has_unresolved():
-            raise ValueError(f"unexpected unresolved candidate {idx}")
         key = tuple(sorted(chi.coeffs.items(), key=lambda kv: str(kv)))
         rows.setdefault(key, (chi, []))[1].append(idx)
     rows = [(chi, tuple(ids)) for chi, ids in rows.values()]
@@ -296,7 +273,7 @@ def d_even_nonexistence(n: int) -> dict:
         # a selection exists on the degenerate side; fall back to the full
         # exact cover, which must come up empty.
         if search_perfect_models("D", n):
-            raise AssertionError(f"perfect model found at even rank {n}")
+            raise RuntimeError(f"perfect model found at even rank {n}")
         stage = "exhaustive"
         conclusion = "exact cover over all multiplicity-free candidates is empty"
     return {

@@ -7,17 +7,20 @@ D product uses the coefficient case table on unordered / degenerate labels;
 every label-level D product is also cross-checked against its induction to
 type B, which must equal the B product of the inductions of the factors.
 
-Degenerate splits that have no closed form are carried as unresolved mass.
+Induction from S_n to even-rank D_n splits each degenerate pair by the
+difference character restricted to S_n (see char_ring), so every
+character built here is exact.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cache
+from math import factorial
 from types import MappingProxyType
 
 from . import partitions as pt
-from .char_ring import VirtualCharacter, d_deg, d_set
+from .char_ring import VirtualCharacter, d_deg, d_set, difference_value, mn_value_a
 from .lr import lr_coefficient, lr_expand
 from .partitions import Partition
 
@@ -128,8 +131,6 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
     """The parabolic induction product of two same-type characters."""
     if f.ctype != ctype or g.ctype != ctype:
         raise ValueError("bullet: mixed character types")
-    if f.has_unresolved() or g.has_unresolved():
-        raise ValueError("bullet: unresolved degenerate input; resolve first")
     out = VirtualCharacter(ctype, f.rank + g.rank)
     table = {"A": lr_expand, "B": _bullet_b_labels, "D": _bullet_d_labels}[ctype]
     for lab1, c1 in f.coeffs.items():
@@ -155,6 +156,21 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     return out
 
 
+@cache
+def _restricted_difference(nu: Partition, core: Partition) -> int:
+    """<chi^nu, Res_{S_n} delta_core>, summed over the classes 2mu of S_n."""
+    order = factorial(sum(nu))
+    total = 0
+    for mu in pt.partitions_of(sum(core)):
+        cycles = tuple(2 * x for x in mu)
+        class_size = order // pt.centralizer_size(cycles)
+        total += class_size * mn_value_a(nu, cycles) * difference_value(core, mu)
+    s, r = divmod(total, order)
+    if r:
+        raise RuntimeError(f"non-integral degenerate split of {nu} at {core}")
+    return s
+
+
 def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
     n = sum(nu)
     out = VirtualCharacter("D", n)
@@ -165,19 +181,16 @@ def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
     if n % 2 != 0:
         return out
     for core in pt.partitions_of(n // 2):
-        mass = lr_coefficient(core, core, nu)
-        if not mass:
-            continue
-        if nu == (n,):
-            # trivial character: the single degenerate constituent follows
-            # the subgroup side.
-            out.add(d_deg(core, "+" if side == "plus" else "-"), mass)
-        elif nu == (1,) * n:
-            flip = (n // 2) % 2 == 1
-            sign = "+" if (side == "plus") != flip else "-"
-            out.add(d_deg(core, sign), mass)
-        else:
-            out.add_unresolved(core, mass)
+        # [core,+] and [core,-] share c and differ by s; the diamond image
+        # of S_n (side minus) sees delta_core with the opposite sign.
+        c = lr_coefficient(core, core, nu)
+        s = _restricted_difference(nu, core)
+        if (c + s) % 2 or abs(s) > c:
+            raise RuntimeError(f"bad degenerate split of {nu} at {core}: c={c}, s={s}")
+        if side == "minus":
+            s = -s
+        out.add(d_deg(core, "+"), (c + s) // 2)
+        out.add(d_deg(core, "-"), (c - s) // 2)
     return out
 
 
@@ -216,8 +229,6 @@ def induce_D_to_B(chi: VirtualCharacter) -> VirtualCharacter:
             out.add((lab[2], lab[1]), c)
         else:
             out.add((lab[1], lab[1]), c)
-    for core, m in chi.unresolved.items():
-        out.add((core, core), m)
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .char_ring import VirtualCharacter
+from .char_ring import VirtualCharacter, is_multiplicity_free
 from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
 
 A_BETAS = ("id", "idplus", "fpf", "fpfplus")
@@ -688,8 +688,6 @@ def _lemma_excludes_mf(idx: ModelIndex) -> bool:
 
 def enumerate_indices(ctype: str, n: int, mf_only: bool = False):
     """One representative per strong class of valid rank-n indexes."""
-    from .char_ring import is_multiplicity_free
-
     reps: dict[ModelIndex, None] = {}
     for idx in _raw_indices(ctype, n):
         if validate(idx):
@@ -698,11 +696,6 @@ def enumerate_indices(ctype: str, n: int, mf_only: bool = False):
             continue
         reps[canonical_form(idx, "strong")] = None
     out = sorted(reps, key=ModelIndex.key)
-    if not mf_only:
-        return tuple(out)
-    kept = []
-    for idx in out:
-        verdict = is_multiplicity_free(character_of_index(idx))
-        if verdict is not False:
-            kept.append(idx)
-    return tuple(kept)
+    if mf_only:
+        return tuple(idx for idx in out if is_multiplicity_free(character_of_index(idx)))
+    return tuple(out)

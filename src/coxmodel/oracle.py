@@ -10,6 +10,12 @@ The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition, induced character values must come out integral,
 and the square-root-count class function must have norm equal to the
 number of conjugacy classes (every irreducible here is orthogonal).
+
+Labeled irreducible values come from Murnaghan-Nakayama at the signed
+cycle type.  A degenerate type D label at any even rank takes half the
+type B value of its doubled core plus or minus half the difference
+character (see char_ring); the table of every label is audited for
+degrees, orthonormality and the sign convention before it decomposes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ from functools import cache
 from itertools import permutations
 
 from . import partitions as pt
-from .partitions import Partition
+from .char_ring import (
+    VirtualCharacter,
+    degree,
+    difference_value,
+    irr_universe,
+    mn_value_a,
+    mn_value_b,
+)
 
 
 class CapExceeded(RuntimeError):
@@ -34,12 +47,9 @@ def oracle_cap() -> int:
 # --- element arithmetic -------------------------------------------------------
 
 
-def _sp_apply(w, i):
-    return w[i - 1] if i > 0 else -w[-i - 1]
-
-
 def _sp_mult(x, y):
-    return tuple(_sp_apply(x, y[i]) for i in range(len(y)))
+    """x after y: entry i is x applied to the signed letter y[i]."""
+    return tuple([x[i - 1] if i > 0 else -x[-i - 1] for i in y])
 
 
 def _dih_mult_factory(m):
@@ -525,63 +535,6 @@ def oracle_search(group: Group):
 # --- labeled irreducible values (Murnaghan-Nakayama) ---------------------------
 
 
-def _beta_set(lam: Partition, r: int):
-    return tuple(lam[i] + (r - 1 - i) if i < len(lam) else (r - 1 - i) for i in range(r))
-
-
-def _from_beta(beta):
-    r = len(beta)
-    lam = tuple(
-        b - (r - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))
-    )
-    return tuple(x for x in lam if x > 0)
-
-
-@cache
-def _strip_removals(lam: Partition, length: int):
-    """(smaller partition, height sign) pairs after removing a border strip."""
-    r = len(lam) + length  # enough beta numbers
-    beta = set(_beta_set(lam, r))
-    out = []
-    for b in sorted(beta, reverse=True):
-        nb = b - length
-        if nb < 0 or nb in beta:
-            continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        newset = set(beta)
-        newset.remove(b)
-        newset.add(nb)
-        out.append((_from_beta(tuple(newset)), (-1) ** crossed))
-    return tuple(out)
-
-
-@cache
-def mn_value_a(lam: Partition, cycles: tuple) -> int:
-    """Symmetric group character value at the given cycle type."""
-    if not cycles:
-        return 1 if not lam else 0
-    head, rest = cycles[0], cycles[1:]
-    return sum(s * mn_value_a(mu, rest) for mu, s in _strip_removals(lam, head))
-
-
-@cache
-def mn_value_b(lam: Partition, mu: Partition, cycles: tuple) -> int:
-    """Hyperoctahedral character value; cycles are (length, sign) pairs.
-
-    A border strip for a cycle comes off either component; taking it off
-    the second component of the label flips the sign for negative cycles.
-    """
-    if not cycles:
-        return 1 if (not lam and not mu) else 0
-    (length, sign), rest = cycles[0], cycles[1:]
-    total = 0
-    for nl, s in _strip_removals(lam, length):
-        total += s * mn_value_b(nl, mu, rest)
-    for nm, s in _strip_removals(mu, length):
-        total += sign * s * mn_value_b(lam, nm, rest)
-    return total
-
-
 def signed_cycle_type(w) -> tuple:
     """Cycles of |w| with the product of the signs met along each cycle."""
     n = len(w)
@@ -602,33 +555,55 @@ def signed_cycle_type(w) -> tuple:
     return tuple(cycles)
 
 
-def irr_value(ctype: str, label, w) -> int:
-    """Value of the labeled irreducible at a signed permutation element.
+def _split_sign(w) -> int:
+    """+1 when w is D_n-conjugate to an unsigned permutation, else -1.
 
-    Type D degenerate labels are not handled here; see d4_degenerate_table.
+    Only for w whose cycles are all positive and even.  Walking each cycle
+    picks signs d with d w d unsigned; d lies in D_n exactly when it has an
+    even number of -1 entries.
     """
+    d = [0] * len(w)
+    for i in range(len(w)):
+        j, sign = i, 1
+        while not d[j]:
+            d[j] = sign
+            sign *= 1 if w[j] > 0 else -1
+            j = abs(w[j]) - 1
+    return (-1) ** d.count(-1)
+
+
+def irr_value(ctype: str, label, w) -> int:
+    """Value of the labeled irreducible at a signed permutation element."""
     if ctype == "A":
         return mn_value_a(label, tuple(length for length, _ in signed_cycle_type(w)))
     if ctype == "B":
         return mn_value_b(label[0], label[1], signed_cycle_type(w))
-    if ctype == "D":
-        if label[0] == "set":
-            return mn_value_b(label[1], label[2], signed_cycle_type(w))
-        raise ValueError("degenerate D labels need the rank-4 table")
-    raise ValueError(f"bad character type: {ctype!r}")
+    if ctype != "D":
+        raise ValueError(f"bad character type: {ctype!r}")
+    cycles = signed_cycle_type(w)
+    if label[0] == "set":
+        return mn_value_b(label[1], label[2], cycles)
+    _, core, sign = label
+    value = mn_value_b(core, core, cycles)
+    if all(length % 2 == 0 and s == 1 for length, s in cycles):
+        mu = tuple(length // 2 for length, _ in cycles)
+        delta = _split_sign(w) * difference_value(core, mu)
+        value += delta if sign == "+" else -delta
+    half, odd = divmod(value, 2)
+    if odd:
+        raise RuntimeError(f"odd degenerate value: {(label, w)}")
+    return half
 
 
 @cache
 def _irr_table_checked(ctype: str, n: int) -> bool:
-    """Orthonormality audit of the labeled nondegenerate values."""
-    group = get_group(GROUP_KIND[ctype], n)
-    from .char_ring import degree, irr_universe
+    """Audit of the labeled values: degrees, orthonormality, sign convention.
 
-    labels = [
-        lab
-        for lab in irr_universe(ctype, n)
-        if ctype != "D" or lab[0] == "set"
-    ]
+    The convention: chi[core,+] - chi[core,-] is 2^(n/2) deg(core) at the
+    standard fixed-point-free involution s1 s3 ... s(n-1).
+    """
+    group = get_group(GROUP_KIND[ctype], n)
+    labels = irr_universe(ctype, n)
     vecs = {lab: class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r)) for lab in labels}
     for lab in labels:
         # the identity is element 0, so its class is class 0
@@ -639,93 +614,36 @@ def _irr_table_checked(ctype: str, n: int) -> bool:
             ip = inner_product(group, vecs[l1], vecs[l2])
             if ip != (1 if l1 == l2 else 0):
                 raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
+    if ctype == "D" and n % 2 == 0:
+        class_of, _, _ = group.conjugacy_classes()
+        fpf = group.identity
+        for i in range(1, n, 2):
+            fpf = group.mult(fpf, group.gens[i])
+        cid = class_of[fpf]
+        for core in pt.partitions_of(n // 2):
+            delta = vecs[("deg", core, "+")][cid] - vecs[("deg", core, "-")][cid]
+            if delta != 2 ** (n // 2) * pt.standard_tableau_count(core):
+                raise RuntimeError(f"degenerate sign convention broken: {core}")
     return True
-
-
-@cache
-def d4_degenerate_table():
-    """Class-value vectors of the four degenerate rank-4 characters.
-
-    Extracted by inducing from the two fixed-point-free classes and
-    subtracting the known nondegenerate constituents; the sign convention
-    is then audited at the standard fixed-point-free involution.
-    """
-    group = get_group("symD", 4)
-    _irr_table_checked("D", 4)
-    out = {}
-    for beta, sign in (("fpf", "+"), ("fpfdiamond", "-")):
-        zmin = (
-            _sp_mult(group.gens[1], group.gens[3])
-            if beta == "fpf"
-            else _sp_mult(group.gens[0], group.gens[3])
-        )
-        for gamma, core in (("triv", (2,)), ("sgn", (1, 1))):
-            triple = {
-                "J": (0, 1, 2, 3),
-                "min": zmin,
-                "theta": (0, 1, 2, 3),
-                "sigma": tuple(1 if gamma == "triv" else -1 for _ in range(4)),
-            }
-            chi = triple_character(group, triple)
-            fam = pt.erows_d(4) if gamma == "triv" else pt.ecols_d(4)
-            rest = list(chi)
-            for pair in fam:
-                vals = class_values(
-                    group, lambda r, pair=pair: irr_value("D", ("set",) + pair, r)
-                )
-                rest = [a - b for a, b in zip(rest, vals)]
-            vec = tuple(rest)
-            if inner_product(group, vec, vec) != 1:
-                raise RuntimeError(f"degenerate character not irreducible: {(beta, gamma)}")
-            out[("deg", core, sign)] = vec
-    # the "+" member takes the larger value at s1 s3
-    class_of, _, _ = group.conjugacy_classes()
-    wf = _sp_mult(group.gens[1], group.gens[3])
-    cid = class_of[wf]
-    for core in ((2,), (1, 1)):
-        plus = out[("deg", core, "+")][cid]
-        minus = out[("deg", core, "-")][cid]
-        if plus - minus != 4 * pt.standard_tableau_count(core):
-            raise RuntimeError(f"degenerate sign convention broken: {core}")
-    return out
 
 
 def virtual_char_values(group: Group, chi):
     """Class-value vector of a symbolic VirtualCharacter on an oracle group."""
     _, reps, _ = group.conjugacy_classes()
-    deg4 = None
     totals = [0] * len(reps)
     for lab, c in chi.coeffs.items():
-        if chi.ctype == "D" and lab[0] == "deg":
-            if chi.rank != 4:
-                raise ValueError("degenerate values available at rank 4 only")
-            if deg4 is None:
-                deg4 = d4_degenerate_table()
-            vec = deg4[lab]
-            for i in range(len(reps)):
-                totals[i] += c * vec[i]
-            continue
         for i, r in enumerate(reps):
             totals[i] += c * irr_value(chi.ctype, lab, r)
-    if chi.unresolved:
-        raise ValueError("cannot evaluate unresolved degenerate mass")
     return tuple(totals)
 
 
 def decompose(group: Group, ctype: str, n: int, values):
     """Write a class-value vector in the labeled irreducible basis."""
-    from .char_ring import VirtualCharacter, irr_universe
-
     _irr_table_checked(ctype, n)
     out = VirtualCharacter(ctype, n)
     residual = list(values)
     for lab in irr_universe(ctype, n):
-        if ctype == "D" and lab[0] == "deg":
-            if n != 4:
-                continue
-            vec = d4_degenerate_table()[lab]
-        else:
-            vec = class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r))
+        vec = class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r))
         c = inner_product(group, tuple(residual), vec)
         if c.denominator != 1:
             raise RuntimeError(f"non-integral multiplicity: {(lab, c)}")
@@ -803,12 +721,8 @@ def _bridge_sign_block(kind, n, a0, beta, gamma):
             swap01 = True
     elif isinstance(beta, tuple) and beta[0] == "tri":
         p, q, d = beta[1], beta[2], beta[3]
-        if (p, q) == (3, 1):
-            w = list(range(1, n + 1))
-        elif d == "cw":
-            w = [4, 3, 2, 1]
-        else:
-            w = [-4, 3, 2, -1]
+        if (p, q) == (1, 3):
+            w[:4] = [4, 3, 2, 1] if d == "cw" else [-4, 3, 2, -1]
         if d == "cw":
             theta[1], theta[3] = 3, 1
         else:
@@ -887,34 +801,7 @@ def check_index_against_oracle(idx) -> bool:
 
 
 def index_agrees_with_oracle(group: Group, idx, orc) -> bool:
-    """Compare the symbolic character of `idx` with its oracle character `orc`.
-
-    When the symbolic side carries unresolved degenerate mass, the oracle
-    decomposition must match it in total over the two signs and dominate
-    the resolved part signwise; otherwise the class functions must be
-    identical.
-    """
+    """Does the symbolic character of `idx` take the class values `orc`?"""
     from .model_index import character_of_index
 
-    sym = character_of_index(idx)
-    if not sym.unresolved:
-        return virtual_char_values(group, sym) == orc
-    dec = decompose(group, idx.ctype, idx.rank, orc)
-    for lab, c in dec.coeffs.items():
-        if lab[0] == "set":
-            if sym.coeffs.get(lab, 0) != c:
-                return False
-    for lab, c in sym.coeffs.items():
-        if lab[0] == "set" and dec.coeffs.get(lab, 0) != c:
-            return False
-    from .partitions import partitions_of
-
-    for core in partitions_of(idx.rank // 2):
-        plus = dec.coeffs.get(("deg", core, "+"), 0)
-        minus = dec.coeffs.get(("deg", core, "-"), 0)
-        rp = sym.coeffs.get(("deg", core, "+"), 0)
-        rm = sym.coeffs.get(("deg", core, "-"), 0)
-        m = sym.unresolved.get(core, 0)
-        if plus + minus != rp + rm + m or plus < rp or minus < rm:
-            return False
-    return True
+    return virtual_char_values(group, character_of_index(idx)) == orc

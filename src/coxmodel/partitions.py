@@ -105,6 +105,11 @@ def standard_tableau_count(p: Partition) -> int:
     return num // den
 
 
+def centralizer_size(p: Partition) -> int:
+    """z_p: the centralizer order in S_|p| of a permutation of cycle type p."""
+    return prod(x ** p.count(x) * factorial(p.count(x)) for x in set(p))
+
+
 def odd_part_count(p: Partition) -> int:
     return sum(1 for x in p if x % 2 == 1)
 

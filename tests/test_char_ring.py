@@ -101,21 +101,6 @@ def test_is_multiplicity_free():
     assert is_multiplicity_free(f) is True
     f.add((3,))
     assert is_multiplicity_free(f) is False
-    g = VirtualCharacter("D", 4)
-    g.add_unresolved((2,), 2)
-    assert is_multiplicity_free(g) is None
-    g2 = VirtualCharacter("D", 4)
-    g2.add_unresolved((2,), 3)
-    assert is_multiplicity_free(g2) is False
-
-
-def test_unresolved_bookkeeping():
-    f = VirtualCharacter("D", 4)
-    f.add_unresolved((2,), 1)
-    f.add(d_deg((2,), "+"))
-    assert f.degree() == degree("D", d_deg((2,), "+")) * 2
-    with pytest.raises(ValueError):
-        f.add_unresolved((2, 1), 1)
 
 
 def test_format_parse_roundtrip():

@@ -1,7 +1,5 @@
 """Induction products, type-changing inductions, and closed-form columns."""
 
-import pytest
-
 from coxmodel import partitions as pt
 from coxmodel.char_ring import (
     VirtualCharacter,
@@ -69,7 +67,6 @@ def test_ind_a_to_d_extreme_cores_are_resolved():
     minus = ind_A_to_D(char_of("A", (4,)), side="minus")
     assert plus.coeffs[d_deg((2,), "+")] == 1
     assert minus.coeffs[d_deg((2,), "-")] == 1
-    assert not plus.unresolved and not minus.unresolved
     # sign character: flips when the half-rank is odd
     sp = ind_A_to_D(char_of("A", (1, 1)), side="plus")
     assert sp.coeffs[d_deg((1,), "-")] == 1
@@ -77,9 +74,13 @@ def test_ind_a_to_d_extreme_cores_are_resolved():
 
 def test_ind_a_to_d_middle_core_tracks_mass():
     # c^{(3,1)}_{(2),(2)} = 1 and c^{(3,1)}_{(1,1),(1,1)} = 0, so only the
-    # core (2) carries unresolved degenerate mass
-    got = ind_A_to_D(char_of("A", (3, 1)))
-    assert got.unresolved == {(2,): 1}
+    # core (2) occurs.  The difference character restricted to S_4 pairs
+    # with chi^(3,1) to -1, so the one copy is [(2),-] from S_4 and
+    # [(2),+] from its diamond image.
+    for side, sign in (("plus", "-"), ("minus", "+")):
+        got = ind_A_to_D(char_of("A", (3, 1)), side=side)
+        degenerate = {lab: c for lab, c in got.coeffs.items() if lab[0] == "deg"}
+        assert degenerate == {d_deg((2,), sign): 1}
 
 
 def test_restrict_b_to_d():
@@ -139,12 +140,6 @@ def test_degenerate_product_resolved_by_case_table():
         for lab, c in src.coeffs.items():
             doubled.add(lab, c)
     assert lifted == doubled
-
-
-def test_bullet_rejects_unresolved_inputs():
-    f = ind_A_to_D(char_of("A", (3, 1)))
-    with pytest.raises(ValueError):
-        bullet("D", f, char_of("D", d_set((1,), ())))
 
 
 def test_projections():

@@ -11,12 +11,20 @@ import coxmodel
 SRC = Path(coxmodel.__file__).resolve().parent
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_package():
+    # neither `assert` nor `raise AssertionError`: invariants raise
+    # RuntimeError like the rest of the package
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node))
     ]
     assert found == []
 

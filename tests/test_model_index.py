@@ -1,12 +1,16 @@
 """Index validity, rewrites, equivalence orbits, and index-level projections."""
 
+from functools import cache
+
 import pytest
 
-from coxmodel.char_ring import twist
+from coxmodel.char_ring import is_multiplicity_free, twist
 from coxmodel.induction import project
 from coxmodel.model_index import (
     ModelIndex,
     canonical_form,
+    _lemma_excludes_mf,
+    _raw_indices,
     character_of_index,
     check_valid,
     enumerate_indices,
@@ -22,6 +26,13 @@ from coxmodel.model_index import (
 
 def mi(ctype, *cols):
     return ModelIndex(ctype, cols)
+
+
+@cache
+def strong_reps_d():
+    """Every strong representative at D4-D10: past the oracle's reach, these
+    exact checks are what pins the degenerate signs at D8 and D10."""
+    return tuple(idx for n in range(4, 11) for idx in enumerate_indices("D", n))
 
 
 def test_validate_accepts_good_indexes():
@@ -100,7 +111,7 @@ def test_dual_preserves_the_character():
         mi("D", (4, "fpf", "triv"), (0, "id", "triv")),
         mi("D", (0, "id", "triv"), (5, "id", "sgn")),
     ]
-    for idx in samples:
+    for idx in samples + list(strong_reps_d()):
         assert character_of_index(transform(idx, "dual")) == character_of_index(idx)
 
 
@@ -110,7 +121,7 @@ def test_bar_twists_the_character_by_sgn():
         mi("B", (2, "id", "pm"), (2, "id", "sgn")),
         mi("D", (4, "fpf", "triv"), (0, "id", "triv")),
     ]
-    for idx in samples:
+    for idx in samples + list(strong_reps_d()):
         got = character_of_index(transform(idx, "bar"))
         assert got == twist(character_of_index(idx), "sgn")
 
@@ -123,6 +134,9 @@ def test_diamond_twists_the_character():
     assert character_of_index(transform(tri, "diamond")) == twist(
         character_of_index(tri), "diamond"
     )
+    for idx in strong_reps_d():
+        got = character_of_index(transform(idx, "diamond"))
+        assert got == twist(character_of_index(idx), "diamond")
 
 
 def test_canonical_form_is_constant_on_orbits():
@@ -178,10 +192,24 @@ def test_enumerate_mf_filter_is_a_subset():
     full = set(enumerate_indices("B", 3))
     mf = enumerate_indices("B", 3, mf_only=True)
     assert set(mf) <= full
-    from coxmodel.char_ring import is_multiplicity_free
-
     for idx in mf:
-        assert is_multiplicity_free(character_of_index(idx)) is not False
+        assert is_multiplicity_free(character_of_index(idx)) is True
+
+
+def test_lemma_prunes_only_repeated_constituents():
+    # every valid index has an exact character, and each one the lemma
+    # prunes repeats a constituent
+    pruned = 0
+    for ctype, ranks in (("B", range(2, 11)), ("D", range(4, 11))):
+        for n in ranks:
+            for idx in _raw_indices(ctype, n):
+                if validate(idx):
+                    continue
+                chi = character_of_index(idx)
+                if _lemma_excludes_mf(idx):
+                    assert is_multiplicity_free(chi) is False, idx
+                    pruned += 1
+    assert pruned > 1000
 
 
 def test_enumerate_returns_canonical_representatives():

@@ -1,9 +1,14 @@
 """Brute-force group computations used to cross-check the symbolic layer."""
 
+from collections import Counter
+
 import pytest
 
-from coxmodel.model_index import ModelIndex
+from coxmodel.classification import search_perfect_models
+from coxmodel.model_index import ModelIndex, enumerate_indices
 from coxmodel.oracle import (
+    GROUP_KIND,
+    _split_sign,
     check_index_against_oracle,
     get_group,
     inner_product,
@@ -13,6 +18,7 @@ from coxmodel.oracle import (
     oracle_is_perfect,
     oracle_search,
     perfect_classes,
+    signed_cycle_type,
     sqrt_count,
     triple_character,
     virtual_char_values,
@@ -91,11 +97,15 @@ def test_character_tables_are_orthonormal():
     # square-root count must be multiplicity one across the board
     from coxmodel.oracle import decompose
 
-    for kind, ctype, n in [("symA", "A", 4), ("symB", "B", 3), ("symD", "D", 4)]:
+    for kind, ctype, n in [
+        ("symA", "A", 4),
+        ("symB", "B", 3),
+        ("symD", "D", 4),
+        ("symD", "D", 6),
+    ]:
         g = get_group(kind, n)
         dec = decompose(g, ctype, n, sqrt_count(g))
         assert set(dec.coeffs.values()) == {1}
-        assert not dec.unresolved
 
 
 @pytest.mark.parametrize(
@@ -114,6 +124,51 @@ def test_character_tables_are_orthonormal():
 )
 def test_symbolic_characters_match_the_oracle(idx):
     assert check_index_against_oracle(idx)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_split_sign_tells_the_two_halves_apart(n):
+    # on each B class that splits in D_n (all cycles positive and even),
+    # the sign is constant on each D class and opposite on the two halves
+    g = get_group("symD", n)
+    class_of, _, _ = g.conjugacy_classes()
+    halves = {}
+    for w in g.elements:
+        cycles = signed_cycle_type(w)
+        if all(length % 2 == 0 and s == 1 for length, s in cycles):
+            halves.setdefault(cycles, set()).add((class_of[w], _split_sign(w)))
+    assert halves
+    for pairs in halves.values():
+        assert len(pairs) == 2 and {e for _, e in pairs} == {1, -1}
+
+
+@pytest.mark.parametrize("n,count", [(4, 34), (6, 76)])
+def test_every_strong_d_representative_matches_the_oracle(n, count):
+    # includes the split degenerate labels and, at rank 6, the rotated
+    # triality classes on a sign block smaller than the diagram
+    reps = enumerate_indices("D", n)
+    assert len(reps) == count
+    for idx in reps:
+        assert check_index_against_oracle(idx), idx
+
+
+COVER_RANKS = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)] + [
+    ("D", 4),
+    ("D", 5),
+]
+
+
+@pytest.mark.parametrize("ctype,n", COVER_RANKS, ids=[f"{t}{n}" for t, n in COVER_RANKS])
+def test_symbolic_covers_are_the_oracle_covers(ctype, n):
+    # each cover is compared as a set of class functions, the covers as a
+    # multiset
+    g = get_group(GROUP_KIND[ctype], n)
+    symbolic = Counter(
+        frozenset(virtual_char_values(g, chi) for chi, _ in cover)
+        for cover in search_perfect_models(ctype, n)
+    )
+    oracle = Counter(frozenset(chi for chi, _ in cover) for cover in oracle_search(g))
+    assert symbolic == oracle
 
 
 def test_oracle_character_values_match_symbolic_expansion():
