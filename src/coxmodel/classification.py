@@ -29,10 +29,15 @@ from .model_index import (
     canonical_form,
     character_of_index,
     enumerate_indices,
+    from_json,
     normalize,
 )
 
-SEARCH_CAPS = {"A": 10, "B": 8, "D": 8}
+SEARCH_CAPS = {"A": 16, "B": 8, "D": 8}
+
+
+class CapExceeded(RuntimeError):
+    """Raised when an oracle group would exceed its element cap."""
 
 
 # --- the known families -------------------------------------------------------
@@ -107,11 +112,12 @@ KNOWN_FAMILIES = ("PA", "PB", "PBhat", "PD", "Aextra4", "B3extra1", "B3extra2")
 def is_perfect_symbolic(indices) -> dict:
     """Verdict on a candidate model given as a list of indexes.
 
-    Returns {"status": "perfect"}, or {"status": "not_perfect"} with the
-    first irreducible label whose multiplicity in the sum is not one as
-    the witness.
+    Members are `ModelIndex` values or the documents `ModelIndex.to_json`
+    writes.  Returns {"status": "perfect"}, or {"status": "not_perfect"}
+    with the first irreducible label whose multiplicity in the sum is not
+    one as the witness.
     """
-    indices = [idx if isinstance(idx, ModelIndex) else ModelIndex(**idx) for idx in indices]
+    indices = [idx if isinstance(idx, ModelIndex) else from_json(idx) for idx in indices]
     if not indices:
         raise ValueError("empty model")
     ctype, n = indices[0].ctype, indices[0].rank
@@ -141,7 +147,13 @@ def exact_covers(masks, primary: int):
     positions in the order they were chosen.
     """
     columns = [i for i in range(primary.bit_length()) if primary >> i & 1]
-    by_column = {i: [r for r, m in enumerate(masks) if m >> i & 1] for i in columns}
+    by_column: dict[int, list[int]] = {i: [] for i in columns}
+    for r, m in enumerate(masks):
+        m &= primary
+        while m:
+            low = m & -m
+            by_column[low.bit_length() - 1].append(r)
+            m ^= low
     chosen: list[int] = []
 
     def rec(covered):

@@ -323,14 +323,12 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    from .oracle import CapExceeded
-
     try:
         return args.func(args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except CapExceeded as exc:
+    except cl.CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3
     except ValueError as exc:

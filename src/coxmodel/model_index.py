@@ -615,14 +615,8 @@ def _d_column0_options(a0: int):
     return out
 
 
-def _compositions(n: int, parts: int | None = None):
-    """Compositions of n into positive parts (any length when parts is None)."""
-    if parts is None:
-        if n == 0:
-            return
-        for k in range(1, n + 1):
-            yield from _compositions(n, k)
-        return
+def _compositions(n: int, parts: int):
+    """Compositions of n into exactly `parts` positive parts."""
     if parts == 1:
         yield (n,)
         return
@@ -631,11 +625,25 @@ def _compositions(n: int, parts: int | None = None):
             yield (first,) + rest
 
 
-def _raw_indices(ctype: str, n: int):
+# The corank-two lemma: induction from a standard parabolic subgroup of
+# corank at least two is never multiplicity-free.  A type A index with k
+# columns induces from S_a1 x ... x S_ak, of corank k - 1, and its
+# character contains a product of k nonempty Schur functions, which repeats
+# a constituent once k >= 3 (cf. Stembridge, "Multiplicity-free products of
+# Schur functions", 2001; test_criterion_7 checks the products).  So only
+# indexes with at most this many columns can belong to a perfect model.
+_A_MF_MAX_COLUMNS = 2
+
+
+def _raw_indices(ctype: str, n: int, mf_only: bool = False):
+    """Every index of the rank-n shapes; with mf_only, only the shapes the
+    corank-two lemma leaves as candidates for a perfect model."""
     if ctype == "A":
-        for comp in _compositions(n):
-            pools = [_a_column_options(a) for a in comp]
-            yield from _product_indices("A", pools)
+        widest = min(n, _A_MF_MAX_COLUMNS) if mf_only else n
+        for parts in range(1, widest + 1):
+            for comp in _compositions(n, parts):
+                pools = [_a_column_options(a) for a in comp]
+                yield from _product_indices("A", pools)
         return
     if ctype == "B":
         for a0 in range(n + 1):
@@ -668,7 +676,10 @@ def _product_indices(ctype, pools):
 
 
 def _lemma_excludes_mf(idx: ModelIndex) -> bool:
-    """Known sufficient conditions for a repeated constituent."""
+    """Known sufficient conditions for a repeated constituent.
+
+    Type A is pruned earlier, by shape, in `_raw_indices`.
+    """
     if idx.ctype == "A":
         return False
     (a0, b0, g0), (a1, b1, g1) = idx.columns
@@ -689,7 +700,7 @@ def _lemma_excludes_mf(idx: ModelIndex) -> bool:
 def enumerate_indices(ctype: str, n: int, mf_only: bool = False):
     """One representative per strong class of valid rank-n indexes."""
     reps: dict[ModelIndex, None] = {}
-    for idx in _raw_indices(ctype, n):
+    for idx in _raw_indices(ctype, n, mf_only):
         if validate(idx):
             continue
         if mf_only and _lemma_excludes_mf(idx):

@@ -34,10 +34,7 @@ from .char_ring import (
     mn_value_a,
     mn_value_b,
 )
-
-
-class CapExceeded(RuntimeError):
-    """Raised when a group would exceed the enumeration cap."""
+from .classification import CapExceeded
 
 
 def oracle_cap() -> int:

@@ -53,6 +53,11 @@ def test_known_families_are_perfect_by_the_oracle():
         assert oc.oracle_is_perfect(group, chars), family
 
 
+def test_is_perfect_accepts_index_documents():
+    docs = [idx.to_json() for idx in known_model("PB", 3)]
+    assert is_perfect_symbolic(docs) == {"status": "perfect"}
+
+
 def test_is_perfect_reports_witnesses():
     # doubling a member must produce a repeated constituent
     model = list(known_model("PB", 3)) + [known_model("PB", 3)[0]]
@@ -100,8 +105,9 @@ def test_classify_dispatches_i2_and_h3():
 
 
 def test_search_respects_rank_caps():
-    with pytest.raises(ValueError):
-        search_perfect_models("B", 9)
+    for ctype, n in (("A", 17), ("B", 9), ("D", 9)):
+        with pytest.raises(ValueError, match="search capped"):
+            search_perfect_models(ctype, n)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +124,8 @@ def test_search_respects_rank_caps():
         ("D", 4, "strong", 0),
         ("D", 5, "strong", 2),
         ("D", 5, "full", 1),
+        # beyond the golden files, up to the type A search cap
+        *[("A", n, rel, c) for n in range(11, 17) for rel, c in (("strong", 2), ("full", 1))],
     ],
 )
 def test_classify_counts(ctype, n, relation, count):

@@ -184,6 +184,39 @@ def test_oracle_rejects_small_ranks(capsys, action, ctype, rank):
     assert "error" in err and "Traceback" not in err
 
 
+def test_classify_above_the_type_a_cap_exits_1(capsys):
+    code, out, err = invoke(capsys, "classify", "--type", "A", "--rank", "17")
+    assert code == 1
+    assert out == ""
+    assert "search capped at rank 16 for type A" in err
+
+
+def test_classify_does_not_import_the_oracle():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import coxmodel
+
+    src = str(Path(coxmodel.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from coxmodel import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(['classify', '--type', 'B', '--rank', '3'])\n"
+        "print(code, 'coxmodel.oracle' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_python_dash_m_runs_the_cli():
     import os
     import subprocess

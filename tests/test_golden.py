@@ -18,7 +18,7 @@ CLASSIFY = sorted(GOLDEN.glob("classify_*.json"))
 
 
 def test_golden_files_are_present():
-    assert len(CLASSIFY) == 43
+    assert len(CLASSIFY) == 53
 
 
 @pytest.mark.parametrize("path", CLASSIFY, ids=lambda p: p.stem)

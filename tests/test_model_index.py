@@ -197,19 +197,35 @@ def test_enumerate_mf_filter_is_a_subset():
 
 
 def test_lemma_prunes_only_repeated_constituents():
-    # every valid index has an exact character, and each one the lemma
-    # prunes repeats a constituent
-    pruned = 0
-    for ctype, ranks in (("B", range(2, 11)), ("D", range(4, 11))):
+    # every valid index has an exact character, and each one a lemma prunes
+    # repeats a constituent: type A loses its indexes of three or more
+    # columns before enumeration, types B and D lose what _lemma_excludes_mf
+    # names
+    pruned = {"A": 0, "B": 0, "D": 0}
+    for ctype, ranks in (("A", range(3, 9)), ("B", range(2, 11)), ("D", range(4, 11))):
         for n in ranks:
+            kept = set(_raw_indices(ctype, n, mf_only=True))
             for idx in _raw_indices(ctype, n):
                 if validate(idx):
                     continue
                 chi = character_of_index(idx)
-                if _lemma_excludes_mf(idx):
+                if ctype == "A":
+                    assert (idx in kept) == (len(idx.columns) <= 2), idx
+                if idx not in kept or _lemma_excludes_mf(idx):
                     assert is_multiplicity_free(chi) is False, idx
-                    pruned += 1
-    assert pruned > 1000
+                    pruned[ctype] += 1
+    assert pruned["A"] > 1000
+    assert pruned["B"] + pruned["D"] > 1000
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_type_a_prune_keeps_every_multiplicity_free_class(n):
+    # reference: every strong class over all compositions of n, then the
+    # multiplicity-free filter
+    every = enumerate_indices("A", n)
+    want = tuple(idx for idx in every if is_multiplicity_free(character_of_index(idx)))
+    assert enumerate_indices("A", n, mf_only=True) == want
+    assert any(len(idx.columns) > 2 for idx in every) == (n >= 3)
 
 
 def test_enumerate_returns_canonical_representatives():
