@@ -34,6 +34,14 @@ from .model_index import (
 )
 
 SEARCH_CAPS = {"A": 16, "B": 8, "D": 8}
+# The least rank the index notation covers.  D2 is A1 x A1, where the
+# indexes miss covers that the group oracle finds.
+RANK_FLOORS = {"A": 1, "B": 1, "D": 3}
+
+
+def _check_floor(ctype: str, n: int) -> None:
+    if n < RANK_FLOORS[ctype]:
+        raise ValueError(f"type {ctype} needs rank >= {RANK_FLOORS[ctype]}, got {n}")
 
 
 class CapExceeded(RuntimeError):
@@ -42,36 +50,25 @@ class CapExceeded(RuntimeError):
 
 # --- the known families -------------------------------------------------------
 
+# The families of fixed-point-free plus sign columns, and their types.
+_P_TYPES = {"PA": "A", "PB": "B", "PBhat": "B", "PD": "D"}
+
 
 def known_model(family: str, n: int) -> tuple[ModelIndex, ...]:
     """Index lists for the named perfect model families."""
-    if family == "PA":
-        if n < 1:
-            raise ValueError("PA needs rank >= 1")
-        return tuple(
-            normalize(ModelIndex("A", [(2 * k, "fpf", "triv"), (n - 2 * k, "id", "sgn")]))
-            for k in range(n // 2 + 1)
-        )
-    if family in ("PB", "PD"):
-        ctype = "B" if family == "PB" else "D"
-        if n < 2 or (ctype == "D" and n % 2 == 0):
-            raise ValueError(f"{family} needs rank >= 2" + (" and odd" if ctype == "D" else ""))
-        return tuple(
-            normalize(ModelIndex(ctype, [(2 * k, "fpf", "triv"), (n - 2 * k, "id", "sgn")]))
-            for k in range(n // 2 + 1)
-        )
-    if family == "PBhat":
-        if n < 2:
-            raise ValueError("PBhat needs rank >= 2")
+    if family in _P_TYPES:
+        ctype = _P_TYPES[family]
+        least = 1 if family == "PA" else 2
+        if n < least or (family == "PD" and n % 2 == 0):
+            odd = " and odd" if family == "PD" else ""
+            raise ValueError(f"{family} needs rank >= {least}{odd}")
         out = []
         for k in range(n // 2 + 1):
-            if k == 1:
-                out.append(normalize(ModelIndex("B", [(2, "id", "triv"), (n - 2, "id", "sgn")])))
-                out.append(normalize(ModelIndex("B", [(2, "id", "mp"), (n - 2, "id", "sgn")])))
+            if family == "PBhat" and k == 1:
+                cols = [[(2, "id", g), (n - 2, "id", "sgn")] for g in ("triv", "mp")]
             else:
-                out.append(
-                    normalize(ModelIndex("B", [(2 * k, "fpf", "triv"), (n - 2 * k, "id", "sgn")]))
-                )
+                cols = [[(2 * k, "fpf", "triv"), (n - 2 * k, "id", "sgn")]]
+            out += [normalize(ModelIndex(ctype, c)) for c in cols]
         return tuple(out)
     if family == "Aextra4":
         if n != 4:
@@ -121,6 +118,7 @@ def is_perfect_symbolic(indices) -> dict:
     if not indices:
         raise ValueError("empty model")
     ctype, n = indices[0].ctype, indices[0].rank
+    _check_floor(ctype, n)
     total = VirtualCharacter(ctype, n)
     for idx in indices:
         if idx.ctype != ctype or idx.rank != n:
@@ -177,27 +175,34 @@ def exact_covers(masks, primary: int):
     return rec(0)
 
 
-def _label_masks(labels, chars):
-    """One bitmask per character: the positions of its labels in `labels`."""
+def _cover_rows(labels, members):
+    """Group named characters into exact-cover rows, with their label masks.
+
+    `members` yields (name, character, constituents): the constituents map
+    labels to multiplicity one, so a character's mask of label positions
+    identifies it.  Rows are (character, names) in the order their
+    characters first appear.
+    """
     pos = {lab: i for i, lab in enumerate(labels)}
-    return [sum(1 << pos[lab] for lab in chi) for chi in chars]
+    rows: dict = {}
+    for name, chi, constituents in members:
+        mask = sum(1 << pos[lab] for lab in constituents)
+        rows.setdefault(mask, (chi, []))[1].append(name)
+    return [(chi, tuple(names)) for chi, names in rows.values()], list(rows)
 
 
 def _candidate_rows(ctype: str, n: int):
     """Multiplicity-free candidates grouped by character, with label masks."""
-    rows: dict = {}
-    for idx in enumerate_indices(ctype, n, mf_only=True):
-        chi = character_of_index(idx)
-        key = tuple(sorted(chi.coeffs.items(), key=lambda kv: str(kv)))
-        rows.setdefault(key, (chi, []))[1].append(idx)
-    rows = [(chi, tuple(ids)) for chi, ids in rows.values()]
-    return rows, _label_masks(irr_universe(ctype, n), [chi.coeffs for chi, _ in rows])
+    chars = {idx: character_of_index(idx) for idx in enumerate_indices(ctype, n, mf_only=True)}
+    members = ((idx, chi, chi.coeffs) for idx, chi in chars.items())
+    return _cover_rows(irr_universe(ctype, n), members)
 
 
 def search_perfect_models(ctype: str, n: int):
     """Every perfect model at this rank, as covers of character rows."""
     if ctype not in SEARCH_CAPS:
         raise ValueError(f"bad character type: {ctype!r}")
+    _check_floor(ctype, n)
     if n > SEARCH_CAPS[ctype]:
         raise ValueError(f"search capped at rank {SEARCH_CAPS[ctype]} for type {ctype}")
     rows, masks = _candidate_rows(ctype, n)
@@ -379,14 +384,9 @@ def classify_dihedral(m: int, relation: str = "strong") -> dict:
     if m < 5:
         raise ValueError("dihedral classification needs m >= 5")
     labels = dihedral_labels(m)
-    # dedupe triples by character (distinct reflection classes with equal
-    # characters collapse here, matching strong equivalence)
-    rows: dict = {}
-    for name, char in dihedral_triples(m):
-        key = tuple(sorted((str(k), v) for k, v in char.items()))
-        rows.setdefault(key, (char, []))[1].append(name)
-    rows = list(rows.values())
-    masks = _label_masks(labels, [char for char, _ in rows])
+    # distinct reflection classes with equal characters share a row, which
+    # matches strong equivalence
+    rows, masks = _cover_rows(labels, ((name, char, char) for name, char in dihedral_triples(m)))
     covers = exact_covers(masks, (1 << len(labels)) - 1)
     return _expand_classes(
         "I2",
@@ -435,7 +435,7 @@ def verify_h3_model(model) -> bool:
     """
     from . import oracle as oc
 
-    group = oc.get_group("h3")
+    group = oc.get_group(oc.GROUP_KIND["H3"], 3)
     chars = []
     for J, signs in model:
         triple = {
@@ -458,13 +458,8 @@ def _h3_triple_key(group, desc):
     """
     from . import oracle as oc
 
-    J, zmin, theta_perm, sigma = desc
-    sub = group.subgroup(J)
-    cent = oc.twisted_centralizer(group, sub, zmin, sub.theta(theta_perm))
-    values = tuple(
-        sorted((group.index[g], oc.linear_value(sub, sigma, g)) for g in cent)
-    )
-    return (J, values)
+    values = oc.restricted_character(group, dict(zip(("J", "min", "theta", "sigma"), desc)))
+    return (desc[0], tuple(sorted((group.index[g], v) for g, v in values.items())))
 
 
 def classify_h3() -> dict:
@@ -474,7 +469,7 @@ def classify_h3() -> dict:
     """
     from . import oracle as oc
 
-    group = oc.get_group("h3")
+    group = oc.get_group(oc.GROUP_KIND["H3"], 3)
     cover_pools = (
         [sorted({_h3_triple_key(group, d) for d in descs}) for _, descs in cover]
         for cover in oc.oracle_search(group)

@@ -131,9 +131,9 @@ def _oracle_check_model(indices) -> bool:
 
     group = oc.get_group(oc.GROUP_KIND[indices[0].ctype], indices[0].rank)
     chars = [oc.oracle_char_of_index(group, idx) for idx in indices]
-    if tuple(sum(v) for v in zip(*chars)) != oc.sqrt_count(group):
-        return False
-    return all(oc.index_agrees_with_oracle(group, idx, orc) for idx, orc in zip(indices, chars))
+    return oc.oracle_is_perfect(group, chars) and all(
+        oc.index_agrees_with_oracle(group, idx, orc) for idx, orc in zip(indices, chars)
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -143,16 +143,13 @@ def _cmd_verify(args) -> int:
         if m < 5 or (m % 2 == 0) != (name == "I2even"):
             raise DomainError(f"{name} needs matching parity and m >= 5")
         wanted = cl.dihedral_known_models(m)
-        found = {
-            frozenset(str(t) for t in model)
-            for model in (mm for r in [cl.classify_dihedral(m)] for mm in r["models"])
-        }
-        ok = all(frozenset(str(t) for t in model) in found for model in wanted)
+        found = {frozenset(map(str, model)) for model in cl.classify_dihedral(m)["models"]}
+        ok = all(frozenset(map(str, model)) in found for model in wanted)
         if ok and args.oracle:
             from . import oracle as oc
 
-            group = oc.get_group("dihedral", m)
-            ok = len(oc.oracle_search(group)) == (2 if m % 2 else 4)
+            group = oc.get_group(oc.GROUP_KIND["I2"], m)
+            ok = len(oc.oracle_search(group)) == len(wanted)
         _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
         return 0 if ok else 2
     if kind[0] == "H3":
@@ -227,15 +224,9 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle as oc
 
-    kinds = {**oc.GROUP_KIND, "I2": "dihedral", "H3": "h3"}
-    if args.type not in kinds:
-        raise DomainError(f"bad type {args.type!r}")
-    if args.type == "H3":
-        if args.rank != 3:
-            raise DomainError("H3 exists at rank 3 only")
-        group = oc.get_group("h3")
-    else:
-        group = oc.get_group(kinds[args.type], args.rank)
+    if args.type == "H3" and args.rank != 3:
+        raise DomainError("H3 exists at rank 3 only")
+    group = oc.get_group(oc.GROUP_KIND[args.type], args.rank)
     if args.action == "classes":
         classes = sorted(
             oc.perfect_classes(group),
@@ -250,7 +241,7 @@ def _cmd_oracle(args) -> int:
                 "classes": [
                     {
                         "theta": list(c["theta"]),
-                        "min": list(c["min"]) if isinstance(c["min"], tuple) else c["min"],
+                        "min": list(c["min"]),
                         "size": len(c["elements"]),
                     }
                     for c in classes

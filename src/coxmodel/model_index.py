@@ -23,6 +23,7 @@ the least member of the orbit.
 from __future__ import annotations
 
 import json
+from itertools import product
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
 from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
@@ -305,13 +306,11 @@ def transform(idx: ModelIndex, kind: str) -> ModelIndex:
     if kind == "normalize":
         return normalize(idx)
     if kind == "bar":
-        return ModelIndex(
-            idx.ctype, tuple((a, b, _bar_gamma(g)) for a, b, g in idx.columns)
-        )
+        return _bar(idx)
     if kind == "star":
         if idx.ctype != "A":
             raise ValueError("star applies to type A only")
-        return ModelIndex("A", tuple(reversed(idx.columns)))
+        return _star(idx)
     if kind == "dual":
         return _dual(idx)
     if kind == "diamond":
@@ -319,6 +318,14 @@ def transform(idx: ModelIndex, kind: str) -> ModelIndex:
             raise ValueError("diamond applies to type D only")
         return _diamond(idx)
     raise ValueError(f"unknown transform: {kind!r}")
+
+
+def _bar(idx: ModelIndex) -> ModelIndex:
+    return ModelIndex(idx.ctype, tuple((a, b, _bar_gamma(g)) for a, b, g in idx.columns))
+
+
+def _star(idx: ModelIndex) -> ModelIndex:
+    return ModelIndex("A", tuple(reversed(idx.columns)))
 
 
 def _dual(idx: ModelIndex) -> ModelIndex:
@@ -423,11 +430,11 @@ def equivalence_orbit(idx: ModelIndex, relation: str = "strong") -> tuple:
     start = normalize(idx)
     gens = [_dual]
     if idx.ctype == "A":
-        gens.append(lambda i: transform(i, "star"))
+        gens.append(_star)
     if idx.ctype == "D" and idx.rank % 2 == 1:
         gens.append(_diamond)
     if relation == "full":
-        gens.append(lambda i: transform(i, "bar"))
+        gens.append(_bar)
         if idx.ctype == "D" and idx.rank % 2 == 0:
             gens.append(_diamond)
         if idx.ctype == "D" and idx.rank == 4:
@@ -640,39 +647,24 @@ def _raw_indices(ctype: str, n: int, mf_only: bool = False):
     corank-two lemma leaves as candidates for a perfect model."""
     if ctype == "A":
         widest = min(n, _A_MF_MAX_COLUMNS) if mf_only else n
-        for parts in range(1, widest + 1):
-            for comp in _compositions(n, parts):
-                pools = [_a_column_options(a) for a in comp]
-                yield from _product_indices("A", pools)
-        return
-    if ctype == "B":
-        for a0 in range(n + 1):
-            pools = [_b_column0_options(a0), _ab_column1_options(n - a0)]
-            yield from _product_indices("B", pools)
-        return
-    if ctype == "D":
-        alpha1s = [n, -n] + [a for a in range(0, n - 1)]
-        for a1 in alpha1s:
-            a0 = n - abs(a1)
-            if a0 == 1:
-                continue
-            pools = [_d_column0_options(a0), _ab_column1_options(a1)]
-            yield from _product_indices("D", pools)
-        return
-    raise ValueError(f"bad index type: {ctype!r}")
-
-
-def _product_indices(ctype, pools):
-    def rec(i, acc):
-        if i == len(pools):
-            yield ModelIndex(ctype, list(acc))
-            return
-        for col in pools[i]:
-            acc.append(col)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+        shapes = (
+            [_a_column_options(a) for a in comp]
+            for parts in range(1, widest + 1)
+            for comp in _compositions(n, parts)
+        )
+    elif ctype == "B":
+        shapes = ([_b_column0_options(a0), _ab_column1_options(n - a0)] for a0 in range(n + 1))
+    elif ctype == "D":
+        # the whole diagram either way round, then sign blocks of size n .. 2
+        shapes = (
+            [_d_column0_options(n - abs(a1)), _ab_column1_options(a1)]
+            for a1 in [n, -n, *range(n - 1)]
+        )
+    else:
+        raise ValueError(f"bad index type: {ctype!r}")
+    for pools in shapes:
+        for cols in product(*pools):
+            yield ModelIndex(ctype, cols)
 
 
 def _lemma_excludes_mf(idx: ModelIndex) -> bool:

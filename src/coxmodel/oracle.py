@@ -3,13 +3,14 @@
 Groups are enumerated element by element (signed permutations for the
 classical series, rotation/flip pairs for the dihedral groups, a signed
 permutation realization for the rank three icosahedral group).  Everything
-downstream is exact integer or Fraction arithmetic: conjugacy classes,
-twisted involution classes, induced characters, square-root counts.
+downstream is exact integer arithmetic: conjugacy classes, twisted
+involution classes, induced characters, square-root counts.
 
 The oracle validates itself as it goes: BFS lengths are checked against
-the exchange condition, induced character values must come out integral,
-and the square-root-count class function must have norm equal to the
-number of conjugacy classes (every irreducible here is orthogonal).
+the exchange condition, induced character values and inner products must
+come out integral, and the square-root-count class function must have
+norm equal to the number of conjugacy classes (every irreducible here is
+orthogonal).
 
 Labeled irreducible values come from Murnaghan-Nakayama at the signed
 cycle type.  A degenerate type D label at any even rank takes half the
@@ -21,9 +22,9 @@ degrees, orthonormality and the sign convention before it decomposes.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
+from types import MappingProxyType
 
 from . import partitions as pt
 from .char_ring import (
@@ -84,16 +85,15 @@ class Group:
     Generators must be involutions, so no inverse is ever needed.
     """
 
-    def __init__(self, kind, gens, gen_names, mult, identity, cap=None):
+    def __init__(self, kind, gens, mult, identity):
         self.kind = kind
         self.gens = tuple(gens)
-        self.gen_names = tuple(gen_names)
         self.mult = mult
         self.identity = identity
         for g in self.gens:
             if mult(g, g) != identity:
                 raise ValueError(f"generator {g} of {kind} is not an involution")
-        self._enumerate(oracle_cap() if cap is None else cap)
+        self._enumerate(oracle_cap())
         self._classes = None
         self._thetas = {}
         self._subgroups = {}
@@ -208,15 +208,14 @@ class Group:
             sub = self._subgroups[gen_ids] = Group(
                 f"{self.kind}|{gen_ids}",
                 [self.gens[i] for i in gen_ids],
-                [self.gen_names[i] for i in gen_ids],
                 self.mult,
                 self.identity,
             )
         return sub
 
 
-# The group kind of each classical character type.
-GROUP_KIND = {"A": "symA", "B": "symB", "D": "symD"}
+# The group kind of each type.
+GROUP_KIND = {"A": "symA", "B": "symB", "D": "symD", "I2": "dihedral", "H3": "h3"}
 
 # The least rank at which each classical family's generators make sense.
 _MIN_RANK = {"symA": 1, "symB": 1, "symD": 2, "dihedral": 2}
@@ -228,26 +227,19 @@ def build_group(kind: str, n: int = 0) -> Group:
     if kind == "symA":
         # the symmetric group on n letters
         gens = [_transposition(n, i, i + 1) for i in range(1, n)]
-        names = [f"s{i}" for i in range(1, n)]
-        return Group("symA", gens, names, _sp_mult, _sp_identity(n))
+        return Group("symA", gens, _sp_mult, _sp_identity(n))
     if kind == "symB":
         s0 = tuple([-1] + list(range(2, n + 1)))
         gens = [s0] + [_transposition(n, i, i + 1) for i in range(1, n)]
-        names = ["s0"] + [f"s{i}" for i in range(1, n)]
-        return Group("symB", gens, names, _sp_mult, _sp_identity(n))
+        return Group("symB", gens, _sp_mult, _sp_identity(n))
     if kind == "symD":
         gens = [_neg_transposition(n)] + [
             _transposition(n, i, i + 1) for i in range(1, n)
         ]
-        names = ["s-1"] + [f"s{i}" for i in range(1, n)]
-        return Group("symD", gens, names, _sp_mult, _sp_identity(n))
+        return Group("symD", gens, _sp_mult, _sp_identity(n))
     if kind == "dihedral":
-        m = n
-        s = (0, 1)
-        t = (1, 1)
-        return Group(
-            f"dihedral{m}", [s, t], ["s", "t"], _dih_mult_factory(m), (0, 0)
-        )
+        # s and t as (rotation, flip) pairs
+        return Group(f"dihedral{n}", [(0, 1), (1, 1)], _dih_mult_factory(n), (0, 0))
     if kind == "h3":
         size = 6
         s = [_neg_transposition(size)] + [
@@ -256,9 +248,7 @@ def build_group(kind: str, n: int = 0) -> Group:
         h1 = _sp_mult(s[1], s[3])
         h2 = _sp_mult(s[2], s[4])
         h3 = _sp_mult(s[0], s[5])
-        return Group(
-            "h3", [h1, h2, h3], ["h1", "h2", "h3"], _sp_mult, _sp_identity(size)
-        )
+        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size))
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
@@ -293,44 +283,29 @@ def sqrt_count(group: Group):
     return vec
 
 
-def inner_product(group: Group, f, g) -> Fraction:
+def inner_product(group: Group, f, g) -> int:
+    """<f, g> of two class functions; it is an integer for characters."""
     _, _, sizes = group.conjugacy_classes()
-    return Fraction(sum(s * a * b for s, a, b in zip(sizes, f, g)), group.order)
-
-
-def class_values(group: Group, func):
-    _, reps, _ = group.conjugacy_classes()
-    return tuple(func(r) for r in reps)
+    ip, r = divmod(sum(s * a * b for s, a, b in zip(sizes, f, g)), group.order)
+    if r:
+        raise RuntimeError("inner product not integral")
+    return ip
 
 
 # --- linear characters ---------------------------------------------------------
 
 
 def linear_characters(group: Group):
-    """All homomorphisms to {+1, -1} as sign tuples over the generators."""
+    """All homomorphisms to {+1, -1} as sign tuples over the generators.
+
+    Generators joined by an odd bond share a sign.  The first generator's
+    sign varies fastest.
+    """
     k = len(group.gens)
     m = group.coxeter_matrix()
-    # generators joined by an odd bond must share a sign
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if m[i][j] % 2 == 1:
-                parent[find(i)] = find(j)
-    comps = sorted({find(i) for i in range(k)})
-    out = []
-    for bits in range(1 << len(comps)):
-        signs = tuple(
-            -1 if (bits >> comps.index(find(i))) & 1 else 1 for i in range(k)
-        )
-        out.append(signs)
-    return tuple(out)
+    odd = [(i, j) for i in range(k) for j in range(i + 1, k) if m[i][j] % 2 == 1]
+    signs = (bits[::-1] for bits in product((1, -1), repeat=k))
+    return tuple(s for s in signs if all(s[i] == s[j] for i, j in odd))
 
 
 def linear_value(group: Group, signs, w) -> int:
@@ -416,14 +391,14 @@ def twisted_centralizer(group: Group, sub: Group, w, theta):
     return [g for g in sub.elements if group.mult(g, w) == group.mult(w, theta[g])]
 
 
-def induced_character(group: Group, subgroup_elems, values: dict):
-    """Induce integer values on a subgroup; the result must be integral."""
+def induced_character(group: Group, values: dict):
+    """Induce integer values {y: value} on a subgroup; the result must be integral."""
     class_of, reps, sizes = group.conjugacy_classes()
     sums = [0] * len(reps)
-    for y in subgroup_elems:
-        sums[class_of[y]] += values[y]
+    for y, v in values.items():
+        sums[class_of[y]] += v
     out = []
-    h = len(subgroup_elems)
+    h = len(values)
     for total, size in zip(sums, sizes):
         v, r = divmod(group.order * total, size * h)
         if r:
@@ -454,12 +429,16 @@ def all_triples(group: Group):
     return out
 
 
-def triple_character(group: Group, triple):
-    """The induced model character of one triple, as a class-value tuple."""
+def restricted_character(group: Group, triple) -> dict:
+    """The triple's linear character on its twisted centralizer, {g: +-1}."""
     sub = group.subgroup(triple["J"])
     cent = twisted_centralizer(group, sub, triple["min"], sub.theta(triple["theta"]))
-    values = {g: linear_value(sub, triple["sigma"], g) for g in cent}
-    return induced_character(group, cent, values)
+    return {g: linear_value(sub, triple["sigma"], g) for g in cent}
+
+
+def triple_character(group: Group, triple):
+    """The induced model character of one triple, as a class-value tuple."""
+    return induced_character(group, restricted_character(group, triple))
 
 
 def oracle_is_perfect(group: Group, chars) -> bool:
@@ -494,7 +473,7 @@ def oracle_search(group: Group):
         mult = inner_product(group, chi, r2)
         if norm != mult:
             continue  # repeated constituent
-        items.append((chi, int(norm), descs))
+        items.append((chi, norm, descs))
     items.sort(key=lambda it: (-it[1], it[0]))
     gram = [
         [
@@ -593,15 +572,17 @@ def irr_value(ctype: str, label, w) -> int:
 
 
 @cache
-def _irr_table_checked(ctype: str, n: int) -> bool:
-    """Audit of the labeled values: degrees, orthonormality, sign convention.
+def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
+    """Class values of every labeled irreducible on `group`, audited.
 
-    The convention: chi[core,+] - chi[core,-] is 2^(n/2) deg(core) at the
-    standard fixed-point-free involution s1 s3 ... s(n-1).
+    Returns a read-only {label: class-value tuple}.  The audit checks
+    degrees, orthonormality and the sign convention: chi[core,+] -
+    chi[core,-] is 2^(n/2) deg(core) at the standard fixed-point-free
+    involution s1 s3 ... s(n-1).
     """
-    group = get_group(GROUP_KIND[ctype], n)
+    class_of, reps, _ = group.conjugacy_classes()
     labels = irr_universe(ctype, n)
-    vecs = {lab: class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r)) for lab in labels}
+    vecs = {lab: tuple(irr_value(ctype, lab, r) for r in reps) for lab in labels}
     for lab in labels:
         # the identity is element 0, so its class is class 0
         if vecs[lab][0] != degree(ctype, lab):
@@ -612,7 +593,6 @@ def _irr_table_checked(ctype: str, n: int) -> bool:
             if ip != (1 if l1 == l2 else 0):
                 raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
     if ctype == "D" and n % 2 == 0:
-        class_of, _, _ = group.conjugacy_classes()
         fpf = group.identity
         for i in range(1, n, 2):
             fpf = group.mult(fpf, group.gens[i])
@@ -621,30 +601,24 @@ def _irr_table_checked(ctype: str, n: int) -> bool:
             delta = vecs[("deg", core, "+")][cid] - vecs[("deg", core, "-")][cid]
             if delta != 2 ** (n // 2) * pt.standard_tableau_count(core):
                 raise RuntimeError(f"degenerate sign convention broken: {core}")
-    return True
+    return MappingProxyType(vecs)
 
 
 def virtual_char_values(group: Group, chi):
     """Class-value vector of a symbolic VirtualCharacter on an oracle group."""
     _, reps, _ = group.conjugacy_classes()
-    totals = [0] * len(reps)
-    for lab, c in chi.coeffs.items():
-        for i, r in enumerate(reps):
-            totals[i] += c * irr_value(chi.ctype, lab, r)
-    return tuple(totals)
+    table = _irr_table(group, chi.ctype, chi.rank)
+    return tuple(
+        sum(c * table[lab][i] for lab, c in chi.coeffs.items()) for i in range(len(reps))
+    )
 
 
 def decompose(group: Group, ctype: str, n: int, values):
     """Write a class-value vector in the labeled irreducible basis."""
-    _irr_table_checked(ctype, n)
     out = VirtualCharacter(ctype, n)
     residual = list(values)
-    for lab in irr_universe(ctype, n):
-        vec = class_values(group, lambda r, lab=lab: irr_value(ctype, lab, r))
-        c = inner_product(group, tuple(residual), vec)
-        if c.denominator != 1:
-            raise RuntimeError(f"non-integral multiplicity: {(lab, c)}")
-        c = int(c)
+    for lab, vec in _irr_table(group, ctype, n).items():
+        c = inner_product(group, residual, vec)
         if c:
             out.add(lab, c)
             for i in range(len(residual)):

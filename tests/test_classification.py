@@ -110,6 +110,17 @@ def test_search_respects_rank_caps():
             search_perfect_models(ctype, n)
 
 
+def test_search_and_verdict_respect_rank_floors():
+    # at D2 = A1 x A1 the indexes give 7 covers where the oracle finds 11
+    assert len(oc.oracle_search(oc.get_group("symD", 2))) == 11
+    for ctype, n in (("A", 0), ("B", 0), ("D", 2), ("D", 1), ("D", -1)):
+        with pytest.raises(ValueError, match=f"type {ctype} needs rank >= "):
+            search_perfect_models(ctype, n)
+    with pytest.raises(ValueError, match="type D needs rank >= 3, got 2"):
+        is_perfect_symbolic([ModelIndex("D", [(2, "id", "triv"), (0, "id", "triv")])])
+    assert len(search_perfect_models("D", 3)) == 4
+
+
 @pytest.mark.parametrize(
     "ctype,n,relation,count",
     [

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coxmodel import oracle as oc
 from coxmodel.cli import run
 
 
@@ -191,6 +195,25 @@ def test_classify_above_the_type_a_cap_exits_1(capsys):
     assert "search capped at rank 16 for type A" in err
 
 
+@pytest.mark.parametrize(
+    "ctype,rank,floor",
+    [("A", 0, 1), ("A", -2, 1), ("B", 0, 1), ("D", 0, 3), ("D", 1, 3), ("D", 2, 3)],
+)
+def test_classify_below_the_rank_floor_exits_1(capsys, ctype, rank, floor):
+    code, out, err = invoke(capsys, "classify", "--type", ctype, "--rank", str(rank))
+    assert code == 1
+    assert out == ""
+    assert f"type {ctype} needs rank >= {floor}, got {rank}" in err
+
+
+def test_verify_below_the_rank_floor_exits_1(capsys):
+    model = [{"type": "D", "alpha": [2, 0], "beta": ["id", "id"], "gamma": ["triv", "triv"]}]
+    code, out, err = invoke(capsys, "verify", "--model", json.dumps(model), "--oracle")
+    assert code == 1
+    assert out == ""
+    assert "type D needs rank >= 3, got 2" in err
+
+
 def test_classify_does_not_import_the_oracle():
     import os
     import subprocess
@@ -248,3 +271,76 @@ def test_console_script_entry_point():
     )
     # argparse exits nonzero without a subcommand; main() must not traceback
     assert "Traceback" not in proc.stderr
+
+
+# --- no input ends in a traceback ---------------------------------------------
+
+_PARTITION_TEXT = st.one_of(
+    st.sampled_from(
+        ["(1)", "(2,1)", "(3)", "(1,1,1)", "(2,2)", "()", "(1,2)", "(0)", "(-1)", "2,1"]
+    ),
+    st.text(max_size=5),
+)
+_BETAS = ["id", "idplus", "fpf", "fpfplus", "fpfdiamond", ["pq", 1, 2], ["pq", 2, 2],
+          ["tri", 3, 1, "cw"], ["tri", 1, 3, "ccw"], ["pq"], 7, None]
+_INDEX_FIELDS = {
+    "type": st.sampled_from(["A", "B", "D", "I2", 3]),
+    "alpha": st.one_of(st.lists(st.integers(-3, 3), max_size=3), st.just("2"), st.just([1.5])),
+    "beta": st.lists(st.sampled_from(_BETAS), max_size=3),
+    "gamma": st.lists(st.sampled_from(["triv", "sgn", "pm", "mp", "x", 0]), max_size=3),
+}
+# well-formed documents mostly, then missing keys and non-documents
+_INDEX_DOCS = st.one_of(
+    st.fixed_dictionaries(_INDEX_FIELDS),
+    st.fixed_dictionaries({}, optional=_INDEX_FIELDS),
+    st.sampled_from([5, "A", None, [], [1, 2]]),
+)
+_TYPES = st.sampled_from(["A", "B", "D", "I2", "H3", "E"])
+_FAMILIES = st.sampled_from(
+    ["PA", "PB", "PBhat", "PD", "Aextra4", "B3extra1", "B3extra2", "I2odd", "I2even", "H3", "X"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["lr", "char", "verify", "classify", "oracle", "junk"]))
+    if command == "lr":
+        argv = ["lr", "--lam", draw(_PARTITION_TEXT), "--mu", draw(_PARTITION_TEXT)]
+        if draw(st.booleans()):
+            argv += ["--nu", draw(_PARTITION_TEXT)]
+    elif command == "char":
+        argv = ["char", "--index", json.dumps(draw(_INDEX_DOCS))]
+    elif command == "verify":
+        if draw(st.booleans()):
+            model = f"family:{draw(_FAMILIES)}:{draw(st.integers(-1, 7))}"
+        else:
+            model = json.dumps(draw(st.lists(_INDEX_DOCS, max_size=3)))
+        argv = ["verify", "--model", model] + (["--oracle"] if draw(st.booleans()) else [])
+    elif command == "classify":
+        ctype = draw(_TYPES)
+        top = 6 if ctype in ("A", "B", "D") else 12
+        argv = ["classify", "--type", ctype, "--rank", str(draw(st.integers(-1, top)))]
+        argv += ["--relation", draw(st.sampled_from(["strong", "full", "weak"]))]
+    elif command == "oracle":
+        action = draw(st.sampled_from(["search", "classes", "orbits"]))
+        argv = ["oracle", action, "--type", draw(_TYPES), "--rank", str(draw(st.integers(-1, 5)))]
+    else:
+        argv = draw(st.lists(st.sampled_from(["classify", "--rank", "x", "--type", "-", ""])))
+    return argv
+
+
+def test_no_cli_input_ends_in_a_traceback(monkeypatch):
+    # groups above the cap exit 3 at once; a fresh cache makes the cap apply
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", "200")
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+
+    @settings(max_examples=150, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    check()

@@ -42,7 +42,7 @@ cases = {
 for name, gens in cases.items():
     ident = tuple(range(1, len(gens[0]) + 1))
     try:
-        Group(name, gens, [str(g) for g in gens], mult, ident)
+        Group(name, gens, mult, ident)
     except (ValueError, RuntimeError) as exc:
         print(f"{name}: {type(exc).__name__}: {exc}")
     else:
@@ -64,3 +64,28 @@ def test_group_rejects_non_coxeter_generators_under_dash_o():
     assert "not an involution" in lines[0]
     assert lines[1] == "not Coxeter: RuntimeError: length function is not Coxeter-like"
     assert lines[2] == "optimize=1"
+
+
+def test_traced_boundaries_resolve():
+    # the benchmark's traced run wraps these names from outside the
+    # package; a rename or deletion must fail here, not in a traced run
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod, attr, _ in tracing.BOUNDARIES:
+        owner = importlib.import_module(f"coxmodel.{mod}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod}.{attr}")
+    assert len(tracing.BOUNDARIES) > 30
+    assert missing == []
+    # the enumeration measure reads these arguments by name
+    enumerate_indices = importlib.import_module("coxmodel.model_index").enumerate_indices
+    assert list(inspect.signature(enumerate_indices).parameters) == ["ctype", "n", "mf_only"]

@@ -1,12 +1,17 @@
 """Index validity, rewrites, equivalence orbits, and index-level projections."""
 
 from functools import cache
+from itertools import combinations, product
 
 import pytest
 
 from coxmodel.char_ring import is_multiplicity_free, twist
 from coxmodel.induction import project
 from coxmodel.model_index import (
+    A_BETAS,
+    A_GAMMAS,
+    B_GAMMAS,
+    D_BETAS,
     ModelIndex,
     canonical_form,
     _lemma_excludes_mf,
@@ -231,3 +236,46 @@ def test_type_a_prune_keeps_every_multiplicity_free_class(n):
 def test_enumerate_returns_canonical_representatives():
     for idx in enumerate_indices("D", 4):
         assert canonical_form(idx, "strong") == idx
+
+
+def _spellings(ctype, n):
+    """Every rank-n index over the symbols: the sign block takes every beta
+    (with all pq splits and triality rotations) and every gamma, the
+    symmetric columns A_BETAS and A_GAMMAS."""
+
+    def symmetric(a):
+        return [(a, b, g) for b in A_BETAS for g in A_GAMMAS]
+
+    def sign_block(a0):
+        betas = [*dict.fromkeys(A_BETAS + D_BETAS)]
+        betas += [("pq", p, a0 - p) for p in range(a0 + 1)]
+        betas += [("tri", p, q, d) for p, q in ((3, 1), (1, 3)) for d in ("cw", "ccw")]
+        return [(a0, b, g) for b in betas for g in B_GAMMAS]
+
+    if ctype == "A":
+        cuts = (c for k in range(n) for c in combinations(range(1, n), k))
+        shapes = [tuple(b - a for a, b in zip((0, *c), (*c, n))) for c in cuts]
+        shapes += [(0, n), (n, 0)]
+        pools = [[symmetric(a) for a in shape] for shape in shapes]
+    elif ctype == "B":
+        pools = [[sign_block(n - a1), symmetric(a1)] for a1 in range(n + 1)]
+    else:
+        pools = [[sign_block(n - abs(a1)), symmetric(a1)] for a1 in range(-n, n + 1)]
+    for pool in pools:
+        for cols in product(*pool):
+            yield ModelIndex(ctype, cols)
+
+
+SPELLED_RANKS = [
+    *(("A", n) for n in range(1, 5)),
+    *(("B", n) for n in range(1, 7)),
+    *(("D", n) for n in range(2, 7)),
+]
+
+
+@pytest.mark.parametrize("ctype,n", SPELLED_RANKS)
+def test_column_generators_are_the_valid_normalized_spellings(ctype, n):
+    raw = list(_raw_indices(ctype, n))
+    assert len(set(raw)) == len(raw)
+    want = {idx for idx in _spellings(ctype, n) if not validate(idx) and normalize(idx) == idx}
+    assert set(raw) == want

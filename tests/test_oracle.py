@@ -153,6 +153,7 @@ def test_every_strong_d_representative_matches_the_oracle(n, count):
 
 
 COVER_RANKS = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)] + [
+    ("D", 3),
     ("D", 4),
     ("D", 5),
 ]
