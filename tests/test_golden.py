@@ -1,8 +1,10 @@
-"""Golden outputs: `classify` documents and the even-rank D certificates.
+"""Golden outputs: `classify` and `oracle` documents and the even-rank D
+certificates.
 
-The files under tests/golden/ were recorded from the program before its
-searches were merged into one exact-cover engine; any drift in a class
-representative, an ordering or a count shows up here as a diff.
+The `classify` files under tests/golden/ were recorded from the program
+before its searches were merged into one exact-cover engine, the `oracle`
+files before the oracle moved onto integer Cayley tables; any drift in a
+class representative, an ordering or a count shows up here as a diff.
 """
 
 import json
@@ -15,6 +17,7 @@ from coxmodel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 CLASSIFY = sorted(GOLDEN.glob("classify_*.json"))
+ORACLE = sorted(GOLDEN.glob("oracle_*.json"))
 
 
 def test_golden_files_are_present():
@@ -34,6 +37,22 @@ def test_classify_matches_golden(path, capsys):
     code = run(argv)
     _, err = capsys.readouterr()
     assert code == 0, err
+
+
+def test_oracle_golden_files_are_present():
+    # search: A3-A5, B2-B5, D4, I2(5), I2(6), H3; classes: B4, D4, D6
+    assert len(ORACLE) == 14
+
+
+@pytest.mark.parametrize("path", ORACLE, ids=lambda p: p.stem)
+def test_oracle_matches_golden(path, capsys):
+    want = path.read_text(encoding="utf-8")
+    doc = json.loads(want)
+    argv = doc["command"].split() + ["--type", doc["type"], "--rank", str(doc["rank"])]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out == want
 
 
 @pytest.mark.parametrize("n", [6, 8])
