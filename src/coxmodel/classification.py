@@ -28,8 +28,8 @@ from .model_index import (
     ModelIndex,
     canonical_form,
     character_of_index,
-    enumerate_indices,
     from_json,
+    multiplicity_free_characters,
     normalize,
 )
 
@@ -193,7 +193,7 @@ def _cover_rows(labels, members):
 
 def _candidate_rows(ctype: str, n: int):
     """Multiplicity-free candidates grouped by character, with label masks."""
-    chars = {idx: character_of_index(idx) for idx in enumerate_indices(ctype, n, mf_only=True)}
+    chars = multiplicity_free_characters(ctype, n)
     members = ((idx, chi, chi.coeffs) for idx, chi in chars.items())
     return _cover_rows(irr_universe(ctype, n), members)
 
@@ -459,7 +459,7 @@ def _h3_triple_key(group, desc):
     from . import oracle as oc
 
     values = oc.restricted_character(group, dict(zip(("J", "min", "theta", "sigma"), desc)))
-    return (desc[0], tuple(sorted((group.index[g], v) for g, v in values.items())))
+    return (desc[0], tuple(sorted(values.items())))
 
 
 def classify_h3() -> dict:

@@ -690,15 +690,32 @@ def _lemma_excludes_mf(idx: ModelIndex) -> bool:
 
 
 def enumerate_indices(ctype: str, n: int, mf_only: bool = False):
-    """One representative per strong class of valid rank-n indexes."""
+    """One representative per strong class of valid rank-n indexes.
+
+    With mf_only, only those whose character is multiplicity-free.
+    """
+    if mf_only:
+        return tuple(multiplicity_free_characters(ctype, n))
+    return _strong_representatives(ctype, n, False)
+
+
+def multiplicity_free_characters(ctype: str, n: int) -> dict:
+    """{index: character} of the multiplicity-free strong classes, in order."""
+    out = {}
+    for idx in _strong_representatives(ctype, n, True):
+        chi = character_of_index(idx)
+        if is_multiplicity_free(chi):
+            out[idx] = chi
+    return out
+
+
+def _strong_representatives(ctype: str, n: int, pruned: bool):
+    """Sorted strong class representatives; with `pruned`, the lemmas apply."""
     reps: dict[ModelIndex, None] = {}
-    for idx in _raw_indices(ctype, n, mf_only):
+    for idx in _raw_indices(ctype, n, pruned):
         if validate(idx):
             continue
-        if mf_only and _lemma_excludes_mf(idx):
+        if pruned and _lemma_excludes_mf(idx):
             continue
         reps[canonical_form(idx, "strong")] = None
-    out = sorted(reps, key=ModelIndex.key)
-    if mf_only:
-        return tuple(idx for idx in out if is_multiplicity_free(character_of_index(idx)))
-    return tuple(out)
+    return tuple(sorted(reps, key=ModelIndex.key))

@@ -2,9 +2,12 @@
 
 Groups are enumerated element by element (signed permutations for the
 classical series, rotation/flip pairs for the dihedral groups, a signed
-permutation realization for the rank three icosahedral group).  Everything
-downstream is exact integer arithmetic: conjugacy classes, twisted
-involution classes, induced characters, square-root counts.
+permutation realization for the rank three icosahedral group).  One BFS
+numbers the elements, and everything downstream runs on those integer ids
+through the tables of products by a generator: subgroups, conjugacy
+classes, twisted involution classes and centralizers, induced characters,
+square-root counts.  Element tuples come back only where a value leaves
+the oracle: the perfection test, cycle types and output.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition, induced character values and inner products must
@@ -22,8 +25,9 @@ degrees, orthonormality and the sign convention before it decomposes.
 from __future__ import annotations
 
 import os
-from functools import cache
+from functools import cached_property
 from itertools import permutations, product
+from operator import itemgetter
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -48,6 +52,24 @@ def oracle_cap() -> int:
 def _sp_mult(x, y):
     """x after y: entry i is x applied to the signed letter y[i]."""
     return tuple([x[i - 1] if i > 0 else -x[-i - 1] for i in y])
+
+
+def _sp_right(g):
+    """w -> w g for one fixed signed permutation g, by a C-level gather."""
+    if len(g) < 2:
+        return lambda w: _sp_mult(w, g)
+    gather = itemgetter(*[abs(i) - 1 for i in g])
+    signs = [k for k, i in enumerate(g) if i < 0]
+    if not signs:
+        return gather
+
+    def step(w):
+        v = list(gather(w))
+        for k in signs:
+            v[k] = -v[k]
+        return tuple(v)
+
+    return step
 
 
 def _dih_mult_factory(m):
@@ -80,12 +102,23 @@ def _neg_transposition(n):
 
 
 class Group:
-    """Fully enumerated Coxeter group; every derived map is computed once.
+    """Fully enumerated Coxeter group, numbered once by its BFS.
 
-    Generators must be involutions, so no inverse is ever needed.
+    Element i is `elements[i]`; the identity is 0.  Every map after the
+    enumeration runs on these integer ids:
+
+    - `right[g][i]` is the id of w_i s_g, `left[g][i]` that of s_g w_i;
+    - w_i = w_rparent[i] s_rgen[i] and w_i = s_lgen[i] w_lparent[i], each
+      parent one letter shorter; lgen[i] is the least left descent, the
+      first letter of the BFS word.
+
+    Generators must be involutions, so twisted conjugation by s is
+    x -> s x pi(s).  A parabolic subgroup numbers its own elements;
+    `parent_ids` and `gen_ids` map its ids and generators to the parent's.
     """
 
-    def __init__(self, kind, gens, mult, identity):
+    def __init__(self, kind, gens, mult, identity, right_step=None):
+        """`right_step(g)`, if given, is a faster w -> mult(w, g) for the BFS."""
         self.kind = kind
         self.gens = tuple(gens)
         self.mult = mult
@@ -93,68 +126,181 @@ class Group:
         for g in self.gens:
             if mult(g, g) != identity:
                 raise ValueError(f"generator {g} of {kind} is not an involution")
-        self._enumerate(oracle_cap())
+        right_step = right_step or (lambda g: lambda w: mult(w, g))
+        index = self._enumerate(identity, [right_step(g) for g in self.gens])
+        self.elements = tuple(index)
+        self.index = index
+        self.parent_ids = range(self.order)
+        self.gen_ids = tuple(range(len(self.gens)))
+        self._derive()
+
+    @classmethod
+    def _parabolic(cls, parent, gen_ids):
+        """The subgroup on `gen_ids`, enumerated on the parent's right rows."""
+        sub = cls.__new__(cls)
+        sub.kind = f"{parent.kind}|{gen_ids}"
+        sub.gens = tuple(parent.gens[i] for i in gen_ids)
+        sub.mult = parent.mult
+        sub.identity = parent.identity
+        steps = [parent.right[i].__getitem__ for i in gen_ids]
+        sub.parent_ids = list(sub._enumerate(0, steps))
+        sub.elements = tuple(parent.elements[x] for x in sub.parent_ids)
+        sub.gen_ids = gen_ids
+        sub._derive()
+        return sub
+
+    def _enumerate(self, start, steps):
+        """One BFS queue from `start`; returns {key: id} in BFS order.
+
+        `steps[gi](key)` is the key of the product by generator gi.  The
+        exchange condition is checked on each known w.s.
+        """
+        cap = oracle_cap()
+        index = {start: 0}
+        keys = [start]
+        lengths = [0]
+        rparent = [-1]
+        rgen = [-1]
+        right = [[] for _ in self.gens]
+        letters = list(zip(range(len(steps)), steps, right))
+        # the queue is `keys` itself, which grows under the loop
+        for base, w in enumerate(keys):
+            length = lengths[base]
+            for gi, step, row in letters:
+                v = step(w)
+                seen = index.get(v)
+                if seen is None:
+                    seen = index[v] = len(keys)
+                    if seen >= cap:
+                        raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
+                    keys.append(v)
+                    lengths.append(length + 1)
+                    rparent.append(base)
+                    rgen.append(gi)
+                elif abs(lengths[seen] - length) != 1:
+                    raise RuntimeError("length function is not Coxeter-like")
+                row.append(seen)
+        self.order = len(keys)
+        self.lengths = lengths
+        self.rparent = rparent
+        self.rgen = rgen
+        self.right = right
+        return index
+
+    def _derive(self):
+        """Left parents from the right parents, in BFS order; empty caches.
+
+        For w = w' t, a left descent s of w' stays one of w, so the first
+        letter passes from w' to w and s w = (s w') t.
+        """
+        right, rparent, rgen = self.right, self.rparent, self.rgen
+        lgen = [-1]
+        lparent = [-1]
+        for p, t in zip(rparent[1:], rgen[1:]):
+            if p == 0:
+                lgen.append(t)
+                lparent.append(0)
+            else:
+                lgen.append(lgen[p])
+                lparent.append(right[t][lparent[p]])
+        self.lgen = lgen
+        self.lparent = lparent
         self._classes = None
+        self._sqrt = None
         self._thetas = {}
+        self._linear = {}
+        self._centralizers = {}
+        self._irr = {}
         self._subgroups = {}
 
-    def _enumerate(self, cap):
-        """One BFS queue, checking the exchange condition on each known w.s."""
-        index = {self.identity: 0}
-        elements = [self.identity]
-        words = [()]
-        lengths = [0]
-        parents = [0]
-        # the queue is `elements` itself, which grows under the loop
-        for base, w in enumerate(elements):
-            for gi, g in enumerate(self.gens):
-                v = self.mult(w, g)
-                seen = index.get(v)
-                if seen is not None:
-                    if abs(lengths[seen] - lengths[base]) != 1:
-                        raise RuntimeError("length function is not Coxeter-like")
-                    continue
-                if len(elements) >= cap:
-                    raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
-                index[v] = len(elements)
-                elements.append(v)
-                words.append(words[base] + (gi,))
-                lengths.append(lengths[base] + 1)
-                parents.append(base)
-        self.elements = tuple(elements)
-        self.index = index
-        self.words = tuple(words)
-        self.lengths = tuple(lengths)
-        self._parents = parents
-        self.order = len(elements)
+    def _walk(self, start, rows):
+        """A map on ids from its value at the identity and its steps.
 
-    def coxeter_length(self, w) -> int:
-        return self.lengths[self.index[w]]
+        values[i] = rows[t][values[p]] for w_i = w_p s_t: one lookup per
+        element, from its value at the right parent.
+        """
+        values = [start]
+        for p, t in zip(self.rparent[1:], self.rgen[1:]):
+            values.append(rows[t][values[p]])
+        return values
 
-    def word(self, w):
-        return self.words[self.index[w]]
+    @cached_property
+    def left(self):
+        """left[g][i] is the id of s_g w_i: s (w t) = (s w) t."""
+        return [self._walk(row[0], self.right) for row in self.right]
+
+    @cached_property
+    def index(self):
+        """{element: id}; the root group keeps the one its BFS built."""
+        return {w: i for i, w in enumerate(self.elements)}
+
+    def times(self, a, b):
+        """The id of w_a w_b, read off b's letters from the left."""
+        right, lgen, lparent = self.right, self.lgen, self.lparent
+        while b:
+            a = right[lgen[b]][a]
+            b = lparent[b]
+        return a
+
+    @cached_property
+    def inverse(self):
+        """inverse[i] is the id of w_i^-1: (w t)^-1 = t w^-1."""
+        return self._walk(0, self.left)
+
+    def theta_ids(self, pi):
+        """Ids of the images under s_i -> s_pi[i]: theta(w t) = theta(w) pi(t)."""
+        pi = tuple(pi)
+        images = self._thetas.get(pi)
+        if images is None:
+            images = self._thetas[pi] = self._walk(0, [self.right[j] for j in pi])
+        return images
+
+    def linear_values(self, signs):
+        """Values of the linear character with these generator signs."""
+        signs = tuple(signs)
+        values = self._linear.get(signs)
+        if values is None:
+            # one sign product per element: value(w t) = value(w) sign(t)
+            rows = [{1: s, -1: -s} for s in signs]
+            values = self._linear[signs] = self._walk(1, rows)
+        return values
+
+    def twisted_orbit(self, x, pi):
+        """Ids of the twisted conjugacy orbit of id x: y = s x pi(s)."""
+        steps = [(self.left[g], self.right[pi[g]]) for g in range(len(self.gens))]
+        orbit = {x}
+        stack = [x]
+        while stack:
+            x = stack.pop()
+            for left, right in steps:
+                y = right[left[x]]
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        return orbit
 
     def conjugacy_classes(self):
-        """(class_of: elem -> class id, reps, sizes); a rep is first in BFS order."""
+        """(class_of: id -> class id, reps, sizes); a rep is first in BFS order."""
         if self._classes is None:
-            inner = dict(zip(self.gens, self.gens))
-            class_of = {}
+            ident = tuple(range(len(self.gens)))
+            class_of = [-1] * self.order
             reps = []
             sizes = []
-            for w in self.elements:
-                if w in class_of:
+            for i in range(self.order):
+                if class_of[i] >= 0:
                     continue
-                orbit = _twisted_orbit(self, w, inner)
-                class_of.update(dict.fromkeys(orbit, len(reps)))
-                reps.append(w)
+                orbit = self.twisted_orbit(i, ident)
+                for x in orbit:
+                    class_of[x] = len(reps)
+                reps.append(self.elements[i])
                 sizes.append(len(orbit))
             self._classes = (class_of, tuple(reps), tuple(sizes))
         return self._classes
 
     def reflections(self):
-        """The conjugates of the generators."""
-        inner = dict(zip(self.gens, self.gens))
-        return set().union(*(_twisted_orbit(self, g, inner) for g in self.gens))
+        """Ids of the conjugates of the generators."""
+        ident = tuple(range(len(self.gens)))
+        return set().union(*(self.twisted_orbit(row[0], ident) for row in self.right))
 
     # diagram automorphisms ----------------------------------------------
 
@@ -164,9 +310,9 @@ class Group:
         out = [[1] * k for _ in range(k)]
         for i in range(k):
             for j in range(k):
-                x = v = self.mult(self.gens[i], self.gens[j])
-                while v != self.identity:
-                    v = self.mult(v, x)
+                x = self.right[j][self.right[i][0]]
+                while x:
+                    x = self.right[j][self.right[i][x]]
                     out[i][j] += 1
         return tuple(map(tuple, out))
 
@@ -182,35 +328,17 @@ class Group:
                 out.append(pi)
         return tuple(out)
 
-    def theta(self, pi):
-        """Images of s_i -> s_pi[i] on all elements, by theta(ws) = theta(w) pi(s)."""
-        pi = tuple(pi)
-        got = self._thetas.get(pi)
-        if got is None:
-            if pi == tuple(range(len(self.gens))):
-                images = self.elements
-            else:
-                images = [self.identity]
-                for i in range(1, self.order):
-                    s = self.gens[pi[self.words[i][-1]]]
-                    images.append(self.mult(images[self._parents[i]], s))
-            got = self._thetas[pi] = dict(zip(self.elements, images))
-        return got
-
-    def apply_auto(self, pi, w):
-        return self.theta(pi)[w]
-
     def subgroup(self, gen_ids):
-        """Parabolic subgroup on a subset of the generators, built once."""
+        """Parabolic subgroup on a subset of the generators, built once.
+
+        On every generator it is the group itself.
+        """
         gen_ids = tuple(gen_ids)
+        if gen_ids == tuple(range(len(self.gens))):
+            return self
         sub = self._subgroups.get(gen_ids)
         if sub is None:
-            sub = self._subgroups[gen_ids] = Group(
-                f"{self.kind}|{gen_ids}",
-                [self.gens[i] for i in gen_ids],
-                self.mult,
-                self.identity,
-            )
+            sub = self._subgroups[gen_ids] = Group._parabolic(self, gen_ids)
         return sub
 
 
@@ -227,16 +355,16 @@ def build_group(kind: str, n: int = 0) -> Group:
     if kind == "symA":
         # the symmetric group on n letters
         gens = [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symA", gens, _sp_mult, _sp_identity(n))
+        return Group("symA", gens, _sp_mult, _sp_identity(n), _sp_right)
     if kind == "symB":
         s0 = tuple([-1] + list(range(2, n + 1)))
         gens = [s0] + [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symB", gens, _sp_mult, _sp_identity(n))
+        return Group("symB", gens, _sp_mult, _sp_identity(n), _sp_right)
     if kind == "symD":
         gens = [_neg_transposition(n)] + [
             _transposition(n, i, i + 1) for i in range(1, n)
         ]
-        return Group("symD", gens, _sp_mult, _sp_identity(n))
+        return Group("symD", gens, _sp_mult, _sp_identity(n), _sp_right)
     if kind == "dihedral":
         # s and t as (rotation, flip) pairs
         return Group(f"dihedral{n}", [(0, 1), (1, 1)], _dih_mult_factory(n), (0, 0))
@@ -248,7 +376,7 @@ def build_group(kind: str, n: int = 0) -> Group:
         h1 = _sp_mult(s[1], s[3])
         h2 = _sp_mult(s[2], s[4])
         h3 = _sp_mult(s[0], s[5])
-        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size))
+        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size), _sp_right)
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
@@ -266,21 +394,25 @@ def get_group(kind: str, n: int = 0) -> Group:
 
 
 def sqrt_count(group: Group):
-    """Class function counting square roots; equals the sum of all irreducibles."""
-    class_of, reps, sizes = group.conjugacy_classes()
-    counts = [0] * len(reps)
-    per_elem = {}
-    for h in group.elements:
-        sq = group.mult(h, h)
-        per_elem[sq] = per_elem.get(sq, 0) + 1
-    for cid, rep in enumerate(reps):
-        counts[cid] = per_elem.get(rep, 0)
-    vec = tuple(counts)
-    # every irreducible of these groups is orthogonal, so the norm of the
-    # square-root count must equal the number of classes.
-    if inner_product(group, vec, vec) != len(reps):
-        raise RuntimeError("square-root sanity failed")
-    return vec
+    """Class function counting square roots; equals the sum of all irreducibles.
+
+    Computed once per group.
+    """
+    if group._sqrt is None:
+        class_of, reps, sizes = group.conjugacy_classes()
+        # the h whose square lies in each class: squaring maps a class
+        # into a class, so one representative per class is enough
+        counts = [0] * len(reps)
+        for rep, size in zip(reps, sizes):
+            h = group.index[rep]
+            counts[class_of[group.times(h, h)]] += size
+        vec = tuple(c // size for c, size in zip(counts, sizes))
+        # every irreducible of these groups is orthogonal, so the norm of the
+        # square-root count must equal the number of classes.
+        if inner_product(group, vec, vec) != len(reps):
+            raise RuntimeError("square-root sanity failed")
+        group._sqrt = vec
+    return group._sqrt
 
 
 def inner_product(group: Group, f, g) -> int:
@@ -308,13 +440,6 @@ def linear_characters(group: Group):
     return tuple(s for s in signs if all(s[i] == s[j] for i, j in odd))
 
 
-def linear_value(group: Group, signs, w) -> int:
-    v = 1
-    for gi in group.word(w):
-        v *= signs[gi]
-    return v
-
-
 # --- twisted involutions and perfect classes -----------------------------------
 
 
@@ -336,63 +461,75 @@ def perfect_classes(group: Group):
     elements (frozenset of group elements paired with that theta), and
     min (the unique minimal-length element).
     """
-    refl = sorted(group.reflections(), key=group.index.__getitem__)
+    refl = sorted(group.reflections())
+    inverse = group.inverse
+    elements, lengths = group.elements, group.lengths
     out = []
     for pi in _involutive_autos(group):
-        theta = group.theta(pi)
+        theta = group.theta_ids(pi)
+        pairs = [(elements[t], elements[theta[t]]) for t in refl]
         seen = set()
-        for w in group.elements:
-            if w in seen or group.mult(w, theta[w]) != group.identity:
+        for w in range(group.order):
+            # w theta(w) = 1 exactly when theta(w) is the inverse of w
+            if w in seen or theta[w] != inverse[w]:
                 continue
-            orbit = _twisted_orbit(group, w, theta)
+            orbit = group.twisted_orbit(w, pi)
             seen |= orbit
             # perfection is a class property, so test it on w only
-            if not _is_perfect(group, w, theta, refl):
+            if not _is_perfect(group, elements[w], elements[theta[w]], pairs):
                 continue
-            min_len = min(group.coxeter_length(x) for x in orbit)
-            mins = [x for x in orbit if group.coxeter_length(x) == min_len]
+            min_len = min(lengths[x] for x in orbit)
+            mins = [x for x in orbit if lengths[x] == min_len]
             if len(mins) != 1:
                 continue
             out.append(
-                {"theta": pi, "elements": frozenset(orbit), "min": mins[0]}
+                {
+                    "theta": pi,
+                    "elements": frozenset(elements[x] for x in orbit),
+                    "min": elements[mins[0]],
+                }
             )
     return out
 
 
-def _is_perfect(group: Group, w, theta, refl) -> bool:
-    for t in refl:
-        q = group.mult(
-            group.mult(group.mult(w, theta[t]), theta[w]), t
-        )
-        if group.mult(q, q) != group.identity:
+def _is_perfect(group: Group, w, tw, pairs) -> bool:
+    """(w theta(t) theta(w) t)^2 = 1 for each reflection t; pairs holds (t, theta(t))."""
+    mult = group.mult
+    for t, tt in pairs:
+        q = mult(mult(mult(w, tt), tw), t)
+        if mult(q, q) != group.identity:
             return False
     return True
-
-
-def _twisted_orbit(group: Group, w, theta):
-    """Twisted conjugacy orbit of w; theta is read on the generators only."""
-    orbit = {w}
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        for g in group.gens:
-            y = group.mult(group.mult(g, x), theta[g])
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-    return orbit
 
 
 # --- triples and induced characters --------------------------------------------
 
 
-def twisted_centralizer(group: Group, sub: Group, w, theta):
-    """Elements g of the subgroup with g . w == w . theta(g)."""
-    return [g for g in sub.elements if group.mult(g, w) == group.mult(w, theta[g])]
+def twisted_centralizer(group: Group, sub: Group, w, pi):
+    """Ids in `sub` of its g with g w = w theta(g); w is an id of `group`.
+
+    One pass in BFS order: for g = s g' (left parent) g w = s (g' w), and
+    for g = g'' t (right parent) w theta(g) = (w theta(g'')) pi(t).
+    """
+    lrows = [group.left[j] for j in sub.gen_ids]
+    rrows = [group.right[sub.gen_ids[j]] for j in pi]
+    gw = [w]
+    wt = [w]
+    out = [0]
+    steps = zip(sub.lgen, sub.lparent, sub.rgen, sub.rparent)
+    next(steps)  # the identity
+    for g, (s, lp, t, rp) in enumerate(steps, 1):
+        a = lrows[s][gw[lp]]
+        b = rrows[t][wt[rp]]
+        gw.append(a)
+        wt.append(b)
+        if a == b:
+            out.append(g)
+    return out
 
 
 def induced_character(group: Group, values: dict):
-    """Induce integer values {y: value} on a subgroup; the result must be integral."""
+    """Induce integer values {id: value} on a subgroup; the result must be integral."""
     class_of, reps, sizes = group.conjugacy_classes()
     sums = [0] * len(reps)
     for y, v in values.items():
@@ -430,10 +567,16 @@ def all_triples(group: Group):
 
 
 def restricted_character(group: Group, triple) -> dict:
-    """The triple's linear character on its twisted centralizer, {g: +-1}."""
+    """The triple's linear character on its twisted centralizer, {id: +-1}."""
     sub = group.subgroup(triple["J"])
-    cent = twisted_centralizer(group, sub, triple["min"], sub.theta(triple["theta"]))
-    return {g: linear_value(sub, triple["sigma"], g) for g in cent}
+    # the triples of one class differ in sigma only, so the pass is kept
+    key = (triple["min"], triple["theta"])
+    cent = sub._centralizers.get(key)
+    if cent is None:
+        w = group.index[triple["min"]]
+        cent = sub._centralizers[key] = twisted_centralizer(group, sub, w, key[1])
+    values = sub.linear_values(triple["sigma"])
+    return {sub.parent_ids[g]: values[g] for g in cent}
 
 
 def triple_character(group: Group, triple):
@@ -475,17 +618,17 @@ def oracle_search(group: Group):
             continue  # repeated constituent
         items.append((chi, norm, descs))
     items.sort(key=lambda it: (-it[1], it[0]))
-    gram = [
-        [
-            inner_product(group, items[i][0], items[j][0])
-            for j in range(len(items))
-        ]
-        for i in range(len(items))
-    ]
+    # clash[i] has bit j set when items i and j are not orthogonal
+    clash = [0] * len(items)
+    for i, (chi, _, _) in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if inner_product(group, chi, items[j][0]):
+                clash[i] |= 1 << j
+                clash[j] |= 1 << i
     covers = []
     chosen: list[int] = []
 
-    def rec(start, remaining):
+    def rec(start, remaining, blocked):
         if remaining == 0:
             if not oracle_is_perfect(group, [items[i][0] for i in chosen]):
                 raise RuntimeError("cover is not a perfect model")
@@ -493,15 +636,13 @@ def oracle_search(group: Group):
             return
         for i in range(start, len(items)):
             norm = items[i][1]
-            if norm > remaining:
-                continue
-            if any(gram[i][j] != 0 for j in chosen):
+            if norm > remaining or blocked >> i & 1:
                 continue
             chosen.append(i)
-            rec(i + 1, remaining - norm)
+            rec(i + 1, remaining - norm, blocked | clash[i])
             chosen.pop()
 
-    rec(0, n_classes)
+    rec(0, n_classes, 0)
     return [
         tuple((items[i][0], tuple(items[i][2])) for i in cover)
         for cover in covers
@@ -571,15 +712,17 @@ def irr_value(ctype: str, label, w) -> int:
     return half
 
 
-@cache
 def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
-    """Class values of every labeled irreducible on `group`, audited.
+    """Class values of every labeled irreducible on `group`, audited once.
 
-    Returns a read-only {label: class-value tuple}.  The audit checks
-    degrees, orthonormality and the sign convention: chi[core,+] -
-    chi[core,-] is 2^(n/2) deg(core) at the standard fixed-point-free
-    involution s1 s3 ... s(n-1).
+    Returns a read-only {label: class-value tuple}, kept on the group.  The
+    audit checks degrees, orthonormality and the sign convention:
+    chi[core,+] - chi[core,-] is 2^(n/2) deg(core) at the standard
+    fixed-point-free involution s1 s3 ... s(n-1).
     """
+    table = group._irr.get((ctype, n))
+    if table is not None:
+        return table
     class_of, reps, _ = group.conjugacy_classes()
     labels = irr_universe(ctype, n)
     vecs = {lab: tuple(irr_value(ctype, lab, r) for r in reps) for lab in labels}
@@ -593,15 +736,16 @@ def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
             if ip != (1 if l1 == l2 else 0):
                 raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
     if ctype == "D" and n % 2 == 0:
-        fpf = group.identity
+        fpf = 0
         for i in range(1, n, 2):
-            fpf = group.mult(fpf, group.gens[i])
+            fpf = group.right[i][fpf]
         cid = class_of[fpf]
         for core in pt.partitions_of(n // 2):
             delta = vecs[("deg", core, "+")][cid] - vecs[("deg", core, "-")][cid]
             if delta != 2 ** (n // 2) * pt.standard_tableau_count(core):
                 raise RuntimeError(f"degenerate sign convention broken: {core}")
-    return MappingProxyType(vecs)
+    table = group._irr[ctype, n] = MappingProxyType(vecs)
+    return table
 
 
 def virtual_char_values(group: Group, chi):

@@ -238,3 +238,21 @@ def test_classify_is_deterministic():
     a = classify("B", 3, "strong")
     b = classify("B", 3, "strong")
     assert a == b
+
+
+@pytest.mark.parametrize("ctype,n", [("A", 6), ("B", 5), ("D", 6)])
+def test_search_computes_each_candidate_character_once(ctype, n, monkeypatch):
+    # the multiplicity-free filter's characters are the cover rows' characters
+    from coxmodel import model_index
+
+    calls = []
+    real = model_index.character_of_index
+
+    def counted(idx):
+        calls.append(idx)
+        return real(idx)
+
+    monkeypatch.setattr(model_index, "character_of_index", counted)
+    search_perfect_models(ctype, n)
+    assert len(calls) == len(set(calls))
+    assert len(calls) == len(model_index._strong_representatives(ctype, n, True))

@@ -8,6 +8,8 @@ from coxmodel.classification import search_perfect_models
 from coxmodel.model_index import ModelIndex, enumerate_indices
 from coxmodel.oracle import (
     GROUP_KIND,
+    Group,
+    all_triples,
     _split_sign,
     check_index_against_oracle,
     get_group,
@@ -21,6 +23,7 @@ from coxmodel.oracle import (
     signed_cycle_type,
     sqrt_count,
     triple_character,
+    twisted_centralizer,
     virtual_char_values,
 )
 
@@ -76,8 +79,7 @@ def test_perfect_class_minima_are_involutions():
     g = get_group("symB", 3)
     for cls in perfect_classes(g):
         w = cls["min"]
-        pi = cls["theta"]
-        tw = g.apply_auto(pi, w)
+        tw = g.elements[g.theta_ids(cls["theta"])[g.index[w]]]
         assert g.mult(w, tw) == g.identity
         assert w in cls["elements"]
 
@@ -133,10 +135,10 @@ def test_split_sign_tells_the_two_halves_apart(n):
     g = get_group("symD", n)
     class_of, _, _ = g.conjugacy_classes()
     halves = {}
-    for w in g.elements:
+    for i, w in enumerate(g.elements):
         cycles = signed_cycle_type(w)
         if all(length % 2 == 0 and s == 1 for length, s in cycles):
-            halves.setdefault(cycles, set()).add((class_of[w], _split_sign(w)))
+            halves.setdefault(cycles, set()).add((class_of[i], _split_sign(w)))
     assert halves
     for pairs in halves.values():
         assert len(pairs) == 2 and {e for _, e in pairs} == {1, -1}
@@ -221,13 +223,18 @@ def test_theta_is_the_word_walk(kind, n, matrix, classes, autos):
     g = get_group(kind, n)
     assert len(g.diagram_automorphisms()) == autos
     for pi in g.diagram_automorphisms():
-        theta = g.theta(pi)
-        for w in g.elements:
+        theta = g.theta_ids(pi)
+        for i in range(g.order):
+            word = []
+            j = i
+            while j:
+                word.append(g.rgen[j])
+                j = g.rparent[j]
             walked = g.identity
-            for gi in g.word(w):
+            for gi in reversed(word):
                 walked = g.mult(walked, g.gens[pi[gi]])
-            assert theta[w] == walked
-            assert g.apply_auto(pi, w) == walked
+            assert len(word) == g.lengths[i]
+            assert g.elements[theta[i]] == walked
 
 
 @pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
@@ -235,7 +242,7 @@ def test_reflections_are_all_conjugates_of_generators(kind, n, matrix, classes, 
     g = get_group(kind, n)
     inverse = {x: y for x in g.elements for y in g.elements if g.mult(x, y) == g.identity}
     brute = {g.mult(g.mult(x, s), inverse[x]) for s in g.gens for x in g.elements}
-    assert g.reflections() == brute
+    assert {g.elements[t] for t in g.reflections()} == brute
 
 
 @pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
@@ -246,7 +253,7 @@ def test_coxeter_matrix_and_classes(kind, n, matrix, classes, autos):
     assert len(reps) == classes
     assert sum(sizes) == g.order
     for cid, rep in enumerate(reps):
-        members = [w for w in g.elements if class_of[w] == cid]
+        members = [w for i, w in enumerate(g.elements) if class_of[i] == cid]
         assert len(members) == sizes[cid]
         assert rep == members[0]  # the least BFS index in its class
 
@@ -258,3 +265,98 @@ def test_parabolic_subgroups_are_built_once(kind, n, matrix, classes, autos):
     for J in [(), (0,), tuple(range(k)), tuple(range(1, k))]:
         assert g.subgroup(J) is g.subgroup(J)
         assert g.subgroup(J).gens == tuple(g.gens[i] for i in J)
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_tables_are_the_tuple_products(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    mult, elements, index = g.mult, g.elements, g.index
+    assert elements[0] == g.identity and len(index) == g.order
+    inverse = g.inverse
+    for i, w in enumerate(elements):
+        for s, gen in enumerate(g.gens):
+            assert elements[g.right[s][i]] == mult(w, gen)
+            assert elements[g.left[s][i]] == mult(gen, w)
+        assert mult(w, elements[inverse[i]]) == g.identity
+        if i == 0:
+            continue
+        # right and left parents are one letter shorter
+        assert mult(elements[g.rparent[i]], g.gens[g.rgen[i]]) == w
+        assert mult(g.gens[g.lgen[i]], elements[g.lparent[i]]) == w
+        assert g.lengths[g.rparent[i]] == g.lengths[g.lparent[i]] == g.lengths[i] - 1
+        # the first letter is the least left descent
+        descents = [s for s in range(len(g.gens)) if g.lengths[g.left[s][i]] < g.lengths[i]]
+        assert g.lgen[i] == descents[0]
+    for pi in g.diagram_automorphisms():
+        theta = g.theta_ids(pi)
+        assert theta[0] == 0
+        for i, w in enumerate(elements):
+            for s, gen in enumerate(g.gens):
+                image = mult(elements[theta[i]], g.gens[pi[s]])
+                assert elements[theta[index[mult(w, gen)]]] == image
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_subgroups_from_tables_are_the_standalone_groups(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    k = len(g.gens)
+    for mask in range(1 << k):
+        J = tuple(i for i in range(k) if mask >> i & 1)
+        sub = g.subgroup(J)
+        alone = Group("alone", [g.gens[i] for i in J], g.mult, g.identity)
+        assert sub.elements == alone.elements
+        assert sub.lengths == alone.lengths
+        assert sub.right == alone.right
+        assert sub.left == alone.left
+        assert [g.elements[x] for x in sub.parent_ids] == list(sub.elements)
+
+
+def _brute_theta(sub, pi):
+    """{g: theta(g)} on tuples, grown by theta(x s) = theta(x) pi(s)."""
+    images = {sub.identity: sub.identity}
+    queue = [sub.identity]
+    for x in queue:
+        for s, gen in enumerate(sub.gens):
+            y = sub.mult(x, gen)
+            if y not in images:
+                images[y] = sub.mult(images[x], sub.gens[pi[s]])
+                queue.append(y)
+    return images
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("symA", 4), ("symB", 3), ("symD", 4), ("dihedral", 6), ("h3", 0)]
+)
+def test_twisted_centralizer_is_the_tuple_filter(kind, n):
+    g = get_group(kind, n)
+    triples = all_triples(g)
+    assert triples
+    for t in triples:
+        sub = g.subgroup(t["J"])
+        theta = _brute_theta(sub, t["theta"])
+        w = t["min"]
+        brute = [x for x in sub.elements if g.mult(x, w) == g.mult(w, theta[x])]
+        cent = twisted_centralizer(g, sub, g.index[w], t["theta"])
+        assert [sub.elements[x] for x in cent] == brute
+
+
+def test_sqrt_count_is_computed_once_per_group():
+    g = get_group("symB", 4)
+    assert sqrt_count(g) is sqrt_count(g)
+
+
+def test_audited_tables_do_not_outlive_their_group():
+    import gc
+    import weakref
+
+    from coxmodel.model_index import character_of_index
+    from coxmodel.oracle import build_group
+
+    g = build_group("symB", 3)
+    idx = ModelIndex("B", [(3, "id", "pm"), (0, "id", "triv")])
+    first = virtual_char_values(g, character_of_index(idx))
+    assert virtual_char_values(g, character_of_index(idx)) == first
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
