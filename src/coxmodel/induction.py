@@ -131,12 +131,20 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
     """The parabolic induction product of two same-type characters."""
     if f.ctype != ctype or g.ctype != ctype:
         raise ValueError("bullet: mixed character types")
-    out = VirtualCharacter(ctype, f.rank + g.rank)
     table = {"A": lr_expand, "B": _bullet_b_labels, "D": _bullet_d_labels}[ctype]
+    # A product's labels have rank f.rank + g.rank by construction, so the
+    # sum skips the per-term rank check of `VirtualCharacter.add`.
+    coeffs: dict = {}
     for lab1, c1 in f.coeffs.items():
         for lab2, c2 in g.coeffs.items():
             for lab, d in table(lab1, lab2).items():
-                out.add(lab, c1 * c2 * d)
+                new = coeffs.get(lab, 0) + c1 * c2 * d
+                if new:
+                    coeffs[lab] = new
+                else:
+                    coeffs.pop(lab, None)
+    out = VirtualCharacter(ctype, f.rank + g.rank)
+    out.coeffs = coeffs
     return out
 
 

@@ -7,6 +7,11 @@ letter, row by row from the top; a row is read right to left, so the strip
 of letter i+1 keeps the word lattice iff, for every row r, the (i+1)s in
 rows <= r do not outnumber the i's in rows < r.  Each finished tableau
 counts once for its outer shape, so one pass yields the whole expansion.
+
+c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu'}_{lam',mu'}, so `lr_expand` grows one
+orientation of the four, the one with the fewest letters and then the
+larger base, caches it, and gives both orders of a pair the same mapping;
+a conjugate request reads it with transposed keys, in key order again.
 """
 
 from collections.abc import Mapping
@@ -14,7 +19,7 @@ from functools import cache
 from math import comb
 from types import MappingProxyType
 
-from .partitions import Partition, contains, sort_key, standard_tableau_count
+from .partitions import Partition, contains, standard_tableau_count, transpose
 
 
 def _strips(shape: Partition, size: int, above: tuple[int, ...]):
@@ -44,8 +49,8 @@ def _strips(shape: Partition, size: int, above: tuple[int, ...]):
 
 
 @cache
-def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
-    """{nu: c^nu_{lam,mu}}, read-only, keys in `partitions_of` order."""
+def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    """The LR tableaux of content mu grown on lam, counted by outer shape."""
     found: dict[Partition, int] = {}
 
     def place(k: int, shape: Partition, above: tuple[int, ...]) -> None:
@@ -56,7 +61,25 @@ def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
             place(k + 1, outer, counts)
 
     place(0, lam, ())
-    return MappingProxyType(dict(sorted(found.items(), key=lambda kv: sort_key(kv[0]))))
+    # on partitions of one weight, `partitions_of` order is reverse lexicographic
+    return MappingProxyType(dict(sorted(found.items(), reverse=True)))
+
+
+@cache
+def _transposed(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    terms = ((transpose(nu), c) for nu, c in _grow(lam, mu).items())
+    return MappingProxyType(dict(sorted(terms, reverse=True)))
+
+
+@cache
+def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    """{nu: c^nu_{lam,mu}}, read-only, keys in `partitions_of` order."""
+    lc, mc = transpose(lam), transpose(mu)
+    orientations = ((lam, mu, False), (mu, lam, False), (lc, mc, True), (mc, lc, True))
+    # one strip per letter of the content, and a larger base leaves fewer
+    # cells; the orientation itself breaks ties, unconjugated first
+    base, content, conjugate = min(orientations, key=lambda o: (len(o[1]), -sum(o[0]), o))
+    return (_transposed if conjugate else _grow)(base, content)
 
 
 @cache

@@ -46,9 +46,10 @@ def sort_key(p: Partition) -> tuple:
 
 def transpose(p: Partition) -> Partition:
     """Conjugate partition (reflect the diagram across the main diagonal)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > i) for i in range(p[0]))
+    out: list[int] = []
+    for rows in range(len(p), 0, -1):  # p[rows-1] - p[rows] columns have `rows` cells
+        out += [rows] * (p[rows - 1] - (p[rows] if rows < len(p) else 0))
+    return tuple(out)
 
 
 def combine(p: Partition, q: Partition, mode: str) -> Partition:

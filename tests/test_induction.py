@@ -45,6 +45,21 @@ def test_bullet_commutes():
     assert bullet("B", f, g) == bullet("B", g, f)
 
 
+def test_bullet_of_virtual_characters_cancels_termwise():
+    # (2) - (1,1) times (1): the two (2,1) terms cancel and leave no key
+    f = char_of("A", (2,)).add((1, 1), -1)
+    prod = bullet("A", f, char_of("A", (1,)))
+    assert list(prod.coeffs.items()) == [((3,), 1), ((1, 1, 1), -1)]
+    for ctype, n, m in [("A", 3, 2), ("B", 2, 2), ("D", 4, 2)]:
+        f = VirtualCharacter(ctype, n, zip(irr_universe(ctype, n)[:3], (2, -1, 1)))
+        g = VirtualCharacter(ctype, m, zip(irr_universe(ctype, m)[:2], (1, -3)))
+        want = VirtualCharacter(ctype, n + m)
+        for lab1, c1 in f.coeffs.items():
+            for lab2, c2 in g.coeffs.items():
+                want.add_char(bullet(ctype, char_of(ctype, lab1), char_of(ctype, lab2)), c1 * c2)
+        assert bullet(ctype, f, g) == want
+
+
 def test_ind_a_to_b_hook_expansion():
     # the six constituents of the rank-3 staircase, all multiplicity one
     got = ind_A_to_B(char_of("A", (2, 1)))

@@ -6,15 +6,20 @@ reverse reading word is a lattice word), sharing no code with the library.
 It fills cells row by row and checks the word's prefix as each row ends.
 """
 
+from collections import Counter
+from functools import cache
 from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coxmodel import partitions as pt
+from coxmodel import lr, partitions as pt
 from coxmodel.char_ring import char_of
 from coxmodel.induction import bullet
 from coxmodel.lr import lr_coefficient, lr_expand, lr_mass_check
+
+# the tableau grower itself, past the orientation choice and every cache
+grow = lr._grow.__wrapped__
 
 
 def _reference_lr(lam, mu, nu):
@@ -115,6 +120,48 @@ def test_expansion_is_read_only():
         lr_expand((1,), (1,))[(2,)] = 7
     assert lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
     assert bullet("A", one, one) == before
+    # the four orientations of a pair that is not self-conjugate
+    lam, mu = (2, 1), (3,)
+    lt, mt = pt.transpose(lam), pt.transpose(mu)
+    for a, b in [(lam, mu), (mu, lam), (lt, mt), (mt, lt)]:
+        want = dict(grow(a, b))
+        with pytest.raises(TypeError):
+            lr_expand(a, b)[next(iter(want))] = 7
+        assert lr_expand(a, b) == want
+
+
+def _orbit(lam, mu):
+    lt, mt = pt.transpose(lam), pt.transpose(mu)
+    return frozenset([(lam, mu), (mu, lam), (lt, mt), (mt, lt)])
+
+
+@pytest.fixture
+def cold_lr():
+    lr_expand.cache_clear()
+    yield
+    lr_expand.cache_clear()
+
+
+def test_each_orbit_grows_once(monkeypatch, cold_lr):
+    grown = Counter()
+
+    def counting(lam, mu):
+        grown[_orbit(lam, mu)] += 1
+        return grow(lam, mu)
+
+    monkeypatch.setattr(lr, "_grow", cache(counting))
+    monkeypatch.setattr(lr, "_transposed", cache(lr._transposed.__wrapped__))
+    pairs = [
+        (lam, mu)
+        for n in range(9)
+        for k in range(n + 1)
+        for lam in pt.partitions_of(k)
+        for mu in pt.partitions_of(n - k)
+    ]
+    for lam, mu in pairs:
+        assert lr_expand(mu, lam) is lr_expand(lam, mu)
+    assert set(grown) == {_orbit(lam, mu) for lam, mu in pairs}
+    assert set(grown.values()) == {1}
 
 
 small = st.integers(0, 5).flatmap(
@@ -125,14 +172,14 @@ small = st.integers(0, 5).flatmap(
 @settings(max_examples=120, deadline=None)
 @given(small, small)
 def test_symmetry(lam, mu):
-    assert lr_expand(lam, mu) == lr_expand(mu, lam)
+    assert grow(lam, mu) == grow(mu, lam)
 
 
 @settings(max_examples=120, deadline=None)
 @given(small, small)
 def test_transpose_symmetry(lam, mu):
-    exp = lr_expand(lam, mu)
-    expt = lr_expand(pt.transpose(lam), pt.transpose(mu))
+    exp = grow(lam, mu)
+    expt = grow(pt.transpose(lam), pt.transpose(mu))
     assert {pt.transpose(nu): c for nu, c in exp.items()} == expt
 
 

@@ -26,6 +26,9 @@ def test_transpose():
 
 @given(partitions)
 def test_transpose_involution(p):
+    # column i of the diagram has a cell for every part larger than i
+    columns = tuple(sum(1 for x in p if x > i) for i in range(max(p, default=0)))
+    assert pt.transpose(p) == columns
     assert pt.transpose(pt.transpose(p)) == p
 
 
