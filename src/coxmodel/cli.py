@@ -88,7 +88,7 @@ def _load_index(doc) -> ModelIndex:
 def _cmd_char(args) -> int:
     try:
         doc = json.loads(args.index)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"bad JSON: {exc}") from exc
     idx = _load_index(doc)
     chi = character_of_index(idx)
@@ -119,7 +119,7 @@ def _load_model(text: str):
             raise DomainError(str(exc)) from exc
     try:
         docs = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"bad JSON: {exc}") from exc
     if not isinstance(docs, list) or not docs:
         raise DomainError("model JSON must be a nonempty list of indexes")
@@ -273,49 +273,78 @@ def _cmd_oracle(args) -> int:
     raise DomainError(f"bad oracle action {args.action!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _lr_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lam", required=True)
+    p.add_argument("--mu", required=True)
+    p.add_argument("--nu")
+
+
+def _char_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--index", required=True, help="JSON index document")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="JSON list or family:NAME:n")
+    p.add_argument("--oracle", action="store_true")
+
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
+    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--relation", choices=["strong", "full"], default="strong")
+    p.add_argument("--golden", help="compare output against this file")
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=["search", "classes"])
+    p.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
+    p.add_argument("--rank", type=int, default=3)
+
+
+# name -> (help line, argument adder, handler), in the order help lists them
+COMMANDS = {
+    "lr": ("Littlewood-Richardson coefficients", _lr_arguments, _cmd_lr),
+    "char": ("character of a model index", _char_arguments, _cmd_char),
+    "verify": ("check a model is perfect", _verify_arguments, _cmd_verify),
+    "classify": ("classify perfect models", _classify_arguments, _cmd_classify),
+    "oracle": ("brute-force group computations", _oracle_arguments, _cmd_oracle),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only `command`'s.
+
+    A job names its command first, and building one subparser instead of
+    five is most of a short job's parsing cost.  The one-command parser
+    names all five in its usage line, so its messages match the full one.
+    """
     p = argparse.ArgumentParser(prog="coxmodel")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    lr = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
-    lr.add_argument("--lam", required=True)
-    lr.add_argument("--mu", required=True)
-    lr.add_argument("--nu")
-    lr.set_defaults(func=_cmd_lr)
-
-    ch = sub.add_parser("char", help="character of a model index")
-    ch.add_argument("--index", required=True, help="JSON index document")
-    ch.set_defaults(func=_cmd_char)
-
-    ve = sub.add_parser("verify", help="check a model is perfect")
-    ve.add_argument("--model", required=True, help="JSON list or family:NAME:n")
-    ve.add_argument("--oracle", action="store_true")
-    ve.set_defaults(func=_cmd_verify)
-
-    cf = sub.add_parser("classify", help="classify perfect models")
-    cf.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
-    cf.add_argument("--rank", type=int, default=3)
-    cf.add_argument("--relation", choices=["strong", "full"], default="strong")
-    cf.add_argument("--golden", help="compare output against this file")
-    cf.set_defaults(func=_cmd_classify)
-
-    orc = sub.add_parser("oracle", help="brute-force group computations")
-    orc.add_argument("action", choices=["search", "classes"])
-    orc.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
-    orc.add_argument("--rank", type=int, default=3)
-    orc.set_defaults(func=_cmd_oracle)
-
+    if command is None:
+        names = list(COMMANDS)
+        sub = p.add_subparsers(dest="command", required=True)
+    else:
+        names = [command]
+        # only here: in the full parser a metavar would also rename the
+        # argument in "argument command: invalid choice" errors
+        sub = p.add_subparsers(
+            dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS)
+        )
+    for name in names:
+        help_line, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return p
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return COMMANDS[args.command][2](args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

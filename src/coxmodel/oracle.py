@@ -689,15 +689,19 @@ def _split_sign(w) -> int:
     return (-1) ** d.count(-1)
 
 
-def irr_value(ctype: str, label, w) -> int:
-    """Value of the labeled irreducible at a signed permutation element."""
+def irr_value(ctype: str, label, w, cycles=None) -> int:
+    """Value of the labeled irreducible at a signed permutation element.
+
+    `cycles` is `signed_cycle_type(w)`, for callers that already have it.
+    """
+    if cycles is None:
+        cycles = signed_cycle_type(w)
     if ctype == "A":
-        return mn_value_a(label, tuple(length for length, _ in signed_cycle_type(w)))
+        return mn_value_a(label, tuple(length for length, _ in cycles))
     if ctype == "B":
-        return mn_value_b(label[0], label[1], signed_cycle_type(w))
+        return mn_value_b(label[0], label[1], cycles)
     if ctype != "D":
         raise ValueError(f"bad character type: {ctype!r}")
-    cycles = signed_cycle_type(w)
     if label[0] == "set":
         return mn_value_b(label[1], label[2], cycles)
     _, core, sign = label
@@ -725,7 +729,8 @@ def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
         return table
     class_of, reps, _ = group.conjugacy_classes()
     labels = irr_universe(ctype, n)
-    vecs = {lab: tuple(irr_value(ctype, lab, r) for r in reps) for lab in labels}
+    at = [(r, signed_cycle_type(r)) for r in reps]
+    vecs = {lab: tuple(irr_value(ctype, lab, r, c) for r, c in at) for lab in labels}
     for lab in labels:
         # the identity is element 0, so its class is class 0
         if vecs[lab][0] != degree(ctype, lab):

@@ -158,11 +158,13 @@ def unordered_bipartitions_of(n: int) -> Iterator[BiPartition]:
 # --- filtered families ------------------------------------------------------
 
 
+@cache
 def erows(n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts even."""
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == 0)
 
 
+@cache
 def ecols(n: int) -> tuple[Partition, ...]:
     out = [transpose(p) for p in erows(n)]
     return tuple(sorted(out, key=sort_key))
@@ -175,6 +177,7 @@ def orows(n: int, q: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == q)
 
 
+@cache
 def erows_b(n: int) -> tuple[BiPartition, ...]:
     """Bipartitions of n where both components have all even parts."""
     return tuple(
@@ -184,12 +187,14 @@ def erows_b(n: int) -> tuple[BiPartition, ...]:
     )
 
 
+@cache
 def ecols_b(n: int) -> tuple[BiPartition, ...]:
     out = [(transpose(lam), transpose(mu)) for lam, mu in erows_b(n)]
     order = {bp: i for i, bp in enumerate(bipartitions_of(n))}
     return tuple(sorted(out, key=order.__getitem__))
 
 
+@cache
 def erows_d(n: int) -> tuple[BiPartition, ...]:
     """Unordered bipartitions {lam, mu} of n, lam != mu, all parts even."""
     return tuple(
@@ -199,6 +204,7 @@ def erows_d(n: int) -> tuple[BiPartition, ...]:
     )
 
 
+@cache
 def ecols_d(n: int) -> tuple[BiPartition, ...]:
     out = {unordered_pair(transpose(a), transpose(b)) for a, b in erows_d(n)}
     return tuple(p for p in unordered_bipartitions_of(n) if p in out)

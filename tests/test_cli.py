@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxmodel import oracle as oc
-from coxmodel.cli import run
+from coxmodel.cli import COMMANDS, build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -117,6 +118,15 @@ def test_malformed_index_symbols_exit_1(capsys, command, beta, gamma):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--index", "--model"])
+def test_deeply_nested_json_exits_1(capsys, option):
+    command = "char" if option == "--index" else "verify"
+    code, out, err = invoke(capsys, command, option, "[" * 100000)
+    assert code == 1
+    assert out == ""
+    assert "bad JSON" in err and "Traceback" not in err
+
+
 def test_classify_is_byte_identical(capsys):
     code1, out1, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")
     code2, out2, _ = invoke(capsys, "classify", "--type", "B", "--rank", "3")
@@ -212,6 +222,38 @@ def test_verify_below_the_rank_floor_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "type D needs rank >= 3, got 2" in err
+
+
+# one argv per command; a command missing here fails the test below
+_SAMPLE_ARGVS = {
+    "lr": ["lr", "--lam", "(2,1)", "--mu", "(1)", "--nu", "(3,1)"],
+    "char": ["char", "--index", "{}"],
+    "verify": ["verify", "--model", "family:PB:3", "--oracle"],
+    "classify": ["classify", "--type", "B", "--rank", "4", "--relation", "full"],
+    "oracle": ["oracle", "classes", "--type", "D", "--rank", "4"],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_parses_like_the_full_one(name):
+    argv = _SAMPLE_ARGVS[name]
+    assert build_parser(name).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["coxmodel", "lr", "--lam", "(1)", "--mu", "(1)"])
+    code = run()
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["expansion"] == [["(2)", 1], ["(1,1)", 1]]
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0
+    assert "{lr,char,verify,classify,oracle}" in out
+    for name, (help_line, _, _) in COMMANDS.items():
+        assert f"    {name} " in out and help_line in out
 
 
 def test_classify_does_not_import_the_oracle():
