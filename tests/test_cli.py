@@ -216,6 +216,20 @@ def test_classify_below_the_rank_floor_exits_1(capsys, ctype, rank, floor):
     assert f"type {ctype} needs rank >= {floor}, got {rank}" in err
 
 
+def test_the_element_cap_admits_a_group_of_its_size(capsys, monkeypatch):
+    # a fresh cache makes the cap apply to B3 (48 elements)
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", "48")
+    assert oc.get_group("symB", 3).order == 48
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", "47")
+    with pytest.raises(oc.CapExceeded) as exc:
+        oc.get_group("symB", 3)
+    assert str(exc.value) == "group symB exceeds cap 47"
+    code, out, err = invoke(capsys, "oracle", "search", "--type", "B", "--rank", "3")
+    assert (code, out, err) == (3, "", "cap exceeded: group symB exceeds cap 47\n")
+
+
 def test_verify_below_the_rank_floor_exits_1(capsys):
     model = [{"type": "D", "alpha": [2, 0], "beta": ["id", "id"], "gamma": ["triv", "triv"]}]
     code, out, err = invoke(capsys, "verify", "--model", json.dumps(model), "--oracle")

@@ -311,6 +311,39 @@ def test_subgroups_from_tables_are_the_standalone_groups(kind, n, matrix, classe
         assert [g.elements[x] for x in sub.parent_ids] == list(sub.elements)
 
 
+def _queue_bfs(gens, mult, identity):
+    """(elements, lengths, rparent, rgen, right) of one plain queue on tuples."""
+    ids = {identity: 0}
+    elements, lengths, rparent, rgen = [identity], [0], [-1], [-1]
+    products = []
+    for i, w in enumerate(elements):
+        row = []
+        for s, gen in enumerate(gens):
+            v = mult(w, gen)
+            if v not in ids:
+                ids[v] = len(elements)
+                elements.append(v)
+                lengths.append(lengths[i] + 1)
+                rparent.append(i)
+                rgen.append(s)
+            row.append(ids[v])
+        products.append(row)
+    right = [[row[s] for row in products] for s in range(len(gens))]
+    return tuple(elements), lengths, rparent, rgen, right
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_numbering_is_the_one_queue_bfs(kind, n, matrix, classes, autos):
+    # the subgroup test above compares two outputs of the same BFS; this
+    # pins the numbering itself, for the group and every parabolic subgroup
+    g = get_group(kind, n)
+    k = len(g.gens)
+    for mask in range(1 << k):
+        sub = g.subgroup(tuple(i for i in range(k) if mask >> i & 1))
+        got = (sub.elements, sub.lengths, sub.rparent, sub.rgen, sub.right)
+        assert got == _queue_bfs(sub.gens, g.mult, g.identity)
+
+
 def _brute_theta(sub, pi):
     """{g: theta(g)} on tuples, grown by theta(x s) = theta(x) pi(s)."""
     images = {sub.identity: sub.identity}
