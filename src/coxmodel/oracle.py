@@ -43,7 +43,17 @@ from .classification import CapExceeded
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get("COXMODEL_ORACLE_CAP", "1000000"))
+    """`COXMODEL_ORACLE_CAP`, a positive integer; 1,000,000 when unset or empty."""
+    raw = os.environ.get("COXMODEL_ORACLE_CAP", "")
+    if not raw:
+        return 1_000_000
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"COXMODEL_ORACLE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 # --- element arithmetic -------------------------------------------------------

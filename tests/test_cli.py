@@ -230,6 +230,22 @@ def test_the_element_cap_admits_a_group_of_its_size(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "cap exceeded: group symB exceeds cap 47\n")
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
+def test_a_bad_element_cap_exits_1(capsys, monkeypatch, value):
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", value)
+    code, out, err = invoke(capsys, "oracle", "search", "--type", "A", "--rank", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: COXMODEL_ORACLE_CAP must be a positive integer, got '{value}'\n"
+
+
+def test_an_empty_element_cap_is_the_default(monkeypatch):
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", "")
+    assert oc.oracle_cap() == 1_000_000
+    assert oc.get_group("symB", 3).order == 48
+
+
 def test_verify_below_the_rank_floor_exits_1(capsys):
     model = [{"type": "D", "alpha": [2, 0], "beta": ["id", "id"], "gamma": ["triv", "triv"]}]
     code, out, err = invoke(capsys, "verify", "--model", json.dumps(model), "--oracle")
