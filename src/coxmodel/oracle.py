@@ -162,8 +162,11 @@ class Group:
     def _enumerate(self, start, steps):
         """One BFS queue from `start`; returns {key: id} in BFS order.
 
-        `steps[gi](key)` is the key of the product by generator gi.  The
-        exchange condition is checked on each known w.s.
+        `steps[gi](key)` is the key of the product by generator gi.  Every
+        generator is an involution, so finding w s = v also gives v s = w:
+        each pair {w, w s} is multiplied once, from the end the queue
+        reaches first.  A product already known must then lie one layer up,
+        which checks the exchange condition on every pair.
         """
         cap = oracle_cap()
         index = {start: 0}
@@ -171,26 +174,40 @@ class Group:
         lengths = [0]
         rparent = [-1]
         rgen = [-1]
-        right = [[] for _ in self.gens]
+        # -1 until the product is known; rows double in length as ids outgrow them
+        size = 1
+        right = [[-1] for _ in self.gens]
         letters = list(zip(range(len(steps)), steps, right))
         # the queue is `keys` itself, which grows under the loop
         for base, w in enumerate(keys):
             length = lengths[base]
             for gi, step, row in letters:
+                if row[base] >= 0:
+                    continue
                 v = step(w)
                 seen = index.get(v)
                 if seen is None:
                     seen = index[v] = len(keys)
                     if seen >= cap:
                         raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
+                    if seen == size:
+                        for r in right:
+                            r.extend([-1] * size)
+                        size *= 2
                     keys.append(v)
                     lengths.append(length + 1)
                     rparent.append(base)
                     rgen.append(gi)
-                elif abs(lengths[seen] - length) != 1:
+                elif lengths[seen] != length + 1:
                     raise RuntimeError("length function is not Coxeter-like")
-                row.append(seen)
+                row[base] = seen
+                row[seen] = base
         self.order = len(keys)
+        # a row trimmed in place would keep its doubled capacity
+        for row in right:
+            trimmed = row[: self.order]
+            row.clear()
+            row.extend(trimmed)
         self.lengths = lengths
         self.rparent = rparent
         self.rgen = rgen
