@@ -154,10 +154,11 @@ def test_every_strong_d_representative_matches_the_oracle(n, count):
         assert check_index_against_oracle(idx), idx
 
 
-COVER_RANKS = [("A", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)] + [
+COVER_RANKS = [("A", n) for n in range(2, 9)] + [("B", n) for n in range(2, 7)] + [
     ("D", 3),
     ("D", 4),
     ("D", 5),
+    ("D", 6),
 ]
 
 
