@@ -175,7 +175,6 @@ class Group:
         rparent = [-1]
         rgen = [-1]
         # -1 until the product is known; rows double in length as ids outgrow them
-        size = 1
         right = [[-1] for _ in self.gens]
         letters = list(zip(range(len(steps)), steps, right))
         # the queue is `keys` itself, which grows under the loop
@@ -190,10 +189,9 @@ class Group:
                     seen = index[v] = len(keys)
                     if seen >= cap:
                         raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
-                    if seen == size:
+                    if seen == len(row):
                         for r in right:
-                            r.extend([-1] * size)
-                        size *= 2
+                            r.extend([-1] * seen)
                     keys.append(v)
                     lengths.append(length + 1)
                     rparent.append(base)
