@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from coxmodel.classification import search_perfect_models
-from coxmodel.model_index import ModelIndex, enumerate_indices
+from coxmodel.model_index import ModelIndex, _dual, enumerate_indices, validate
 from coxmodel.oracle import (
     GROUP_KIND,
     Group,
@@ -144,13 +144,39 @@ def test_split_sign_tells_the_two_halves_apart(n):
         assert len(pairs) == 2 and {e for _, e in pairs} == {1, -1}
 
 
-@pytest.mark.parametrize("n,count", [(4, 34), (6, 76)])
-def test_every_strong_d_representative_matches_the_oracle(n, count):
-    # includes the split degenerate labels and, at rank 6, the rotated
-    # triality classes on a sign block smaller than the diagram
-    reps = enumerate_indices("D", n)
+def _spellings(idx):
+    """idx, its dual, and each column respelled id -> idplus or fpf -> fpfplus."""
+    out = {idx, _dual(idx)}
+    respell = {"id": "idplus", "fpf": "fpfplus"}
+    for i, (a, b, g) in enumerate(idx.columns):
+        # fpfplus is a class of the symmetric blocks only: every type A
+        # column, and column 1 of types B and D
+        if b in respell and (b == "id" or idx.ctype == "A" or i == 1):
+            cols = list(idx.columns)
+            cols[i] = (a, respell[b], g)
+            out.add(ModelIndex(idx.ctype, cols))
+    return out
+
+
+STRONG_COUNTS = [
+    ("A", 2, 3), ("A", 3, 5), ("A", 4, 14), ("A", 5, 26), ("A", 6, 68),
+    ("B", 1, 3), ("B", 2, 14), ("B", 3, 24), ("B", 4, 50), ("B", 5, 72),
+    ("D", 3, 9), ("D", 4, 34), ("D", 5, 32), ("D", 6, 76),
+]
+
+
+@pytest.mark.parametrize(
+    "ctype,n,count", STRONG_COUNTS, ids=[f"{t}{n}" for t, n, _ in STRONG_COUNTS]
+)
+def test_every_spelling_of_a_strong_representative_matches_the_oracle(ctype, n, count):
+    # every strong representative in every spelling the bridge reads:
+    # includes the split degenerate labels, the flipped type D blocks and,
+    # at D6, the rotated triality classes on a sign block smaller than the
+    # diagram
+    reps = enumerate_indices(ctype, n)
     assert len(reps) == count
-    for idx in reps:
+    for idx in set().union(*map(_spellings, reps)):
+        assert not validate(idx), idx
         assert check_index_against_oracle(idx), idx
 
 
