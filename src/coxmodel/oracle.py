@@ -254,11 +254,6 @@ class Group:
         """left[g][i] is the id of s_g w_i: s (w t) = (s w) t."""
         return [self._walk(row[0], self.right) for row in self.right]
 
-    @cached_property
-    def index(self):
-        """{element: id}; the root group keeps the one its BFS built."""
-        return {w: i for i, w in enumerate(self.elements)}
-
     def times(self, a, b):
         """The id of w_a w_b, read off b's letters from the left."""
         right, lgen, lparent = self.right, self.lgen, self.lparent
@@ -714,13 +709,11 @@ def _split_sign(w) -> int:
     return (-1) ** d.count(-1)
 
 
-def irr_value(ctype: str, label, w, cycles=None) -> int:
+def irr_value(ctype: str, label, w, cycles) -> int:
     """Value of the labeled irreducible at a signed permutation element.
 
-    `cycles` is `signed_cycle_type(w)`, for callers that already have it.
+    `cycles` is `signed_cycle_type(w)`.
     """
-    if cycles is None:
-        cycles = signed_cycle_type(w)
     if ctype == "A":
         return mn_value_a(label, tuple(length for length, _ in cycles))
     if ctype == "B":
@@ -805,133 +798,76 @@ def decompose(group: Group, ctype: str, n: int, values):
 # --- bridge from symbolic indexes to concrete triples --------------------------
 
 
-def _block_a(n, offset, a, beta, gamma, gid0=None):
-    """One symmetric block: (element, theta map on its gen ids, sigma signs).
+def _sign_block(n, a0, beta, gamma, type_d):
+    """Column 0 of a signed group, on its generators 0 .. a0-1.
 
-    Positions offset+1 .. offset+a; gid0 is the parent generator index of
-    the first transposition in the block (offset in type A, offset+1 in the
-    signed groups, whose generator 0 is the sign generator).
+    Returns the element as a list of n letters, and theta and sigma as
+    lists over those generators.
     """
-    if gid0 is None:
-        gid0 = offset
-    ids = list(range(gid0, gid0 + a - 1))
-    elem = _sp_identity(n)
-    theta = {i: i for i in ids}
-    if beta in ("idplus", "fpfplus"):
-        for i in ids:
-            theta[i] = ids[0] + ids[-1] - i if ids else i
-    if beta == "idplus":
-        w = list(range(1, n + 1))
-        for k in range(a):
-            w[offset + k] = offset + a - k
-        elem = tuple(w)
-    elif beta == "fpf":
-        w = list(range(1, n + 1))
-        for k in range(0, a - 1, 2):
-            w[offset + k], w[offset + k + 1] = offset + k + 2, offset + k + 1
-        elem = tuple(w)
-    sigma = {i: (1 if gamma == "triv" else -1) for i in ids}
-    return ids, elem, theta, sigma
-
-
-def _bridge_sign_block(kind, n, a0, beta, gamma):
-    """Column-0 block of a signed group; generator ids 0 .. a0-1."""
-    ids = list(range(a0))
-    theta = {i: i for i in ids}
     w = list(range(1, n + 1))
-    swap01 = False
-    if beta == "idplus":
-        if kind == "symB" or a0 % 2 == 0:
-            for k in range(a0):
-                w[k] = -(k + 1)
-        else:
-            for k in range(1, a0):
-                w[k] = -(k + 1)
-            swap01 = True
-    elif beta == "fpf":
+    theta = list(range(a0))
+    tag = beta if isinstance(beta, str) else beta[0]
+    if tag in ("idplus", "pq"):
+        # negate the first q letters; an odd q in type D keeps letter 1 and
+        # swaps theta on generators 0 and 1
+        q = a0 if tag == "idplus" else beta[2]
+        odd_d = type_d and q % 2 == 1
+        for k in range(odd_d, q):
+            w[k] = -(k + 1)
+        if odd_d:
+            theta[0], theta[1] = 1, 0
+    elif tag in ("fpf", "fpfdiamond"):
         for k in range(0, a0 - 1, 2):
             w[k], w[k + 1] = k + 2, k + 1
-    elif beta == "fpfdiamond":
-        w[0], w[1] = -2, -1
-        for k in range(2, a0 - 1, 2):
-            w[k], w[k + 1] = k + 2, k + 1
-    elif isinstance(beta, tuple) and beta[0] == "pq":
-        q = beta[2]
-        if kind == "symB" or q % 2 == 0:
-            for k in range(q):
-                w[k] = -(k + 1)
-        else:
-            for k in range(1, q):
-                w[k] = -(k + 1)
-            swap01 = True
-    elif isinstance(beta, tuple) and beta[0] == "tri":
-        p, q, d = beta[1], beta[2], beta[3]
+        if tag == "fpfdiamond":
+            w[0], w[1] = -2, -1
+    elif tag == "tri":
+        _, p, q, d = beta
         if (p, q) == (1, 3):
             w[:4] = [4, 3, 2, 1] if d == "cw" else [-4, 3, 2, -1]
-        if d == "cw":
-            theta[1], theta[3] = 3, 1
-        else:
-            theta[0], theta[3] = 3, 0
-    if swap01:
-        theta[0], theta[1] = 1, 0
-    if gamma == "triv":
-        sigma = {i: 1 for i in ids}
-    elif gamma == "sgn":
-        sigma = {i: -1 for i in ids}
-    elif gamma == "pm":
-        sigma = {0: 1, **{i: -1 for i in ids[1:]}}
-    else:  # mp
-        sigma = {0: -1, **{i: 1 for i in ids[1:]}}
-    return ids, tuple(w), theta, sigma
+        j = 1 if d == "cw" else 0
+        theta[j], theta[3] = 3, j
+    # gamma's signs on generator 0 and on the others
+    signs = {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}[gamma]
+    return w, theta, [signs[k > 0] for k in range(a0)]
 
 
 def index_to_triple(group: Group, idx):
-    """Concrete (J, minimal element, theta, sigma) for a model index."""
+    """Concrete (J, minimal element, theta, sigma) for a model index.
+
+    J lists generator ids in increasing order; theta maps positions in J
+    to positions in J, and sigma is a sign per position.
+    """
     n = idx.rank
-    ids: list[int] = []
-    elem = group.identity
-    theta: dict[int, int] = {}
-    sigma: dict[int, int] = {}
-    if idx.ctype == "A":
-        offset = 0
-        for a, b, g in idx.columns:
-            if a == 0:
-                continue
-            bi, be, bt, bs = _block_a(n, offset, a, b, g)
-            ids += bi
-            elem = _sp_mult(elem, be)
-            theta.update(bt)
-            sigma.update(bs)
-            offset += a
-    else:
-        (a0, b0, g0), (a1, b1, g1) = idx.columns
-        if a0:
-            bi, be, bt, bs = _bridge_sign_block(group.kind, n, a0, b0, g0)
-            ids += bi
-            elem = _sp_mult(elem, be)
-            theta.update(bt)
-            sigma.update(bs)
-        if a1:
-            bi, be, bt, bs = _block_a(n, a0, abs(a1), b1, g1, gid0=a0 + 1)
-            ids += bi
-            elem = _sp_mult(elem, be)
-            theta.update(bt)
-            sigma.update(bs)
-            if a1 < 0:
-                # flip the whole picture through the outer symmetry
-                s0 = tuple([-1] + list(range(2, n + 1)))
-                elem = _sp_mult(_sp_mult(s0, elem), s0)
-                remap = {1: 0}
-                for i in range(2, n):
-                    remap[i] = i
-                ids = sorted(remap[i] for i in ids)
-                theta = {remap[i]: remap[j] for i, j in theta.items()}
-                sigma = {remap[i]: v for i, v in sigma.items()}
-    ids_sorted = tuple(sorted(set(ids)))
-    pos = {gid: p for p, gid in enumerate(ids_sorted)}
-    theta_pos = tuple(pos[theta[gid]] for gid in ids_sorted)
-    sigma_pos = tuple(sigma[gid] for gid in ids_sorted)
-    return {"J": ids_sorted, "min": elem, "theta": theta_pos, "sigma": sigma_pos}
+    signed = idx.ctype != "A"
+    w, ids, theta, sigma = list(range(1, n + 1)), [], [], []
+    offset, blocks = 0, idx.columns
+    if signed:
+        (offset, beta, gamma), *blocks = idx.columns
+        if offset:
+            w, theta, sigma = _sign_block(n, offset, beta, gamma, group.kind == "symD")
+            ids = list(range(offset))
+    for a, beta, gamma in blocks:
+        a = abs(a)
+        # letters offset+1 .. offset+a; in a signed group generator 0 is the
+        # sign change, so the block's generators start at offset + 1
+        block = range(len(ids), len(ids) + a - 1)  # its positions in J
+        ids += range(offset + signed, offset + signed + a - 1)
+        theta += reversed(block) if beta in ("idplus", "fpfplus") else block
+        sigma += [1 if gamma == "triv" else -1] * (a - 1)
+        if beta == "idplus":
+            w[offset : offset + a] = range(offset + a, offset, -1)
+        elif beta == "fpf":
+            for k in range(offset, offset + a - 1, 2):
+                w[k], w[k + 1] = k + 2, k + 1
+        offset += a
+    if idx.columns[-1][0] < 0:
+        # the flipped type D diagram: conjugating by the sign change of
+        # letter 1 swaps generators 0 and 1
+        s0 = (-1, *range(2, n + 1))
+        w = _sp_mult(_sp_mult(s0, w), s0)
+        ids = [0 if i == 1 else i for i in ids]
+    return {"J": tuple(ids), "min": tuple(w), "theta": tuple(theta), "sigma": tuple(sigma)}
 
 
 def oracle_char_of_index(group: Group, idx):
