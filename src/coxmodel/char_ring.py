@@ -228,11 +228,6 @@ class VirtualCharacter:
             self.add(lab, scale * c)
         return self
 
-    def copy(self) -> "VirtualCharacter":
-        out = VirtualCharacter(self.ctype, self.rank)
-        out.coeffs = dict(self.coeffs)
-        return out
-
     def sorted_items(self):
         idx = _universe_index(self.ctype, self.rank)
         return sorted(self.coeffs.items(), key=lambda kv: idx[kv[0]])

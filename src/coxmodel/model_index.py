@@ -713,8 +713,6 @@ def _strong_representatives(ctype: str, n: int, pruned: bool):
     """Sorted strong class representatives; with `pruned`, the lemmas apply."""
     reps: dict[ModelIndex, None] = {}
     for idx in _raw_indices(ctype, n, pruned):
-        if validate(idx):
-            continue
         if pruned and _lemma_excludes_mf(idx):
             continue
         reps[canonical_form(idx, "strong")] = None

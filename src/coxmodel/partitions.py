@@ -17,8 +17,6 @@ from typing import Iterator
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
 
-EMPTY: Partition = ()
-
 
 def is_partition(p) -> bool:
     """True when p is a tuple of weakly decreasing positive integers."""
@@ -33,10 +31,6 @@ def check_partition(p: Partition) -> Partition:
     if not is_partition(p):
         raise ValueError(f"not a partition: {p!r}")
     return p
-
-
-def weight(p: Partition) -> int:
-    return sum(p)
 
 
 def sort_key(p: Partition) -> tuple:
@@ -113,13 +107,6 @@ def centralizer_size(p: Partition) -> int:
 
 def odd_part_count(p: Partition) -> int:
     return sum(1 for x in p if x % 2 == 1)
-
-
-def halve(p: Partition) -> Partition:
-    """Divide each part of an all-even partition by two."""
-    if odd_part_count(p) != 0:
-        raise ValueError(f"partition has odd parts: {p}")
-    return tuple(x // 2 for x in p)
 
 
 # --- bipartition helpers ---------------------------------------------------

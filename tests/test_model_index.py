@@ -233,6 +233,33 @@ def test_type_a_prune_keeps_every_multiplicity_free_class(n):
     assert any(len(idx.columns) > 2 for idx in every) == (n >= 3)
 
 
+@pytest.mark.parametrize("n,orbits,triality", [(4, 10, 1), (6, 30, 2)])
+def test_full_orbits_at_even_rank_d_keep_degree_and_multiplicity_freeness(
+    n, orbits, triality
+):
+    # the diamond flip and, at D4, triality join strong classes here; with no
+    # perfect models at even rank D, classify never canonicalizes them
+    found = {equivalence_orbit(idx, "full") for idx in enumerate_indices("D", n)}
+    assert len(found) == orbits
+    sign_classes = [{idx.columns[0][1] for idx in orbit} for orbit in found]
+    rotated = [c for c in sign_classes if any(b[0] == "tri" for b in c if isinstance(b, tuple))]
+    assert len(rotated) == triality
+    for orbit in found:
+        chars = [character_of_index(idx) for idx in orbit]
+        assert len({canonical_form(idx, "full") for idx in orbit}) == 1
+        assert len({chi.degree() for chi in chars}) == 1
+        assert len({is_multiplicity_free(chi) for chi in chars}) == 1
+
+
+def test_raw_indices_are_valid():
+    # the strong representatives are taken from _raw_indices unchecked
+    for ctype, ranks in (("A", range(2, 11)), ("B", range(2, 9)), ("D", range(3, 9))):
+        for n in ranks:
+            for mf_only in (False, True):
+                for idx in _raw_indices(ctype, n, mf_only):
+                    assert not validate(idx), idx
+
+
 def test_enumerate_returns_canonical_representatives():
     for idx in enumerate_indices("D", 4):
         assert canonical_form(idx, "strong") == idx

@@ -100,10 +100,6 @@ def test_degenerate_labels():
     assert labs == (((2,), "+"), ((2,), "-"), ((1, 1), "+"), ((1, 1), "-"))
 
 
-def test_halve():
-    assert pt.halve((4, 4, 2, 2)) == (2, 2, 1, 1)
-
-
 def test_format_parse_roundtrip():
     for p in pt.partitions_of(5):
         assert pt.parse_partition(pt.format_partition(p)) == p
