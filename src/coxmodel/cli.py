@@ -32,10 +32,6 @@ from .model_index import (
 SCHEMA = 1
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _emit(doc: dict) -> None:
     doc = {"schema": SCHEMA, **doc}
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
@@ -46,7 +42,7 @@ def _parse_partition_arg(text: str) -> tuple:
     try:
         return pt.parse_partition(text)
     except Exception as exc:
-        raise DomainError(f"bad partition {text!r}: {exc}") from exc
+        raise ValueError(f"bad partition {text!r}: {exc}") from exc
 
 
 def _cmd_lr(args) -> int:
@@ -82,14 +78,14 @@ def _load_index(doc) -> ModelIndex:
     try:
         return from_json(doc)
     except Exception as exc:
-        raise DomainError(f"bad model index {doc!r}: {exc}") from exc
+        raise ValueError(f"bad model index {doc!r}: {exc}") from exc
 
 
 def _cmd_char(args) -> int:
     try:
         doc = json.loads(args.index)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DomainError(f"bad JSON: {exc}") from exc
+        raise ValueError(f"bad JSON: {exc}") from exc
     idx = _load_index(doc)
     chi = character_of_index(idx)
     _emit({"command": "char", "index": format_index(idx), "character": chi.to_json()})
@@ -101,28 +97,25 @@ def _load_model(text: str):
     if text.startswith("family:"):
         parts = text.split(":")
         if len(parts) != 3:
-            raise DomainError(f"expected family:NAME:n, got {text!r}")
+            raise ValueError(f"expected family:NAME:n, got {text!r}")
         name, rank = parts[1], parts[2]
         try:
             n = int(rank)
         except ValueError as exc:
-            raise DomainError(f"bad rank {rank!r}") from exc
+            raise ValueError(f"bad rank {rank!r}") from exc
         if name in ("I2odd", "I2even"):
             return ("I2", name, n)
         if name == "H3":
             if n != 3:
-                raise DomainError("H3 exists at rank 3 only")
+                raise ValueError("H3 exists at rank 3 only")
             return ("H3", name, n)
-        try:
-            return ("index", name, cl.known_model(name, n))
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        return ("index", name, cl.known_model(name, n))
     try:
         docs = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DomainError(f"bad JSON: {exc}") from exc
+        raise ValueError(f"bad JSON: {exc}") from exc
     if not isinstance(docs, list) or not docs:
-        raise DomainError("model JSON must be a nonempty list of indexes")
+        raise ValueError("model JSON must be a nonempty list of indexes")
     return ("index", None, tuple(_load_index(d) for d in docs))
 
 
@@ -141,7 +134,7 @@ def _cmd_verify(args) -> int:
     if kind[0] == "I2":
         _, name, m = kind
         if m < 5 or (m % 2 == 0) != (name == "I2even"):
-            raise DomainError(f"{name} needs matching parity and m >= 5")
+            raise ValueError(f"{name} needs matching parity and m >= 5")
         wanted = cl.dihedral_known_models(m)
         found = {frozenset(map(str, model)) for model in cl.classify_dihedral(m)["models"]}
         ok = all(frozenset(map(str, model)) in found for model in wanted)
@@ -203,7 +196,7 @@ def _cmd_classify(args) -> int:
             with open(args.golden, encoding="utf-8") as fh:
                 want = fh.read()
         except OSError as exc:
-            raise DomainError(f"cannot read golden file: {exc}") from exc
+            raise ValueError(f"cannot read golden file: {exc}") from exc
         if text != want:
             import difflib
 
@@ -225,7 +218,7 @@ def _cmd_oracle(args) -> int:
     from . import oracle as oc
 
     if args.type == "H3" and args.rank != 3:
-        raise DomainError("H3 exists at rank 3 only")
+        raise ValueError("H3 exists at rank 3 only")
     group = oc.get_group(oc.GROUP_KIND[args.type], args.rank)
     if args.action == "classes":
         classes = sorted(
@@ -270,7 +263,7 @@ def _cmd_oracle(args) -> int:
             }
         )
         return 0
-    raise DomainError(f"bad oracle action {args.action!r}")
+    raise ValueError(f"bad oracle action {args.action!r}")
 
 
 def _lr_arguments(p: argparse.ArgumentParser) -> None:
@@ -345,9 +338,6 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command][2](args)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except cl.CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3

@@ -55,10 +55,18 @@ def test_char_command(capsys):
 
 @pytest.mark.parametrize(
     "model",
-    ["family:PB:3", "family:PBhat:4", "family:PD:5", "family:I2odd:7", "family:H3:3"],
+    [
+        "family:PB:3",
+        "family:PBhat:4",
+        "family:PD:5",
+        "family:I2odd:7",
+        "family:H3:3",
+        "family:I2odd:7 --oracle",
+        "family:I2even:8 --oracle",
+    ],
 )
 def test_verify_known_families(capsys, model):
-    code, out, _ = invoke(capsys, "verify", "--model", model)
+    code, out, _ = invoke(capsys, "verify", "--model", *model.split())
     assert code == 0
     assert json.loads(out)["status"] == "perfect"
 
