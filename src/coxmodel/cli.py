@@ -15,9 +15,10 @@ across runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import classification as cl
 from . import partitions as pt
@@ -266,51 +267,98 @@ def _cmd_oracle(args) -> int:
     raise ValueError(f"bad oracle action {args.action!r}")
 
 
-def _lr_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu")
+class Option(NamedTuple):
+    """One argument of a command.
+
+    `name` is a long flag ("--rank") or, without dashes, a positional;
+    its dashless form is the attribute the handler reads.  `kind` is str,
+    int or "store_true".  `build_parser` hands the fields to argparse,
+    and `_plain_args` reads them directly.
+    """
+
+    name: str
+    kind: object = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-")
 
 
-def _char_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--index", required=True, help="JSON index document")
+_TYPES = ("A", "B", "D", "I2", "H3")
 
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, help="JSON list or family:NAME:n")
-    p.add_argument("--oracle", action="store_true")
-
-
-def _classify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--relation", choices=["strong", "full"], default="strong")
-    p.add_argument("--golden", help="compare output against this file")
-
-
-def _oracle_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=["search", "classes"])
-    p.add_argument("--type", required=True, choices=["A", "B", "D", "I2", "H3"])
-    p.add_argument("--rank", type=int, default=3)
-
-
-# name -> (help line, argument adder, handler), in the order help lists them
+# name -> (help line, options, handler), in the order help lists them
 COMMANDS = {
-    "lr": ("Littlewood-Richardson coefficients", _lr_arguments, _cmd_lr),
-    "char": ("character of a model index", _char_arguments, _cmd_char),
-    "verify": ("check a model is perfect", _verify_arguments, _cmd_verify),
-    "classify": ("classify perfect models", _classify_arguments, _cmd_classify),
-    "oracle": ("brute-force group computations", _oracle_arguments, _cmd_oracle),
+    "lr": (
+        "Littlewood-Richardson coefficients",
+        (
+            Option("--lam", required=True),
+            Option("--mu", required=True),
+            Option("--nu"),
+        ),
+        _cmd_lr,
+    ),
+    "char": (
+        "character of a model index",
+        (Option("--index", required=True, help="JSON index document"),),
+        _cmd_char,
+    ),
+    "verify": (
+        "check a model is perfect",
+        (
+            Option("--model", required=True, help="JSON list or family:NAME:n"),
+            Option("--oracle", "store_true", default=False),
+        ),
+        _cmd_verify,
+    ),
+    "classify": (
+        "classify perfect models",
+        (
+            Option("--type", required=True, choices=_TYPES),
+            Option("--rank", int, default=3),
+            Option("--relation", choices=("strong", "full"), default="strong"),
+            Option("--golden", help="compare output against this file"),
+        ),
+        _cmd_classify,
+    ),
+    "oracle": (
+        "brute-force group computations",
+        (
+            Option("action", choices=("search", "classes")),
+            Option("--type", required=True, choices=_TYPES),
+            Option("--rank", int, default=3),
+        ),
+        _cmd_oracle,
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, or only `command`'s.
+def _add_option(parser, opt: Option) -> None:
+    kwargs = {"default": opt.default, "choices": opt.choices, "help": opt.help}
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
+    if opt.required:
+        kwargs["required"] = True
+    if opt.kind == "store_true":
+        kwargs["action"] = "store_true"
+    elif opt.kind is int:
+        kwargs["type"] = int
+    parser.add_argument(opt.name, **kwargs)
+
+
+def build_parser(command: str | None = None):
+    """The CLI's argparse parser: every subcommand, or only `command`'s.
 
     A job names its command first, and building one subparser instead of
     five is most of a short job's parsing cost.  The one-command parser
     names all five in its usage line, so its messages match the full one.
+    This is the only place that imports argparse: `run()` needs it only
+    for help and errors (see `_plain_args`).
     """
+    import argparse
+
     p = argparse.ArgumentParser(prog="coxmodel")
     if command is None:
         names = list(COMMANDS)
@@ -323,19 +371,75 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS)
         )
     for name in names:
-        help_line, add_arguments, _ = COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
+        help_line, options, _ = COMMANDS[name]
+        parser = sub.add_parser(name, help=help_line)
+        for opt in options:
+            _add_option(parser, opt)
     return p
+
+
+def _plain_args(argv):
+    """The namespace argparse would build from `argv`, if `argv` is plain.
+
+    Plain means: a command name first, then that command's long flags
+    spelled in full, each at most once, and its positionals in order;
+    every value is a word that does not start with "-", an int is ASCII
+    digits, a value with choices is one of them, and nothing required is
+    missing.  Anything else gives None, and `run()` hands the line to
+    argparse, which prints the help, the usage and every error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    flags = {opt.name: opt for opt in options if opt.name.startswith("--")}
+    positionals = [opt for opt in options if opt.name not in flags]
+    values = {}
+    words = iter(argv[1:])
+    for word in words:
+        opt = flags.get(word)
+        if opt is None:
+            if not positionals:
+                return None
+            opt, value = positionals.pop(0), word
+        elif opt.dest in values:
+            return None
+        elif opt.kind == "store_true":
+            values[opt.dest] = True
+            continue
+        else:
+            value = next(words, "-")  # a flag that ends the line is not plain
+        if value.startswith("-"):
+            return None
+        if opt.kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if positionals:
+        return None
+    for opt in options:
+        if opt.dest not in values:
+            if opt.required:
+                return None
+            values[opt.dest] = opt.default
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    try:
-        args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+    args = _plain_args(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        try:
+            args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command][2](args)
     except cl.CapExceeded as exc:

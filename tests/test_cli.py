@@ -1,13 +1,23 @@
 import contextlib
 import io
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coxmodel
 from coxmodel import oracle as oc
-from coxmodel.cli import COMMANDS, build_parser, run
+from coxmodel.classification import known_model
+from coxmodel.cli import COMMANDS, _plain_args, build_parser, run
+from coxmodel.model_index import format_index
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -294,15 +304,16 @@ def test_help_lists_every_command(capsys):
         assert f"    {name} " in out and help_line in out
 
 
-def test_classify_does_not_import_the_oracle():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import coxmodel
-
+def fresh_python(*args, env=None, **kwargs):
+    """Run a new interpreter that imports this checkout's coxmodel."""
     src = str(Path(coxmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
+def test_classify_does_not_import_the_oracle():
     script = (
         "import contextlib, io, sys\n"
         "from coxmodel import cli\n"
@@ -310,47 +321,134 @@ def test_classify_does_not_import_the_oracle():
         "    code = cli.run(['classify', '--type', 'B', '--rank', '3'])\n"
         "print(code, 'coxmodel.oracle' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
 
 
-def test_python_dash_m_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import coxmodel
-
-    src = str(Path(coxmodel.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxmodel.cli", "lr", "--lam", "(1)", "--mu", "(1)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
+def test_plain_jobs_do_not_import_argparse():
+    script = (
+        "import contextlib, io, sys\n"
+        "from coxmodel import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(['classify', '--type', 'B', '--rank', '3']),\n"
+        "             cli.run(['verify', '--model', 'family:PA:3', '--oracle'])]\n"
+        "print(*codes, 'argparse' in sys.modules)\n"
+        "cli.run(['-h'])\n"
     )
+    proc = fresh_python("-c", script, env={"COLUMNS": "80"})
+    assert proc.returncode == 0, proc.stderr
+    first, help_text = proc.stdout.split("\n", 1)
+    assert first.split() == ["0", "0", "False"]
+    golden = json.loads((REPO / "tests" / "golden" / "cli_messages.json").read_text())
+    assert help_text == next(case["stdout"] for case in golden if case["argv"] == ["-h"])
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = fresh_python("-m", "coxmodel.cli", "lr", "--lam", "(1)", "--mu", "(1)")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["expansion"] == [["(2)", 1], ["(1,1)", 1]]
 
 
 def test_console_script_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxmodel.cli"],
-        input="",
-        capture_output=True,
-        text=True,
-    )
+    proc = fresh_python("-m", "coxmodel.cli", input="")
     # argparse exits nonzero without a subcommand; main() must not traceback
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(oc, "index_agrees_with_oracle", lambda group, idx, orc: False)
+    code, out, _ = invoke(capsys, "verify", "--model", "family:PA:3", "--oracle")
+    assert code == 2
+    assert '"status": "oracle_mismatch"' in out
+    assert json.loads(out)["indices"] == [format_index(i) for i in known_model("PA", 3)]
+
+
+# Two README examples are placeholders, not commands: an elided JSON
+# list (", ...]") and a golden file the reader supplies.
+_README_PLACEHOLDERS = re.compile(r", \.\.\.\]|--golden expected\.json")
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("coxmodel ")
+    ]
+    examples = [line for line in lines if not _README_PLACEHOLDERS.search(line)]
+    assert len(lines) - len(examples) == 2 and examples
+    for line in examples:
+        code, _, err = invoke(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+
+
+# --- the plain path parses like argparse --------------------------------------
+
+_FLAGS = sorted(
+    {opt.name for _, options, _ in COMMANDS.values() for opt in options} - {"action"}
+)
+# values on both sides of each rule of the plain path, and argparse's own
+# spellings: abbreviations, "=" forms, help, "--"
+_WORDS = [
+    "", "-3", "03", "\u0663", "x", "3", "12", "9" * 5000, "-", "--", "-h", "--help",
+    "--rel", "--type=A", "--rank=3", "junk",
+    "A", "B", "D", "I2", "H3", "E", "strong", "full", "weak",
+    "search", "classes", "orbits", "(2,1)", "(1)", "{}", "family:PA:3", *COMMANDS,
+]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command's options in any order, then a few stray words anywhere."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command]
+    for opt in draw(st.permutations(COMMANDS[command][1])):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        if opt.name.startswith("--"):
+            argv.append(opt.name)
+        if opt.kind != "store_true":
+            good = opt.choices or (["0", "3", "12"] if opt.kind is int else ["(2,1)"])
+            argv.append(draw(st.one_of(st.sampled_from(good), st.sampled_from(_WORDS))))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_FLAGS + _WORDS)))
+    return argv
+
+
+def argparse_namespace(argv):
+    """vars() of what argparse parses from argv, or None where it exits."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(command).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_plain_args_agree_with_argparse():
+    # the spellings the benchmark's jobs use all take the plain path
+    model = json.dumps([idx.to_json() for idx in known_model("PB", 3)])
+    for argv in (
+        ["classify", "--type", "D", "--rank", "8", "--relation", "full"],
+        ["classify", "--type", "I2", "--rank", "12"],
+        ["classify", "--type", "H3"],
+        ["oracle", "search", "--type", "B", "--rank", "5"],
+        ["oracle", "classes", "--type", "D", "--rank", "6"],
+        ["verify", "--model", "family:PBhat:4", "--oracle"],
+        ["verify", "--model", model, "--oracle"],
+    ):
+        plain = _plain_args(argv)
+        assert plain is not None and vars(plain) == argparse_namespace(argv), argv
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    def check(argv):
+        plain = _plain_args(argv)
+        assert plain is None or vars(plain) == argparse_namespace(argv), argv
+
+    check()
 
 
 # --- no input ends in a traceback ---------------------------------------------

@@ -1,5 +1,6 @@
 """Induction products, type-changing inductions, and closed-form columns."""
 
+from coxmodel import oracle as oc
 from coxmodel import partitions as pt
 from coxmodel.char_ring import (
     VirtualCharacter,
@@ -217,3 +218,17 @@ def test_column_char_d_fpf_pair():
     gd = {k[1:] for k in g.coeffs if k[0] == "deg"}
     assert {c for c, _ in fd} == {c for c, _ in gd}
     assert fd != gd
+
+
+def test_column_char_d_rank_two_fpf_mixed_characters():
+    # D2 is abelian: an fpf column of size 2 induces nothing, so its
+    # mixed characters are gamma's own linear characters of D2
+    group = oc.build_group("symD", 2)
+    _, reps, _ = group.conjugacy_classes()
+    for gamma, signs in (("pm", (1, -1)), ("mp", (-1, 1))):
+        values = group.linear_values(signs)
+        linear = oc.decompose(group, "D", 2, [values[group.index[w]] for w in reps])
+        for beta in ("fpf", "fpfdiamond"):
+            f = column_char("D", (2, beta, gamma))
+            assert f == column_char("D", (2, "id", gamma))
+            assert f == linear
