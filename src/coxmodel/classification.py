@@ -413,6 +413,23 @@ def dihedral_known_models(m: int):
     )
 
 
+def dihedral_oracle_triple(group, member) -> dict:
+    """The oracle triple of a dihedral model member (J name, character name).
+
+    The perfect class is the identity class, since `dihedral_triples` folds
+    the longest twisted involution into it.  "pm" is +1 on s and -1 on t.
+    """
+    J, sigma = member
+    gen_ids = {"st": (0, 1), "s": (0,), "t": (1,)}[J]
+    signs = {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}[sigma]
+    return {
+        "J": gen_ids,
+        "min": group.identity,
+        "theta": tuple(range(len(gen_ids))),
+        "sigma": tuple(signs[i] for i in gen_ids),
+    }
+
+
 # --- the icosahedral rank three group -------------------------------------------
 
 

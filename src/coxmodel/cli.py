@@ -143,7 +143,18 @@ def _cmd_verify(args) -> int:
             from . import oracle as oc
 
             group = oc.get_group(oc.GROUP_KIND["I2"], m)
-            ok = len(oc.oracle_search(group)) == len(wanted)
+            covers = oc.oracle_search(group)
+            # each known model must be one oracle cover, compared as a set of
+            # class functions
+            cover_chars = [frozenset(chi for chi, _ in cover) for cover in covers]
+            ok = len(covers) == len(wanted) and all(
+                frozenset(
+                    oc.triple_character(group, cl.dihedral_oracle_triple(group, member))
+                    for member in model
+                )
+                in cover_chars
+                for model in wanted
+            )
         _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
         return 0 if ok else 2
     if kind[0] == "H3":

@@ -4,10 +4,11 @@ Groups are enumerated element by element (signed permutations for the
 classical series, rotation/flip pairs for the dihedral groups, a signed
 permutation realization for the rank three icosahedral group).  One BFS
 numbers the elements, and everything downstream runs on those integer ids
-through the tables of products by a generator: subgroups, conjugacy
-classes, twisted involution classes and centralizers, induced characters,
+through the tables of right products by a generator, the BFS parents and
+one inverse table: subgroups, conjugacy classes, twisted involution
+classes, the perfection test, twisted centralizers, induced characters,
 square-root counts.  Element tuples come back only where a value leaves
-the oracle: the perfection test, cycle types and output.
+the oracle: cycle types and output.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition, induced character values and inner products must
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import compress, permutations, product
+from operator import eq, itemgetter
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -117,10 +118,13 @@ class Group:
     Element i is `elements[i]`; the identity is 0.  Every map after the
     enumeration runs on these integer ids:
 
-    - `right[g][i]` is the id of w_i s_g, `left[g][i]` that of s_g w_i;
+    - `right[g][i]` is the id of w_i s_g, and `inverse[i]` that of w_i^-1;
     - w_i = w_rparent[i] s_rgen[i] and w_i = s_lgen[i] w_lparent[i], each
       parent one letter shorter; lgen[i] is the least left descent, the
       first letter of the BFS word.
+
+    Left products go through the inverse: s_g w_i is
+    `inverse[right[g][inverse[i]]]`, since s y = (y^-1 s)^-1.
 
     Generators must be involutions, so twisted conjugation by s is
     x -> s x pi(s).  A parabolic subgroup numbers its own elements;
@@ -249,11 +253,6 @@ class Group:
             values.append(rows[t][values[p]])
         return values
 
-    @cached_property
-    def left(self):
-        """left[g][i] is the id of s_g w_i: s (w t) = (s w) t."""
-        return [self._walk(row[0], self.right) for row in self.right]
-
     def times(self, a, b):
         """The id of w_a w_b, read off b's letters from the left."""
         right, lgen, lparent = self.right, self.lgen, self.lparent
@@ -264,12 +263,25 @@ class Group:
 
     @cached_property
     def inverse(self):
-        """inverse[i] is the id of w_i^-1: (w t)^-1 = t w^-1."""
-        return self._walk(0, self.left)
+        """inverse[i] is the id of w_i^-1: (s w)^-1 = w^-1 s.
+
+        The left parent is one letter shorter, so it comes earlier in BFS
+        order and its inverse is already known.
+        """
+        right = self.right
+        inverse = [0]
+        for s, p in zip(self.lgen[1:], self.lparent[1:]):
+            inverse.append(right[s][inverse[p]])
+        return inverse
 
     def theta_ids(self, pi):
-        """Ids of the images under s_i -> s_pi[i]: theta(w t) = theta(w) pi(t)."""
+        """Ids of the images under s_i -> s_pi[i]: theta(w t) = theta(w) pi(t).
+
+        The identity automorphism maps every id to itself, with no walk.
+        """
         pi = tuple(pi)
+        if pi == tuple(range(len(self.gens))):
+            return range(self.order)
         images = self._thetas.get(pi)
         if images is None:
             images = self._thetas[pi] = self._walk(0, [self.right[j] for j in pi])
@@ -286,14 +298,19 @@ class Group:
         return values
 
     def twisted_orbit(self, x, pi):
-        """Ids of the twisted conjugacy orbit of id x: y = s x pi(s)."""
-        steps = [(self.left[g], self.right[pi[g]]) for g in range(len(self.gens))]
+        """Ids of the twisted conjugacy orbit of id x: y = s x pi(s).
+
+        s x is (x^-1 s)^-1: each x taken from the stack is inverted once,
+        and each step inverts once more.
+        """
+        inverse, right = self.inverse, self.right
+        steps = [(right[g], right[pi[g]]) for g in range(len(self.gens))]
         orbit = {x}
         stack = [x]
         while stack:
-            x = stack.pop()
-            for left, right in steps:
-                y = right[left[x]]
+            xi = inverse[stack.pop()]
+            for row, twisted in steps:
+                y = twisted[inverse[row[xi]]]
                 if y not in orbit:
                     orbit.add(y)
                     stack.append(y)
@@ -487,16 +504,15 @@ def perfect_classes(group: Group):
     out = []
     for pi in _involutive_autos(group):
         theta = group.theta_ids(pi)
-        pairs = [(elements[t], elements[theta[t]]) for t in refl]
         seen = set()
-        for w in range(group.order):
-            # w theta(w) = 1 exactly when theta(w) is the inverse of w
-            if w in seen or theta[w] != inverse[w]:
+        # w theta(w) = 1 exactly when theta(w) is the inverse of w
+        for w in compress(range(group.order), map(eq, theta, inverse)):
+            if w in seen:
                 continue
             orbit = group.twisted_orbit(w, pi)
             seen |= orbit
             # perfection is a class property, so test it on w only
-            if not _is_perfect(group, elements[w], elements[theta[w]], pairs):
+            if not _is_perfect(group, w, theta, refl):
                 continue
             min_len = min(lengths[x] for x in orbit)
             mins = [x for x in orbit if lengths[x] == min_len]
@@ -512,12 +528,16 @@ def perfect_classes(group: Group):
     return out
 
 
-def _is_perfect(group: Group, w, tw, pairs) -> bool:
-    """(w theta(t) theta(w) t)^2 = 1 for each reflection t; pairs holds (t, theta(t))."""
-    mult = group.mult
-    for t, tt in pairs:
-        q = mult(mult(mult(w, tt), tw), t)
-        if mult(q, q) != group.identity:
+def _is_perfect(group: Group, w, theta, refl) -> bool:
+    """(w theta(t) theta(w) t)^2 = 1 for each reflection id t in `refl`.
+
+    On ids: q squares to 1 exactly when q is its own inverse.
+    """
+    times, inverse = group.times, group.inverse
+    tw = theta[w]
+    for t in refl:
+        q = times(times(times(w, theta[t]), tw), t)
+        if inverse[q] != q:
             return False
     return True
 
@@ -528,34 +548,36 @@ def _is_perfect(group: Group, w, tw, pairs) -> bool:
 def twisted_centralizer(group: Group, sub: Group, w, pi):
     """Ids in `sub` of its g with g w = w theta(g); w is an id of `group`.
 
-    One pass in BFS order: for g = s g' (left parent) g w = s (g' w), and
-    for g = g'' t (right parent) w theta(g) = (w theta(g'')) pi(t).
+    One pass in BFS order on right rows only.  For g = s g' (left parent)
+    (g w)^-1 = (g' w)^-1 s, and for g = g'' t (right parent)
+    w theta(g) = (w theta(g'')) pi(t); g is kept when the first is the
+    inverse of the second.
     """
-    lrows = [group.left[j] for j in sub.gen_ids]
-    rrows = [group.right[sub.gen_ids[j]] for j in pi]
-    gw = [w]
+    right, inverse = group.right, group.inverse
+    lrows = [right[j] for j in sub.gen_ids]
+    rrows = [right[sub.gen_ids[j]] for j in pi]
+    gw_inv = [inverse[w]]
     wt = [w]
     out = [0]
     steps = zip(sub.lgen, sub.lparent, sub.rgen, sub.rparent)
     next(steps)  # the identity
     for g, (s, lp, t, rp) in enumerate(steps, 1):
-        a = lrows[s][gw[lp]]
+        a = lrows[s][gw_inv[lp]]
         b = rrows[t][wt[rp]]
-        gw.append(a)
+        gw_inv.append(a)
         wt.append(b)
-        if a == b:
+        if a == inverse[b]:
             out.append(g)
     return out
 
 
-def induced_character(group: Group, values: dict):
-    """Induce integer values {id: value} on a subgroup; the result must be integral."""
-    class_of, reps, sizes = group.conjugacy_classes()
-    sums = [0] * len(reps)
-    for y, v in values.items():
-        sums[class_of[y]] += v
+def induced_character(group: Group, sums, h):
+    """Induce from a subgroup of order h whose values sum to sums[c] on class c.
+
+    The result must be integral.
+    """
+    _, _, sizes = group.conjugacy_classes()
     out = []
-    h = len(values)
     for total, size in zip(sums, sizes):
         v, r = divmod(group.order * total, size * h)
         if r:
@@ -586,22 +608,42 @@ def all_triples(group: Group):
     return out
 
 
-def restricted_character(group: Group, triple) -> dict:
-    """The triple's linear character on its twisted centralizer, {id: +-1}."""
+def _centralizer(group: Group, triple):
+    """(subgroup, (centralizer order, its ids in the subgroup by class)).
+
+    The ids come as (class id in `group`, ids in that class) pairs.  The
+    triples of one class differ in sigma only, so this is computed once
+    per (J, class) and kept on the subgroup.
+    """
     sub = group.subgroup(triple["J"])
-    # the triples of one class differ in sigma only, so the pass is kept
     key = (triple["min"], triple["theta"])
     cent = sub._centralizers.get(key)
     if cent is None:
-        w = group.index[triple["min"]]
-        cent = sub._centralizers[key] = twisted_centralizer(group, sub, w, key[1])
+        ids = twisted_centralizer(group, sub, group.index[key[0]], key[1])
+        class_of = group.conjugacy_classes()[0]
+        parent_ids = sub.parent_ids
+        by_class = {}
+        for g in ids:
+            by_class.setdefault(class_of[parent_ids[g]], []).append(g)
+        cent = sub._centralizers[key] = (len(ids), tuple(by_class.items()))
+    return sub, cent
+
+
+def restricted_character(group: Group, triple) -> dict:
+    """The triple's linear character on its twisted centralizer, {id: +-1}."""
+    sub, (_, by_class) = _centralizer(group, triple)
     values = sub.linear_values(triple["sigma"])
-    return {sub.parent_ids[g]: values[g] for g in cent}
+    return {sub.parent_ids[g]: values[g] for _, members in by_class for g in members}
 
 
 def triple_character(group: Group, triple):
     """The induced model character of one triple, as a class-value tuple."""
-    return induced_character(group, restricted_character(group, triple))
+    sub, (order, by_class) = _centralizer(group, triple)
+    value = sub.linear_values(triple["sigma"]).__getitem__
+    sums = [0] * len(group.conjugacy_classes()[1])
+    for c, members in by_class:
+        sums[c] = sum(map(value, members))
+    return induced_character(group, sums, order)
 
 
 def oracle_is_perfect(group: Group, chars) -> bool:

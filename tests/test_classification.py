@@ -178,6 +178,36 @@ def test_d_even_nonexistence_certificate():
         d_even_nonexistence(5)
 
 
+def _degenerate_selection_found(monkeypatch, n):
+    """Make the degenerate-stage exact cover of rank n yield a selection."""
+    import coxmodel.classification as cl
+    from coxmodel.char_ring import irr_universe
+
+    universe = irr_universe("D", n)
+    degenerate = sum(1 << i for i, lab in enumerate(universe) if lab[0] == "deg")
+    real = cl.exact_covers
+
+    def covers(masks, primary):
+        return iter([(0,)]) if primary == degenerate else real(masks, primary)
+
+    monkeypatch.setattr(cl, "exact_covers", covers)
+    return cl
+
+
+def test_d_even_nonexistence_falls_back_to_the_exhaustive_search(monkeypatch):
+    _degenerate_selection_found(monkeypatch, 6)
+    cert = d_even_nonexistence(6)
+    assert cert["stage"] == "exhaustive"
+    assert cert["conclusion"] == "exact cover over all multiplicity-free candidates is empty"
+
+
+def test_d_even_nonexistence_raises_when_the_exhaustive_search_finds_a_model(monkeypatch):
+    cl = _degenerate_selection_found(monkeypatch, 6)
+    monkeypatch.setattr(cl, "search_perfect_models", lambda ctype, n: [("a model",)])
+    with pytest.raises(RuntimeError, match="perfect model found at even rank 6"):
+        d_even_nonexistence(6)
+
+
 def test_dihedral_labels_and_counts():
     assert dihedral_labels(5) == ("triv", "sgn", ("rho", 1), ("rho", 2))
     assert len(dihedral_labels(8)) == 2 + 2 + 3

@@ -364,6 +364,15 @@ def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
     assert json.loads(out)["indices"] == [format_index(i) for i in known_model("PA", 3)]
 
 
+def test_verify_dihedral_compares_oracle_covers_not_their_count(capsys, monkeypatch):
+    # as many covers as the odd family has models, but not its characters
+    bogus = [(((1, 0, 0, 0, 0), ()),), (((0, 1, 0, 0, 0), ()),)]
+    monkeypatch.setattr(oc, "oracle_search", lambda group: bogus)
+    code, out, _ = invoke(capsys, "verify", "--model", "family:I2odd:7", "--oracle")
+    assert code == 2
+    assert json.loads(out)["status"] == "not_perfect"
+
+
 # Two README examples are placeholders, not commands: an elided JSON
 # list (", ...]") and a golden file the reader supplies.
 _README_PLACEHOLDERS = re.compile(r", \.\.\.\]|--golden expected\.json")

@@ -1,10 +1,13 @@
 """Brute-force group computations used to cross-check the symbolic layer."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from coxmodel import oracle as oc
 from coxmodel.classification import search_perfect_models
+from coxmodel.cli import run
 from coxmodel.model_index import ModelIndex, _dual, enumerate_indices, validate
 from coxmodel.oracle import (
     GROUP_KIND,
@@ -20,6 +23,7 @@ from coxmodel.oracle import (
     oracle_is_perfect,
     oracle_search,
     perfect_classes,
+    restricted_character,
     signed_cycle_type,
     sqrt_count,
     triple_character,
@@ -300,10 +304,15 @@ def test_tables_are_the_tuple_products(kind, n, matrix, classes, autos):
     mult, elements, index = g.mult, g.elements, g.index
     assert elements[0] == g.identity and len(index) == g.order
     inverse = g.inverse
+
+    def left(s, i):
+        # s w = (w^-1 s)^-1
+        return inverse[g.right[s][inverse[i]]]
+
     for i, w in enumerate(elements):
         for s, gen in enumerate(g.gens):
             assert elements[g.right[s][i]] == mult(w, gen)
-            assert elements[g.left[s][i]] == mult(gen, w)
+            assert elements[left(s, i)] == mult(gen, w)
         assert mult(w, elements[inverse[i]]) == g.identity
         if i == 0:
             continue
@@ -312,7 +321,7 @@ def test_tables_are_the_tuple_products(kind, n, matrix, classes, autos):
         assert mult(g.gens[g.lgen[i]], elements[g.lparent[i]]) == w
         assert g.lengths[g.rparent[i]] == g.lengths[g.lparent[i]] == g.lengths[i] - 1
         # the first letter is the least left descent
-        descents = [s for s in range(len(g.gens)) if g.lengths[g.left[s][i]] < g.lengths[i]]
+        descents = [s for s in range(len(g.gens)) if g.lengths[left(s, i)] < g.lengths[i]]
         assert g.lgen[i] == descents[0]
     for pi in g.diagram_automorphisms():
         theta = g.theta_ids(pi)
@@ -334,7 +343,7 @@ def test_subgroups_from_tables_are_the_standalone_groups(kind, n, matrix, classe
         assert sub.elements == alone.elements
         assert sub.lengths == alone.lengths
         assert sub.right == alone.right
-        assert sub.left == alone.left
+        assert sub.inverse == alone.inverse
         assert [g.elements[x] for x in sub.parent_ids] == list(sub.elements)
 
 
@@ -398,6 +407,158 @@ def test_twisted_centralizer_is_the_tuple_filter(kind, n):
         brute = [x for x in sub.elements if g.mult(x, w) == g.mult(w, theta[x])]
         cent = twisted_centralizer(g, sub, g.index[w], t["theta"])
         assert [sub.elements[x] for x in cent] == brute
+
+
+def _tuple_orbits(g, pi):
+    """The twisted classes of g as frozensets of tuples, closed under s x pi(s)."""
+    seen = {}
+    for x in g.elements:
+        if x in seen:
+            continue
+        orbit = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for s, gen in enumerate(g.gens):
+                z = g.mult(g.mult(gen, y), g.gens[pi[s]])
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        orbit = frozenset(orbit)
+        for y in orbit:
+            seen[y] = orbit
+    return seen
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_twisted_orbit_is_the_tuple_closure(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    for pi in g.diagram_automorphisms():
+        orbits = _tuple_orbits(g, pi)
+        for i, x in enumerate(g.elements):
+            assert {g.elements[y] for y in g.twisted_orbit(i, pi)} == orbits[x]
+
+
+@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_perfection_on_ids_is_the_tuple_formula(kind, n, matrix, classes, autos):
+    g = get_group(kind, n)
+    mult, e = g.mult, g.identity
+    inverse = {x: y for x in g.elements for y in g.elements if mult(x, y) == e}
+    refl = {mult(mult(x, s), inverse[x]) for s in g.gens for x in g.elements}
+    ids = sorted(g.index[t] for t in refl)
+    checked = 0
+    for pi in oc._involutive_autos(g):
+        theta = _brute_theta(g, pi)
+        theta_ids = g.theta_ids(pi)
+        for w in g.elements:
+            tw = theta[w]
+            if mult(w, tw) != e:
+                continue
+            # (w theta(t) theta(w) t)^2 = 1 for every reflection t
+            want = all(
+                mult(q, q) == e
+                for q in (mult(mult(mult(w, theta[t]), tw), t) for t in refl)
+            )
+            assert oc._is_perfect(g, g.index[w], theta_ids, ids) == want, (pi, w)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("symA", 4), ("symB", 3), ("symD", 4), ("dihedral", 6), ("h3", 0)]
+)
+def test_triple_character_is_the_induced_restricted_character(kind, n):
+    g = get_group(kind, n)
+    class_of, _, sizes = g.conjugacy_classes()
+    for t in all_triples(g):
+        values = restricted_character(g, t)
+        sums = [0] * len(sizes)
+        for y, v in values.items():
+            sums[class_of[y]] += v
+        # Ind(f)(c) = |G| / (|c| |H|) * (sum of f over H meet c)
+        want = []
+        for total, size in zip(sums, sizes):
+            assert g.order * total % (size * len(values)) == 0
+            want.append(g.order * total // (size * len(values)))
+        assert triple_character(g, t) == tuple(want)
+
+
+def test_a_class_without_a_unique_minimum_is_dropped(monkeypatch):
+    # S3 has two perfect classes; taking every twisted involution class as
+    # perfect must add every class but the transpositions, whose minima are
+    # s1 and s2
+    g = oc.build_group("symA", 3)
+    s1, s2 = g.gens
+    monkeypatch.setattr(oc, "_is_perfect", lambda *args: True)
+    got = {(c["theta"], c["elements"]) for c in perfect_classes(g)}
+    want = set()
+    for pi in oc._involutive_autos(g):
+        theta = _brute_theta(g, pi)
+        for orbit in set(_tuple_orbits(g, pi).values()):
+            if all(g.mult(w, theta[w]) == g.identity for w in orbit):
+                want.add((pi, orbit))
+    transpositions = frozenset({s1, s2, g.mult(g.mult(s1, s2), s1)})
+    assert ((0, 1), transpositions) in want
+    assert got == want - {((0, 1), transpositions)}
+    assert len(got) > 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# argv, and the golden file pinning its output if there is one
+GUARDED_RUNS = [
+    (["oracle", "classes", "--type", "B", "--rank", "3"], None),
+    (["oracle", "classes", "--type", "B", "--rank", "4"], "oracle_classes_B4.json"),
+    (["oracle", "classes", "--type", "D", "--rank", "4"], "oracle_classes_D4.json"),
+    (["oracle", "search", "--type", "B", "--rank", "3"], "oracle_search_B3.json"),
+    (["oracle", "search", "--type", "D", "--rank", "4"], "oracle_search_D4.json"),
+    (["verify", "--model", "family:PB:3", "--oracle"], None),
+    (["classify", "--type", "H3"], "classify_H3.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,golden", GUARDED_RUNS, ids=[" ".join(argv) for argv, _ in GUARDED_RUNS]
+)
+def test_no_tuple_product_after_the_bfs(argv, golden, capsys, monkeypatch):
+    # the oracle answers from its id tables: a group whose mult raises once
+    # it is built gives the same output as one whose mult works
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    if golden:
+        assert want == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def no_mult(x, y):
+        raise AssertionError("tuple product after the BFS")
+
+    init = Group.__init__
+
+    def guarded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.mult = no_mult
+
+    monkeypatch.setattr(Group, "__init__", guarded_init)
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_the_identity_automorphism_walks_nothing(monkeypatch):
+    g = oc.build_group("symD", 4)
+    walks = []
+    walk = Group._walk
+
+    def counted(self, start, rows):
+        walks.append(start)
+        return walk(self, start, rows)
+
+    monkeypatch.setattr(Group, "_walk", counted)
+    theta = g.theta_ids((0, 1, 2, 3))
+    assert list(theta) == list(range(g.order))
+    assert walks == []
+    g.theta_ids((1, 0, 2, 3))
+    assert len(walks) == 1
 
 
 def test_sqrt_count_is_computed_once_per_group():
