@@ -53,6 +53,17 @@ class CapExceeded(RuntimeError):
 # The families of fixed-point-free plus sign columns, and their types.
 _P_TYPES = {"PA": "A", "PB": "B", "PBhat": "B", "PD": "D"}
 
+# The families that exist at one rank only: type, rank, and per index the
+# (size, character) of both its columns, each with beta "id".  In B3extra2,
+# at block size one the two mixed characters coincide with sgn and triv.
+_ONE_RANK = {
+    "Aextra4": ("A", 4, [(1, "triv", 3, "sgn"), (2, "triv", 2, "triv")]),
+    "B3extra1": ("B", 3, [(1, "triv", 2, "triv"), (2, "sgn", 1, "triv"),
+                          (3, "pm", 0, "triv"), (3, "mp", 0, "triv")]),
+    "B3extra2": ("B", 3, [(1, "sgn", 2, "triv"), (2, "pm", 1, "triv"),
+                          (3, "triv", 0, "triv"), (3, "sgn", 0, "triv")]),
+}
+
 
 def known_model(family: str, n: int) -> tuple[ModelIndex, ...]:
     """Index lists for the named perfect model families."""
@@ -70,33 +81,14 @@ def known_model(family: str, n: int) -> tuple[ModelIndex, ...]:
                 cols = [[(2 * k, "fpf", "triv"), (n - 2 * k, "id", "sgn")]]
             out += [normalize(ModelIndex(ctype, c)) for c in cols]
         return tuple(out)
-    if family == "Aextra4":
-        if n != 4:
-            raise ValueError("Aextra4 exists at rank 4 only")
-        return (
-            normalize(ModelIndex("A", [(1, "id", "triv"), (3, "id", "sgn")])),
-            normalize(ModelIndex("A", [(2, "id", "triv"), (2, "id", "triv")])),
+    if family in _ONE_RANK:
+        ctype, rank, cols = _ONE_RANK[family]
+        if n != rank:
+            raise ValueError(f"{family} exists at rank {rank} only")
+        return tuple(
+            normalize(ModelIndex(ctype, [(a0, "id", g0), (a1, "id", g1)]))
+            for a0, g0, a1, g1 in cols
         )
-    if family in ("B3extra1", "B3extra2"):
-        if n != 3:
-            raise ValueError(f"{family} exists at rank 3 only")
-        if family == "B3extra1":
-            cols = [
-                [(1, "id", "triv"), (2, "id", "triv")],
-                [(2, "id", "sgn"), (1, "id", "triv")],
-                [(3, "id", "pm"), (0, "id", "triv")],
-                [(3, "id", "mp"), (0, "id", "triv")],
-            ]
-        else:
-            # at block size one the two mixed characters coincide with
-            # sgn and triv respectively.
-            cols = [
-                [(1, "id", "sgn"), (2, "id", "triv")],
-                [(2, "id", "pm"), (1, "id", "triv")],
-                [(3, "id", "triv"), (0, "id", "triv")],
-                [(3, "id", "sgn"), (0, "id", "triv")],
-            ]
-        return tuple(normalize(ModelIndex("B", c)) for c in cols)
     raise ValueError(f"unknown family: {family!r}")
 
 
@@ -240,9 +232,9 @@ def classify(ctype: str, n: int, relation: str = "strong") -> dict:
     if ctype == "I2":
         return classify_dihedral(n, relation)
     if ctype == "H3":
-        if n != 3 or relation != "strong":
+        if relation != "strong":
             raise ValueError("H3 is classified at rank 3 under the strong relation only")
-        return classify_h3()
+        return classify_h3(n)
     covers = search_perfect_models(ctype, n)
     return _expand_classes(
         ctype,
@@ -413,21 +405,48 @@ def dihedral_known_models(m: int):
     )
 
 
-def dihedral_oracle_triple(group, member) -> dict:
-    """The oracle triple of a dihedral model member (J name, character name).
+# (J name, character name) of a dihedral model member -> (J, signs).  The
+# perfect class is the identity class, since `dihedral_triples` folds the
+# longest twisted involution into it.  "pm" is +1 on s and -1 on t.
+DIHEDRAL_MEMBER = {
+    (J, sigma): (gen_ids, tuple(signs[i] for i in gen_ids))
+    for J, gen_ids in {"st": (0, 1), "s": (0,), "t": (1,)}.items()
+    for sigma, signs in {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}.items()
+}
 
-    The perfect class is the identity class, since `dihedral_triples` folds
-    the longest twisted involution into it.  "pm" is +1 on s and -1 on t.
+
+# --- known models against the oracle --------------------------------------------
+
+
+def _model_characters(group, model):
+    """The sorted characters of a model of (J, signs) members.
+
+    Each member is a linear character of the parabolic on J, taken on its
+    identity class, so it induces from the parabolic itself.
     """
-    J, sigma = member
-    gen_ids = {"st": (0, 1), "s": (0,), "t": (1,)}[J]
-    signs = {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}[sigma]
-    return {
-        "J": gen_ids,
-        "min": group.identity,
-        "theta": tuple(range(len(gen_ids))),
-        "sigma": tuple(signs[i] for i in gen_ids),
-    }
+    from . import oracle as oc
+
+    chars = []
+    for J, signs in model:
+        theta = tuple(range(len(J)))
+        triple = {"J": tuple(J), "min": group.identity, "theta": theta, "sigma": tuple(signs)}
+        chars.append(oc.triple_character(group, triple))
+    return tuple(sorted(chars))
+
+
+def _oracle_covers(group):
+    """The oracle's covers, each as its sorted characters."""
+    from . import oracle as oc
+
+    return {tuple(sorted(chi for chi, _ in cover)) for cover in oc.oracle_search(group)}
+
+
+def known_models_are_oracle_covers(group, models) -> bool:
+    """Are the models, as sets of characters, exactly the oracle's covers?
+
+    A model that repeats a character matches no cover.
+    """
+    return {_model_characters(group, model) for model in models} == _oracle_covers(group)
 
 
 # --- the icosahedral rank three group -------------------------------------------
@@ -444,25 +463,11 @@ def h3_known_models():
 
 
 def verify_h3_model(model) -> bool:
-    """Check one known model against the oracle, pointwise.
-
-    Each member is (J, signs): the parabolic generator subset and the
-    character signs on its generators.  The perfect class is the identity
-    class in every case, so the inducing subgroup is the parabolic itself.
-    """
+    """Is one model of (J, signs) members one of the oracle's covers of H3?"""
     from . import oracle as oc
 
-    group = oc.get_group(oc.GROUP_KIND["H3"], 3)
-    chars = []
-    for J, signs in model:
-        triple = {
-            "J": tuple(J),
-            "min": group.identity,
-            "theta": tuple(range(len(J))),
-            "sigma": tuple(signs),
-        }
-        chars.append(oc.triple_character(group, triple))
-    return oc.oracle_is_perfect(group, chars)
+    group = oc.group_of("H3", 3)
+    return _model_characters(group, model) in _oracle_covers(group)
 
 
 def _h3_triple_key(group, desc):
@@ -479,16 +484,16 @@ def _h3_triple_key(group, desc):
     return (desc[0], tuple(sorted(values.items())))
 
 
-def classify_h3() -> dict:
+def classify_h3(n: int = 3) -> dict:
     """Exhaustive oracle classification for the rank three icosahedral group.
 
     Members stay in the oracle's cover order.
     """
     from . import oracle as oc
 
-    group = oc.get_group(oc.GROUP_KIND["H3"], 3)
+    group = oc.group_of("H3", n)
     cover_pools = (
         [sorted({_h3_triple_key(group, d) for d in descs}) for _, descs in cover]
         for cover in oc.oracle_search(group)
     )
-    return _expand_classes("H3", 3, "strong", cover_pools, lambda key: key)
+    return _expand_classes("H3", n, "strong", cover_pools, lambda key: key)

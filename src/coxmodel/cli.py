@@ -104,12 +104,8 @@ def _load_model(text: str):
             n = int(rank)
         except ValueError as exc:
             raise ValueError(f"bad rank {rank!r}") from exc
-        if name in ("I2odd", "I2even"):
-            return ("I2", name, n)
-        if name == "H3":
-            if n != 3:
-                raise ValueError("H3 exists at rank 3 only")
-            return ("H3", name, n)
+        if name in ("I2odd", "I2even", "H3"):
+            return (name[:2], name, n)  # the type, I2 or H3
         return ("index", name, cl.known_model(name, n))
     try:
         docs = json.loads(text)
@@ -123,7 +119,7 @@ def _load_model(text: str):
 def _oracle_check_model(indices) -> bool:
     from . import oracle as oc
 
-    group = oc.get_group(oc.GROUP_KIND[indices[0].ctype], indices[0].rank)
+    group = oc.group_of(indices[0].ctype, indices[0].rank)
     chars = [oc.oracle_char_of_index(group, idx) for idx in indices]
     return oc.oracle_is_perfect(group, chars) and all(
         oc.index_agrees_with_oracle(group, idx, orc) for idx, orc in zip(indices, chars)
@@ -132,33 +128,23 @@ def _oracle_check_model(indices) -> bool:
 
 def _cmd_verify(args) -> int:
     kind = _load_model(args.model)
-    if kind[0] == "I2":
-        _, name, m = kind
-        if m < 5 or (m % 2 == 0) != (name == "I2even"):
-            raise ValueError(f"{name} needs matching parity and m >= 5")
-        wanted = cl.dihedral_known_models(m)
-        found = {frozenset(map(str, model)) for model in cl.classify_dihedral(m)["models"]}
-        ok = all(frozenset(map(str, model)) in found for model in wanted)
-        if ok and args.oracle:
+    if kind[0] in ("I2", "H3"):
+        # the known models must be exactly the oracle's covers; I2 first
+        # checks its closed form, and asks the oracle only under --oracle
+        ctype, name, n = kind
+        if ctype == "H3":
+            ok, models = True, cl.h3_known_models()
+        else:
+            if n < 5 or (n % 2 == 0) != (name == "I2even"):
+                raise ValueError(f"{name} needs matching parity and m >= 5")
+            wanted = cl.dihedral_known_models(n)
+            found = {frozenset(map(str, model)) for model in cl.classify_dihedral(n)["models"]}
+            ok = all(frozenset(map(str, model)) in found for model in wanted)
+            models = [[cl.DIHEDRAL_MEMBER[member] for member in model] for model in wanted]
+        if ok and (args.oracle or ctype == "H3"):
             from . import oracle as oc
 
-            group = oc.get_group(oc.GROUP_KIND["I2"], m)
-            covers = oc.oracle_search(group)
-            # each known model must be one oracle cover, compared as a set of
-            # class functions
-            cover_chars = [frozenset(chi for chi, _ in cover) for cover in covers]
-            ok = len(covers) == len(wanted) and all(
-                frozenset(
-                    oc.triple_character(group, cl.dihedral_oracle_triple(group, member))
-                    for member in model
-                )
-                in cover_chars
-                for model in wanted
-            )
-        _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
-        return 0 if ok else 2
-    if kind[0] == "H3":
-        ok = all(cl.verify_h3_model(m) for m in cl.h3_known_models())
+            ok = cl.known_models_are_oracle_covers(oc.group_of(ctype, n), models)
         _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
         return 0 if ok else 2
     _, _, indices = kind
@@ -229,9 +215,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle as oc
 
-    if args.type == "H3" and args.rank != 3:
-        raise ValueError("H3 exists at rank 3 only")
-    group = oc.get_group(oc.GROUP_KIND[args.type], args.rank)
+    group = oc.group_of(args.type, args.rank)
     if args.action == "classes":
         classes = sorted(
             oc.perfect_classes(group),

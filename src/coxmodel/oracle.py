@@ -427,6 +427,13 @@ def get_group(kind: str, n: int = 0) -> Group:
     return _GROUP_CACHE[key]
 
 
+def group_of(ctype: str, n: int) -> Group:
+    """The group of type `ctype` at rank `n`; H3 has rank 3 only."""
+    if ctype == "H3" and n != 3:
+        raise ValueError("H3 exists at rank 3 only")
+    return get_group(GROUP_KIND[ctype], n)
+
+
 # --- square roots and inner products ------------------------------------------
 
 
@@ -919,7 +926,7 @@ def oracle_char_of_index(group: Group, idx):
 
 def check_index_against_oracle(idx) -> bool:
     """Symbolic and group-theoretic characters of one index must agree."""
-    group = get_group(GROUP_KIND[idx.ctype], idx.rank)
+    group = group_of(idx.ctype, idx.rank)
     return index_agrees_with_oracle(group, idx, oracle_char_of_index(group, idx))
 
 

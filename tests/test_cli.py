@@ -109,7 +109,7 @@ def test_verify_h3_rejects_other_ranks(capsys, model):
     code, out, err = invoke(capsys, "verify", "--model", model)
     assert code == 1
     assert out == ""
-    assert "rank 3" in err
+    assert err == "error: H3 exists at rank 3 only\n"
 
 
 @pytest.mark.parametrize("command", ["char", "verify"])
@@ -167,7 +167,11 @@ def test_classify_h3_rejects_other_ranks_and_relations(capsys, option):
     code, out, err = invoke(capsys, "classify", "--type", "H3", *option)
     assert code == 1
     assert out == ""
-    assert "rank 3" in err
+    # a rank is refused by the rule every command shares
+    assert err == {
+        "--rank": "error: H3 exists at rank 3 only\n",
+        "--relation": "error: H3 is classified at rank 3 under the strong relation only\n",
+    }[option[0]]
 
 
 def test_classify_golden_roundtrip(tmp_path, capsys):
@@ -214,6 +218,8 @@ def test_oracle_rejects_small_ranks(capsys, action, ctype, rank):
     assert code == 1
     assert out == ""
     assert "error" in err and "Traceback" not in err
+    if ctype == "H3":
+        assert err == "error: H3 exists at rank 3 only\n"
 
 
 def test_classify_above_the_type_a_cap_exits_1(capsys):
@@ -364,11 +370,15 @@ def test_verify_reports_an_oracle_mismatch(capsys, monkeypatch):
     assert json.loads(out)["indices"] == [format_index(i) for i in known_model("PA", 3)]
 
 
-def test_verify_dihedral_compares_oracle_covers_not_their_count(capsys, monkeypatch):
-    # as many covers as the odd family has models, but not its characters
+@pytest.mark.parametrize(
+    "model", ["family:I2odd:7 --oracle", "family:H3:3", "family:H3:3 --oracle"]
+)
+def test_verify_dihedral_compares_oracle_covers_not_their_count(capsys, monkeypatch, model):
+    # as many covers as the odd family has models, but not its characters;
+    # H3 compares its known models with the covers with or without --oracle
     bogus = [(((1, 0, 0, 0, 0), ()),), (((0, 1, 0, 0, 0), ()),)]
     monkeypatch.setattr(oc, "oracle_search", lambda group: bogus)
-    code, out, _ = invoke(capsys, "verify", "--model", "family:I2odd:7", "--oracle")
+    code, out, _ = invoke(capsys, "verify", "--model", *model.split())
     assert code == 2
     assert json.loads(out)["status"] == "not_perfect"
 

@@ -6,7 +6,8 @@ from itertools import combinations, product
 import pytest
 
 from coxmodel.char_ring import is_multiplicity_free, twist
-from coxmodel.induction import project
+from coxmodel.classification import SEARCH_CAPS
+from coxmodel.induction import bullet, column_char, project
 from coxmodel.model_index import (
     A_BETAS,
     A_GAMMAS,
@@ -14,6 +15,8 @@ from coxmodel.model_index import (
     D_BETAS,
     ModelIndex,
     canonical_form,
+    _a_column_options,
+    _compositions,
     _lemma_excludes_mf,
     _raw_indices,
     character_of_index,
@@ -221,6 +224,25 @@ def test_lemma_prunes_only_repeated_constituents():
                     pruned[ctype] += 1
     assert pruned["A"] > 1000
     assert pruned["B"] + pruned["D"] > 1000
+
+
+def test_type_a_prune_holds_at_every_rank_the_cap_allows():
+    # character_of_index of a type A index is the bullet product of its
+    # column characters, each a nonzero genuine character, and a product
+    # with a nonzero genuine character keeps a repeated constituent.  An
+    # index of three or more columns at rank n has the product of its first
+    # three columns, at a rank <= n, as a factor; so if every such product
+    # repeats a constituent, the prune drops no model up to the type A cap.
+    products = 0
+    for n in range(3, SEARCH_CAPS["A"] + 1):
+        for comp in _compositions(n, 3):
+            for cols in product(*map(_a_column_options, comp)):
+                chars = [column_char("A", col) for col in cols]
+                assert all(chi.coeffs and min(chi.coeffs.values()) > 0 for chi in chars)
+                chi = bullet("A", bullet("A", chars[0], chars[1]), chars[2])
+                assert is_multiplicity_free(chi) is False, cols
+                products += 1
+    assert products >= 13375  # A3-A16
 
 
 @pytest.mark.parametrize("n", range(2, 10))
