@@ -35,8 +35,7 @@ SCHEMA = 1
 
 def _emit(doc: dict) -> None:
     doc = {"schema": SCHEMA, **doc}
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_partition_arg(text: str) -> tuple:

@@ -23,7 +23,10 @@ the least member of the orbit.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from functools import cache
 from itertools import product
+from types import MappingProxyType
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
 from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
@@ -262,17 +265,15 @@ def _normalize_a_column(col):
     return (a, b, g)
 
 
-def normalize(idx: ModelIndex) -> ModelIndex:
-    cols = idx.columns
-    if idx.ctype == "A":
+def _normal_columns(ctype: str, cols: tuple) -> tuple:
+    """The columns of the normal form of an index with these columns."""
+    if ctype == "A":
         # a zero-width column names no generators at all, so dropping it
         # leaves the same parabolic, class, and character
         kept = tuple(
             _normalize_a_column(c) for c in cols if c[0] != 0
         )
-        if not kept:
-            kept = ((0, "id", "triv"),)
-        return ModelIndex("A", kept)
+        return kept or ((0, "id", "triv"),)
     (a0, b0, g0), col1 = cols
     col1 = _normalize_a_column(col1)
     if a0 == 0:
@@ -280,12 +281,18 @@ def normalize(idx: ModelIndex) -> ModelIndex:
     else:
         if b0 == "idplus":
             b0 = "id"
-        if idx.ctype == "D" and a0 == 2:
+        if ctype == "D" and a0 == 2:
             # the rank-2 subgroup is abelian: every class symbol here names
             # a central singleton with full centralizer.
             b0 = "id"
         col0 = (a0, b0, g0)
-    return ModelIndex(idx.ctype, (col0, col1))
+    return (col0, col1)
+
+
+def normalize(idx: ModelIndex) -> ModelIndex:
+    """The normal form of an index; `idx` itself when it is one already."""
+    cols = _normal_columns(idx.ctype, idx.columns)
+    return idx if cols == idx.columns else ModelIndex(idx.ctype, cols)
 
 
 def _dual_beta_a(beta):
@@ -305,42 +312,40 @@ def transform(idx: ModelIndex, kind: str) -> ModelIndex:
     check_valid(idx)
     if kind == "normalize":
         return normalize(idx)
-    if kind == "bar":
-        return _bar(idx)
-    if kind == "star":
-        if idx.ctype != "A":
-            raise ValueError("star applies to type A only")
-        return _star(idx)
-    if kind == "dual":
-        return _dual(idx)
-    if kind == "diamond":
-        if idx.ctype != "D":
-            raise ValueError("diamond applies to type D only")
-        return _diamond(idx)
-    raise ValueError(f"unknown transform: {kind!r}")
+    if kind == "star" and idx.ctype != "A":
+        raise ValueError("star applies to type A only")
+    if kind == "diamond" and idx.ctype != "D":
+        raise ValueError("diamond applies to type D only")
+    rewrite = {"bar": _bar, "star": _star, "dual": _dual, "diamond": _diamond}.get(kind)
+    if rewrite is None:
+        raise ValueError(f"unknown transform: {kind!r}")
+    return ModelIndex(idx.ctype, rewrite(idx.ctype, idx.columns))
 
 
-def _bar(idx: ModelIndex) -> ModelIndex:
-    return ModelIndex(idx.ctype, tuple((a, b, _bar_gamma(g)) for a, b, g in idx.columns))
+# The rewrites below map the columns of a valid index to the columns of
+# its image, so that an orbit builds an index only for a new member.
 
 
-def _star(idx: ModelIndex) -> ModelIndex:
-    return ModelIndex("A", tuple(reversed(idx.columns)))
+def _bar(ctype: str, cols: tuple) -> tuple:
+    return tuple((a, b, _bar_gamma(g)) for a, b, g in cols)
 
 
-def _dual(idx: ModelIndex) -> ModelIndex:
-    if idx.ctype == "A":
-        cols = [(a, _dual_beta_a(b), g) for a, b, g in reversed(idx.columns)]
-        return ModelIndex("A", cols)
-    (a0, b0, g0), (a1, b1, g1) = idx.columns
+def _star(ctype: str, cols: tuple) -> tuple:
+    return tuple(reversed(cols))
+
+
+def _dual(ctype: str, cols: tuple) -> tuple:
+    if ctype == "A":
+        return tuple((a, _dual_beta_a(b), g) for a, b, g in reversed(cols))
+    (a0, b0, g0), (a1, b1, g1) = cols
     b1 = _dual_beta_a(b1)
-    if idx.ctype == "B":
+    if ctype == "B":
         if isinstance(b0, tuple):  # ("pq", p, q)
             b0 = ("pq", b0[2], b0[1])
         elif b0 != "fpf":
             b0 = {"id": "idplus", "idplus": "id"}[b0]
-        return ModelIndex("B", ((a0, b0, g0), (a1, b1, g1)))
-    n = idx.rank
+        return ((a0, b0, g0), (a1, b1, g1))
+    n = a0 + abs(a1)
     odd = n % 2 == 1
     if odd and abs(a1) == n:
         a1 = -a1
@@ -356,26 +361,25 @@ def _dual(idx: ModelIndex) -> ModelIndex:
         b0 = {"id": "idplus", "idplus": "id"}[b0]
     if odd:
         g0 = _swap_pm(g0)
-    return ModelIndex("D", ((a0, b0, g0), (a1, b1, g1)))
+    return ((a0, b0, g0), (a1, b1, g1))
 
 
-def _diamond(idx: ModelIndex) -> ModelIndex:
-    (a0, b0, g0), (a1, b1, g1) = idx.columns
-    if abs(a1) == idx.rank:
+def _diamond(ctype: str, cols: tuple) -> tuple:
+    (a0, b0, g0), (a1, b1, g1) = cols
+    if a0 == 0:
         a1 = -a1
     if isinstance(b0, tuple) and b0[0] == "tri":
         b0 = ("tri", b0[1], b0[2], "ccw" if b0[3] == "cw" else "cw")
     elif b0 in ("fpf", "fpfdiamond"):
         b0 = "fpfdiamond" if b0 == "fpf" else "fpf"
     g0 = _swap_pm(g0)
-    return ModelIndex("D", ((a0, b0, g0), (a1, b1, g1)))
+    return ((a0, b0, g0), (a1, b1, g1))
 
 
-def _triality(idx: ModelIndex):
-    """Rank-4 outer rotation; defined only when the sign block is everything."""
-    if idx.ctype != "D" or idx.rank != 4:
-        return None
-    (a0, b0, g0), col1 = idx.columns
+def _triality(ctype: str, cols: tuple):
+    """Rank-4 type D outer rotation; defined only when the sign block is
+    everything."""
+    (a0, b0, g0), col1 = cols
     if a0 != 4:
         return None
     cycle = {
@@ -390,14 +394,12 @@ def _triality(idx: ModelIndex):
         ("tri", 1, 3, "ccw"): ("pq", 1, 3),
     }
     b0 = cycle.get(b0, b0)
-    return ModelIndex("D", ((a0, b0, g0), col1))
+    return ((a0, b0, g0), col1)
 
 
-def _b2_swap(idx: ModelIndex):
-    """Rank-2 outer swap of the two generators in type B."""
-    if idx.ctype != "B" or idx.rank != 2:
-        return None
-    (a0, b0, g0), (a1, b1, g1) = normalize(idx).columns
+def _b2_swap(ctype: str, cols: tuple):
+    """Outer swap of the two generators of a rank-2 type B index."""
+    (a0, b0, g0), (a1, b1, g1) = _normal_columns(ctype, cols)
     if (a0, a1) == (2, 0):
         if b0 == "fpf":
             b0 = ("pq", 1, 1)
@@ -408,12 +410,10 @@ def _b2_swap(idx: ModelIndex):
             # the centralizer misses the sign generator, so the mixed
             # characters restrict like triv/sgn.
             g0 = {"pm": "sgn", "mp": "triv"}.get(g0, g0)
-        return ModelIndex("B", ((2, b0, g0), (0, "id", "triv")))
+        return ((2, b0, g0), (0, "id", "triv"))
     if (a0, a1) == (1, 1):
-        return ModelIndex("B", ((0, "id", "triv"), (2, "id", g0)))
-    if (a0, a1) == (0, 2):
-        return ModelIndex("B", ((1, "id", g1), (1, "id", "triv")))
-    return None
+        return ((0, "id", "triv"), (2, "id", g0))
+    return ((1, "id", g1), (1, "id", "triv"))  # (a0, a1) == (0, 2)
 
 
 # --- canonical forms -----------------------------------------------------------
@@ -441,24 +441,27 @@ def equivalence_orbit(idx: ModelIndex, relation: str = "strong") -> tuple:
             gens.append(_triality)
         if idx.ctype == "B" and idx.rank == 2:
             gens.append(_b2_swap)
-    seen = {start}
-    frontier = [start]
+    ctype = idx.ctype
+    seen = {start.columns: start}
+    frontier = [start.columns]
     while frontier:
         cur = frontier.pop()
         for gen in gens:
-            img = gen(cur)
+            img = gen(ctype, cur)
             if img is None:
                 continue
-            img = normalize(img)
+            img = _normal_columns(ctype, img)
             if img not in seen:
-                seen.add(img)
+                seen[img] = ModelIndex(ctype, img)
                 frontier.append(img)
-    return tuple(sorted(seen, key=ModelIndex.key))
+    return tuple(sorted(seen.values(), key=ModelIndex.key))
 
 
 def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
     """Least member of the equivalence orbit; constant on the orbit."""
-    cached = _CANON_CACHE.get((normalize(idx), relation))
+    cached = _CANON_CACHE.get((idx, relation))
+    if cached is None:
+        cached = _CANON_CACHE.get((normalize(idx), relation))
     if cached is not None:
         return cached
     orbit = equivalence_orbit(idx, relation)
@@ -471,38 +474,50 @@ def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
 # --- characters ----------------------------------------------------------------
 
 
+@cache
+def _column_coeffs(ctype: str, column: tuple, induced: bool) -> Mapping:
+    """Read-only {label: coefficient} of one column's character, built once.
+
+    With `induced`, the symmetric block column of a type B or D index,
+    induced up to the whole group; in type D a negative size induces from
+    the diamond image of S_n.
+    """
+    if not induced:
+        return MappingProxyType(column_char(ctype, column).coeffs)
+    alpha, beta, gamma = column
+    inner = column_char("A", (abs(alpha), beta, gamma))
+    if ctype == "B":
+        chi = ind_A_to_B(inner)
+    else:
+        chi = ind_A_to_D(inner, "minus" if alpha < 0 else "plus")
+    return MappingProxyType(chi.coeffs)
+
+
+def _column(ctype: str, column: tuple, induced: bool = False) -> VirtualCharacter:
+    """A new character holding a copy of the cached column coefficients."""
+    out = VirtualCharacter(ctype, abs(column[0]))
+    out.coeffs = dict(_column_coeffs(ctype, column, induced))
+    return out
+
+
 def character_of_index(idx: ModelIndex) -> VirtualCharacter:
-    """The model character attached to an index."""
+    """The model character attached to an index, as a new value per call."""
     check_valid(idx)
-    if idx.ctype == "A":
-        factors = [
-            column_char("A", col) for col in idx.columns if col[0] != 0
-        ]
+    ctype = idx.ctype
+    if ctype == "A":
+        factors = [_column("A", col) for col in idx.columns if col[0] != 0]
         out = factors[0]
         for f in factors[1:]:
             out = bullet("A", out, f)
         return out
-    (a0, b0, g0), (a1, b1, g1) = idx.columns
-    if idx.ctype == "B":
-        chi0 = column_char("B", (a0, b0, g0)) if a0 else None
-        chi1 = ind_A_to_B(column_char("A", (a1, b1, g1))) if a1 else None
-        if chi0 is None:
-            return chi1
-        if chi1 is None:
-            return chi0
-        return bullet("B", chi0, chi1)
-    chi0 = column_char("D", (a0, b0, g0)) if a0 else None
-    if a1:
-        side = "minus" if a1 < 0 else "plus"
-        inner = column_char("A", (abs(a1), b1, g1))
-        chi1 = ind_A_to_D(inner, side)
-    else:
-        chi1 = None
+    col0, col1 = idx.columns
+    chi0 = _column(ctype, col0) if col0[0] else None
+    chi1 = _column(ctype, col1, induced=True) if col1[0] else None
     if chi0 is None:
         return chi1
     if chi1 is None:
         return chi0
-    return bullet("D", chi0, chi1)
+    return bullet(ctype, chi0, chi1)
 
 
 # --- index-level projections ----------------------------------------------------
@@ -643,8 +658,9 @@ _A_MF_MAX_COLUMNS = 2
 
 
 def _raw_indices(ctype: str, n: int, mf_only: bool = False):
-    """Every index of the rank-n shapes; with mf_only, only the shapes the
-    corank-two lemma leaves as candidates for a perfect model."""
+    """Every index of the rank-n shapes; with mf_only, only the indexes the
+    corank-two lemma and `_lemma_excludes_mf` leave as candidates for a
+    perfect model, each pruned before it is built."""
     if ctype == "A":
         widest = min(n, _A_MF_MAX_COLUMNS) if mf_only else n
         shapes = (
@@ -664,23 +680,26 @@ def _raw_indices(ctype: str, n: int, mf_only: bool = False):
         raise ValueError(f"bad index type: {ctype!r}")
     for pools in shapes:
         for cols in product(*pools):
+            if mf_only and _lemma_excludes_mf(ctype, cols):
+                continue
             yield ModelIndex(ctype, cols)
 
 
-def _lemma_excludes_mf(idx: ModelIndex) -> bool:
-    """Known sufficient conditions for a repeated constituent.
+def _lemma_excludes_mf(ctype: str, columns) -> bool:
+    """Known sufficient conditions for a repeated constituent, read off the
+    columns of a type B or D index.
 
-    Type A is pruned earlier, by shape, in `_raw_indices`.
+    Type A is pruned by shape instead, in `_raw_indices`.
     """
-    if idx.ctype == "A":
+    if ctype == "A":
         return False
-    (a0, b0, g0), (a1, b1, g1) = idx.columns
+    (a0, b0, g0), (a1, b1, g1) = columns
     a1 = abs(a1)
     if a1 >= 4 and _fpfish(b1):
         return True
     if isinstance(b0, tuple) and b0[0] == "pq" and a1 > 0:
         return True
-    if idx.ctype == "B":
+    if ctype == "B":
         if a0 >= 2 and b0 == "fpf" and a1 >= 2 and g0 == g1:
             return True
     else:
@@ -713,7 +732,5 @@ def _strong_representatives(ctype: str, n: int, pruned: bool):
     """Sorted strong class representatives; with `pruned`, the lemmas apply."""
     reps: dict[ModelIndex, None] = {}
     for idx in _raw_indices(ctype, n, pruned):
-        if pruned and _lemma_excludes_mf(idx):
-            continue
         reps[canonical_form(idx, "strong")] = None
     return tuple(sorted(reps, key=ModelIndex.key))

@@ -236,6 +236,7 @@ class Group:
         self.lparent = lparent
         self._classes = None
         self._sqrt = None
+        self._covers = None
         self._thetas = {}
         self._linear = {}
         self._centralizers = {}
@@ -421,7 +422,8 @@ _GROUP_CACHE: dict = {}
 
 
 def get_group(kind: str, n: int = 0) -> Group:
-    key = (kind, n)
+    """The group of one kind and rank, built once; H3 has one rank only."""
+    key = (kind, 0 if kind == "h3" else n)
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = build_group(kind, n)
     return _GROUP_CACHE[key]
@@ -602,8 +604,9 @@ def all_triples(group: Group):
         # empty J gives the trivial subgroup: its one class, the identity,
         # induces the regular character
         sub = group.subgroup(gen_ids)
+        sigmas = linear_characters(sub)
         for cls in perfect_classes(sub):
-            for sigma in linear_characters(sub):
+            for sigma in sigmas:
                 out.append(
                     {
                         "J": gen_ids,
@@ -670,8 +673,11 @@ def oracle_search(group: Group):
     set of multiplicity-free candidates whose multiplicities exhaust every
     irreducible, which for orthogonal groups is equivalent to the norms
     summing to the class count.  Each returned cover lists, per chosen
-    character, every triple that induces it.
+    character, every triple that induces it.  The covers are searched once
+    per group and kept on it as a tuple; each call returns a new list.
     """
+    if group._covers is not None:
+        return list(group._covers)
     r2 = sqrt_count(group)
     n_classes = len(r2)
     rows: dict[tuple, list] = {}
@@ -712,10 +718,11 @@ def oracle_search(group: Group):
             chosen.pop()
 
     rec(0, n_classes, 0)
-    return [
+    group._covers = tuple(
         tuple((items[i][0], tuple(items[i][2])) for i in cover)
         for cover in covers
-    ]
+    )
+    return list(group._covers)
 
 
 # --- labeled irreducible values (Murnaghan-Nakayama) ---------------------------

@@ -235,6 +235,22 @@ def test_dihedral_known_models_are_classes():
             )
 
 
+def test_h3_has_one_group_and_one_cover_search(monkeypatch):
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    calls = []
+    all_triples = oc.all_triples
+    monkeypatch.setattr(oc, "all_triples", lambda group: calls.append(group) or all_triples(group))
+    group = oc.group_of("H3", 3)
+    assert oc.get_group("h3") is group
+    assert list(oc._GROUP_CACHE) == [("h3", 0)]
+    for model in h3_known_models():
+        assert verify_h3_model(model)
+    assert calls == [group]
+    assert isinstance(group._covers, tuple)
+    assert oc.oracle_search(group) == list(group._covers)
+    assert len(calls) == 1
+
+
 def test_dihedral_full_relation_merges():
     assert classify_dihedral(7, "full")["count"] == 1
     assert classify_dihedral(8, "full")["count"] == 1

@@ -67,8 +67,9 @@ def test_group_rejects_non_coxeter_generators_under_dash_o():
 
 
 def test_traced_boundaries_resolve():
-    # the benchmark's traced run wraps these names from outside the
-    # package; a rename or deletion must fail here, not in a traced run
+    # perfbench/tracing.py wraps each (module, attr) of its BOUNDARIES by
+    # name from outside the package, the way Recorder.install resolves it
+    # below; a rename or deletion must fail here, not in a traced run
     import importlib
     import importlib.util
     import inspect
@@ -77,14 +78,19 @@ def test_traced_boundaries_resolve():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    assert len(tracing.BOUNDARIES) > 30
     missing = []
     for mod, attr, _ in tracing.BOUNDARIES:
+        assert mod in tracing.MODULES, mod
         owner = importlib.import_module(f"coxmodel.{mod}")
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
+        if "." in attr:
+            # methods are replaced on the class, so they must be its own
+            cls_name, meth = attr.split(".")
+            found = vars(getattr(owner, cls_name, object)).get(meth)
+        else:
+            found = getattr(owner, attr, None)
+        if not callable(found):
             missing.append(f"{mod}.{attr}")
-    assert len(tracing.BOUNDARIES) > 30
     assert missing == []
     # the enumeration measure reads these arguments by name
     enumerate_indices = importlib.import_module("coxmodel.model_index").enumerate_indices

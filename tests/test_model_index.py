@@ -212,14 +212,23 @@ def test_lemma_prunes_only_repeated_constituents():
     pruned = {"A": 0, "B": 0, "D": 0}
     for ctype, ranks in (("A", range(3, 9)), ("B", range(2, 11)), ("D", range(4, 11))):
         for n in ranks:
-            kept = set(_raw_indices(ctype, n, mf_only=True))
-            for idx in _raw_indices(ctype, n):
+            raw = list(_raw_indices(ctype, n))
+            kept = list(_raw_indices(ctype, n, mf_only=True))
+            # the pruned enumeration is the full one, in order, minus what
+            # the lemmas name
+            assert kept == [
+                idx
+                for idx in raw
+                if len(idx.columns) <= 2 and not _lemma_excludes_mf(ctype, idx.columns)
+            ]
+            kept = set(kept)
+            for idx in raw:
                 if validate(idx):
                     continue
                 chi = character_of_index(idx)
                 if ctype == "A":
                     assert (idx in kept) == (len(idx.columns) <= 2), idx
-                if idx not in kept or _lemma_excludes_mf(idx):
+                if idx not in kept:
                     assert is_multiplicity_free(chi) is False, idx
                     pruned[ctype] += 1
     assert pruned["A"] > 1000
@@ -280,6 +289,42 @@ def test_raw_indices_are_valid():
             for mf_only in (False, True):
                 for idx in _raw_indices(ctype, n, mf_only):
                     assert not validate(idx), idx
+
+
+def test_normalize_returns_a_normal_index_itself():
+    # canonical_form looks an index up before normalizing it, so the raw
+    # indexes must come out of normalize unchanged, not as equal copies
+    for ctype, ranks in (("A", range(2, 11)), ("B", range(2, 9)), ("D", range(3, 9))):
+        for n in ranks:
+            for idx in _raw_indices(ctype, n):
+                assert normalize(idx) is idx, idx
+    idx = mi("A", (5, "idplus", "sgn"))
+    out = normalize(idx)
+    assert out is not idx and out == mi("A", (5, "id", "sgn"))
+    assert normalize(out) is out
+    idx = mi("D", (0, "id", "triv"), (-5, "idplus", "sgn"))
+    assert normalize(idx) == mi("D", (0, "id", "triv"), (-5, "id", "sgn"))
+
+
+def test_characters_are_new_values_over_the_column_cache():
+    # the column characters are cached; a caller that changes a returned
+    # character must not reach the cache or another index's character
+    # each first index is one column alone, which the second shares
+    pairs = [
+        (mi("A", (3, "id", "sgn")), mi("A", (3, "id", "sgn"), (2, "id", "triv"))),
+        (mi("B", (0, "id", "triv"), (3, "id", "sgn")), mi("B", (2, "id", "pm"), (3, "id", "sgn"))),
+        (mi("B", (3, "id", "pm"), (0, "id", "triv")), mi("B", (3, "id", "pm"), (4, "fpf", "sgn"))),
+        (mi("D", (0, "id", "triv"), (4, "fpf", "sgn")), mi("D", (2, "id", "pm"), (4, "fpf", "sgn"))),
+        (mi("D", (0, "id", "triv"), (-4, "id", "sgn")), mi("D", (0, "id", "triv"), (-4, "id", "sgn"))),
+    ]
+    for first, second in pairs:
+        chi = character_of_index(first)
+        before, other = dict(chi.coeffs), character_of_index(second)
+        chi.coeffs.clear()
+        chi.add(next(iter(before)), 5)
+        assert character_of_index(first).coeffs == before
+        assert character_of_index(second) == other
+        assert character_of_index(first) is not character_of_index(first)
 
 
 def test_enumerate_returns_canonical_representatives():

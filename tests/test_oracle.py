@@ -8,7 +8,7 @@ import pytest
 from coxmodel import oracle as oc
 from coxmodel.classification import search_perfect_models
 from coxmodel.cli import run
-from coxmodel.model_index import ModelIndex, _dual, enumerate_indices, validate
+from coxmodel.model_index import ModelIndex, enumerate_indices, transform, validate
 from coxmodel.oracle import (
     GROUP_KIND,
     Group,
@@ -150,7 +150,7 @@ def test_split_sign_tells_the_two_halves_apart(n):
 
 def _spellings(idx):
     """idx, its dual, and each column respelled id -> idplus or fpf -> fpfplus."""
-    out = {idx, _dual(idx)}
+    out = {idx, transform(idx, "dual")}
     respell = {"id": "idplus", "fpf": "fpfplus"}
     for i, (a, b, g) in enumerate(idx.columns):
         # fpfplus is a class of the symmetric blocks only: every type A
