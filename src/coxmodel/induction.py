@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from . import partitions as pt
 from .char_ring import VirtualCharacter, d_deg, d_set, difference_value, mn_value_a
-from .lr import lr_coefficient, lr_expand
+from .lr import lr_expand
 from .partitions import Partition
 
 
@@ -53,7 +53,11 @@ def taylor_coefficient(lab1, lab2, out) -> int:
     terms of LR coefficients.  Degenerate-degenerate-degenerate uses
     c(c + e1*e2*e3)/2 where the e are the three signs read as +1/-1.
     """
-    c = lr_coefficient
+
+    def c(lam, mu, nu):
+        # the type-B lift in `_bullet_d_labels` has expanded every pair read here
+        return lr_expand(lam, mu).get(nu, 0)
+
     a1, a2 = _lift_components(lab1)
     b1, b2 = _lift_components(lab2)
     deg1 = lab1[0] == "deg"
@@ -150,6 +154,43 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
 
 # --- cross-type inductions ----------------------------------------------------
 
+# c^nu_{lam,mu} vanishes unless both lam and mu fit inside nu (Macdonald,
+# "Symmetric Functions and Hall Polynomials", I.9), so the inductions from
+# S_n read only the pairs inside nu, from the cached `lr_expand`.
+
+
+@cache
+def _inside(nu: Partition) -> tuple[tuple[Partition, ...], ...]:
+    """The partitions whose diagrams fit inside nu's, by size, each size in
+    `partitions_of` order."""
+    by_size: list[list[Partition]] = [[] for _ in range(sum(nu) + 1)]
+
+    def grow(lam: Partition, size: int) -> None:
+        # depth first, larger rows first: lexicographically decreasing, which
+        # on one size is `partitions_of` order
+        by_size[size].append(lam)
+        r = len(lam)
+        if r < len(nu):
+            for x in range(min(nu[r], lam[-1]) if lam else nu[0], 0, -1):
+                grow(lam + (x,), size + x)
+
+    grow((), 0)
+    return tuple(map(tuple, by_size))
+
+
+def _pairs_inside(nu: Partition, unordered: bool):
+    """The pairs (lam, mu) inside nu with |lam| + |mu| = |nu|, in
+    `bipartitions_of` order; with `unordered`, only the first ordering of
+    two distinct parts, so the pairs come in `unordered_bipartitions_of`
+    order (not yet in `unordered_pair` form)."""
+    inside = _inside(nu)
+    n = len(inside) - 1
+    for k in range(n, (n - 1) // 2 if unordered else -1, -1):
+        for lam in inside[k]:
+            for mu in inside[n - k]:
+                if not unordered or (k, lam) > (n - k, mu):
+                    yield lam, mu
+
 
 def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     """Induction from the symmetric subgroup up to the full signed group."""
@@ -157,8 +198,8 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
         raise ValueError("ind_A_to_B expects a type A character")
     out = VirtualCharacter("B", chi.rank)
     for nu, c in chi.coeffs.items():
-        for lam, mu in pt.bipartitions_of(chi.rank):
-            d = lr_coefficient(lam, mu, nu)
+        for lam, mu in _pairs_inside(nu, unordered=False):
+            d = lr_expand(lam, mu).get(nu, 0)
             if d:
                 out.add((lam, mu), c * d)
     return out
@@ -182,16 +223,17 @@ def _restricted_difference(nu: Partition, core: Partition) -> int:
 def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
     n = sum(nu)
     out = VirtualCharacter("D", n)
-    for lam, mu in pt.unordered_bipartitions_of(n):
-        d = lr_coefficient(lam, mu, nu)
+    for lam, mu in _pairs_inside(nu, unordered=True):
+        d = lr_expand(lam, mu).get(nu, 0)
         if d:
             out.add(d_set(lam, mu), d)
     if n % 2 != 0:
         return out
     for core in pt.partitions_of(n // 2):
         # [core,+] and [core,-] share c and differ by s; the diamond image
-        # of S_n (side minus) sees delta_core with the opposite sign.
-        c = lr_coefficient(core, core, nu)
+        # of S_n (side minus) sees delta_core with the opposite sign.  A core
+        # outside nu has c = 0 and is not worth an expansion.
+        c = lr_expand(core, core).get(nu, 0) if pt.contains(nu, core) else 0
         s = _restricted_difference(nu, core)
         if (c + s) % 2 or abs(s) > c:
             raise RuntimeError(f"bad degenerate split of {nu} at {core}: c={c}, s={s}")

@@ -85,8 +85,8 @@ def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
 @cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,mu}."""
-    # The A-to-B and A-to-D inductions try every bipartition (lam, mu) of
-    # |nu|; most fail containment and must not cost an expansion each.
+    # A caller may ask for any lam and mu of |nu| (`lr --nu`, library code);
+    # most fail containment and must not cost an expansion each.
     if not (contains(nu, lam) and contains(nu, mu)):
         return 0
     return lr_expand(lam, mu).get(nu, 0)

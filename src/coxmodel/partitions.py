@@ -131,15 +131,19 @@ def unordered_pair(lam: Partition, mu: Partition) -> BiPartition:
     return (lam, mu) if lam > mu else (mu, lam)
 
 
-def unordered_bipartitions_of(n: int) -> Iterator[BiPartition]:
-    seen = set()
-    for lam, mu in bipartitions_of(n):
-        if lam == mu:
-            continue
-        pair = unordered_pair(lam, mu)
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
+@cache
+def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
+    """Unordered pairs {lam, mu} of distinct partitions with |lam| + |mu| = n.
+
+    Each pair comes once, in `unordered_pair` form, at the place of its
+    first ordering in `bipartitions_of`: the heavier part first, and at
+    equal weight the one `partitions_of` lists first (the larger tuple).
+    """
+    return tuple(
+        unordered_pair(lam, mu)
+        for lam, mu in bipartitions_of(n)
+        if (sum(lam), lam) > (sum(mu), mu)
+    )
 
 
 # --- filtered families ------------------------------------------------------

@@ -1,5 +1,8 @@
 """Induction products, type-changing inductions, and closed-form columns."""
 
+import pytest
+
+from coxmodel import induction
 from coxmodel import oracle as oc
 from coxmodel import partitions as pt
 from coxmodel.char_ring import (
@@ -20,6 +23,7 @@ from coxmodel.induction import (
     project,
     restrict_B_to_D,
 )
+from coxmodel.lr import lr_coefficient
 
 
 def test_bullet_a_is_lr_expansion():
@@ -97,6 +101,96 @@ def test_ind_a_to_d_middle_core_tracks_mass():
         got = ind_A_to_D(char_of("A", (3, 1)), side=side)
         degenerate = {lab: c for lab, c in got.coeffs.items() if lab[0] == "deg"}
         assert degenerate == {d_deg((2,), sign): 1}
+
+
+def _scan_A_to_B(nu):
+    # reference: every bipartition of |nu| through lr_coefficient
+    out = VirtualCharacter("B", sum(nu))
+    for lam, mu in pt.bipartitions_of(sum(nu)):
+        d = lr_coefficient(lam, mu, nu)
+        if d:
+            out.add((lam, mu), d)
+    return out
+
+
+def _scan_A_to_D(nu, side):
+    # reference: every unordered bipartition of |nu|, met in
+    # `bipartitions_of` order, through lr_coefficient; then the split
+    # of each degenerate pair
+    n = sum(nu)
+    out = VirtualCharacter("D", n)
+    seen = set()
+    for lam, mu in pt.bipartitions_of(n):
+        if lam == mu or pt.unordered_pair(lam, mu) in seen:
+            continue
+        seen.add(pt.unordered_pair(lam, mu))
+        d = lr_coefficient(lam, mu, nu)
+        if d:
+            out.add(d_set(lam, mu), d)
+    if n % 2 == 0:
+        for core in pt.partitions_of(n // 2):
+            c = lr_coefficient(core, core, nu)
+            s = induction._restricted_difference(nu, core)
+            if side == "minus":
+                s = -s
+            out.add(d_deg(core, "+"), (c + s) // 2)
+            out.add(d_deg(core, "-"), (c - s) // 2)
+    return out
+
+
+def test_inductions_from_s_n_match_the_full_scan():
+    # values and key order, so every output built on them keeps its bytes
+    for n in range(1, 10):
+        for nu in pt.partitions_of(n):
+            chi = char_of("A", nu)
+            got = ind_A_to_B(chi)
+            assert list(got.coeffs.items()) == list(_scan_A_to_B(nu).coeffs.items()), nu
+            for side in ("plus", "minus"):
+                got = ind_A_to_D(chi, side)
+                want = _scan_A_to_D(nu, side)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (nu, side)
+
+
+def test_taylor_coefficient_matches_the_lr_coefficient_table(monkeypatch):
+    labels = {n: irr_universe("D", n) for n in range(1, 7)}
+    cases = [
+        (lab1, lab2, out)
+        for p in range(1, 6)
+        for q in range(1, 7 - p)
+        for lab1 in labels[p]
+        for lab2 in labels[q]
+        for out in labels[p + q]
+    ]
+    got = [induction.taylor_coefficient(*case) for case in cases]
+
+    def by_coefficient(lam, mu):
+        size = sum(lam) + sum(mu)
+        return {nu: lr_coefficient(lam, mu, nu) for nu in pt.partitions_of(size)}
+
+    monkeypatch.setattr(induction, "lr_expand", by_coefficient)
+    assert got == [induction.taylor_coefficient(*case) for case in cases]
+    assert sum(map(bool, got)) > 1000
+
+
+@pytest.mark.parametrize(
+    "lab1, lab2",
+    [
+        (d_set((1,), ()), d_set((1,), ())),
+        (d_deg((1,), "+"), d_deg((1,), "-")),
+        (d_set((2,), (1,)), d_deg((1,), "+")),
+    ],
+)
+def test_type_b_lift_check_catches_a_wrong_taylor_coefficient(monkeypatch, lab1, lab2):
+    right = induction.taylor_coefficient
+    monkeypatch.setattr(
+        induction, "taylor_coefficient", lambda *args: right(*args) + 1
+    )
+    induction._bullet_d_labels.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="type-B lift disagrees"):
+            induction._bullet_d_labels(lab1, lab2)
+    finally:
+        induction._bullet_d_labels.cache_clear()
 
 
 def test_restrict_b_to_d():

@@ -235,6 +235,26 @@ def test_lemma_prunes_only_repeated_constituents():
     assert pruned["B"] + pruned["D"] > 1000
 
 
+def test_lemma_prunes_repeat_a_constituent_above_the_caps():
+    # every index _lemma_excludes_mf prunes at B11-B13 and D11-D13, above
+    # the B and D caps, has a character with a repeated constituent
+    want = {
+        ("B", 11): 580,
+        ("B", 12): 766,
+        ("B", 13): 886,
+        ("D", 11): 290,
+        ("D", 12): 460,
+        ("D", 13): 446,
+    }
+    for ctype, n in want:
+        pruned = 0
+        for idx in _raw_indices(ctype, n):
+            if _lemma_excludes_mf(ctype, idx.columns):
+                assert is_multiplicity_free(character_of_index(idx)) is False, idx
+                pruned += 1
+        assert pruned == want[ctype, n]
+
+
 def test_type_a_prune_holds_at_every_rank_the_cap_allows():
     # character_of_index of a type A index is the bullet product of its
     # column characters, each a nonzero genuine character, and a product

@@ -95,6 +95,20 @@ def test_unordered_bipartitions_of():
         assert sum(lam) + sum(mu) == 4
 
 
+def test_unordered_bipartitions_keep_first_seen_order():
+    # the cached tuple lists each pair where the old scan first met it:
+    # every ordered pair in `bipartitions_of` order, deduplicated by a set
+    for n in range(11):
+        seen, want = set(), []
+        for lam, mu in pt.bipartitions_of(n):
+            if lam != mu and pt.unordered_pair(lam, mu) not in seen:
+                seen.add(pt.unordered_pair(lam, mu))
+                want.append(pt.unordered_pair(lam, mu))
+        got = pt.unordered_bipartitions_of(n)
+        assert got == tuple(want)
+        assert pt.unordered_bipartitions_of(n) is got
+
+
 def test_degenerate_labels():
     labs = pt.degenerate_labels(4)
     assert labs == (((2,), "+"), ((2,), "-"), ((1, 1), "+"), ((1, 1), "-"))
