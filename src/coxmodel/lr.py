@@ -2,11 +2,22 @@
 
 c^nu_{lam,mu} counts the semistandard fillings of nu/lam with content mu
 whose reverse reading word (rows top to bottom, each right to left) is a
-lattice word.  `lr_expand` grows them on lam one horizontal strip per
-letter, row by row from the top; a row is read right to left, so the strip
-of letter i+1 keeps the word lattice iff, for every row r, the (i+1)s in
-rows <= r do not outnumber the i's in rows < r.  Each finished tableau
-counts once for its outer shape, so one pass yields the whole expansion.
+lattice word.  `_grow` grows them on lam one horizontal strip per letter,
+row by row from the top; a row is read right to left, so the strip of
+letter i+1 keeps the word lattice iff, for every row r, the (i+1)s in rows
+<= r do not outnumber the i's in rows < r.  The cells a strip puts in row
+r of its base shape sh are bounded twice:
+
+- at most sh[r-1] - sh[r] (the strip stays horizontal) and at most the
+  lattice slack, the i's in rows < r minus the (i+1)s there;
+- at least the cells still to place minus sh[r], since the rows below r
+  hold at most sh[r] cells of a horizontal strip.
+
+The two bounds never cross, so every branch ends in a tableau.  The search
+is one loop over (letter, row) with an explicit stack, so a partition of a
+thousand rows takes no deeper a Python stack than one of three.  Each
+finished tableau counts once for its outer shape, so one pass yields the
+whole expansion.
 
 c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu'}_{lam',mu'}, so `lr_expand` grows one
 orientation of the four, the one with the fewest letters and then the
@@ -17,50 +28,78 @@ a conjugate request reads it with transposed keys, in key order again.
 from collections.abc import Mapping
 from functools import cache
 from math import comb
+from operator import add
 from types import MappingProxyType
 
 from .partitions import Partition, contains, standard_tableau_count, transpose
 
 
-def _strips(shape: Partition, size: int, above: tuple[int, ...]):
-    """Horizontal strips of `size` cells on `shape` that keep the word lattice.
-
-    `above` is the previous letter's cells per row, empty for the first
-    letter (no bound).  Yields the outer shape and the strip's cells per row.
-    """
-    rows = shape + (0,)
-    counts = [0] * len(rows)
-
-    def grow(r: int, left: int, slack: int):
-        # slack: the previous letter's cells in rows < r minus this one's
-        if not left:
-            yield tuple(a + b for a, b in zip(rows, counts) if a + b), tuple(counts[:r])
-            return
-        if r and left > rows[r - 1]:  # rows r.. hold at most rows[r-1] strip cells
-            return
-        room = min(left, slack, rows[r - 1] - rows[r] if r else left)
-        gain = above[r] if r < len(above) else 0
-        for x in range(room, -1, -1):
-            counts[r] = x
-            yield from grow(r + 1, left - x, slack - x + gain)
-        counts[r] = 0
-
-    yield from grow(0, size, 0 if above else size)
-
-
 @cache
 def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
-    """The LR tableaux of content mu grown on lam, counted by outer shape."""
+    """The LR tableaux of content mu grown on lam, counted by outer shape.
+
+    Letter k puts x cells in row r of its base shape sh (lam plus the
+    strips of the letters before it), with `left` of its cells still to
+    place and `slack` the previous letter's cells in rows < r minus its own
+    (the first letter has no previous one and no lattice bound):
+
+    - x <= min(sh[r-1] - sh[r], slack, left): a cell above the strip's
+      cells of row r must lie in sh, and the word must stay lattice;
+    - x >= left - sh[r]: the strip's cells below row r lie in distinct
+      columns left of sh[r], so at most sh[r] of them fit there.
+
+    The lower bound is never above the upper one, so no branch dead-ends.
+    It is at most sh[r-1] - sh[r], since the rows above left at most
+    sh[r-1] cells to place, and at most `slack`, since the previous
+    letter's cells in rows >= r, which are at least left - slack, lie in
+    distinct columns left of sh[r] too.  Rows whose upper bound is 0 are
+    stepped over without a branch.
+    """
+    if not mu:
+        return MappingProxyType({lam: 1})
     found: dict[Partition, int] = {}
-
-    def place(k: int, shape: Partition, above: tuple[int, ...]) -> None:
-        if k == len(mu):
-            found[shape] = found.get(shape, 0) + 1
-            return
-        for outer, counts in _strips(shape, mu[k], above):
-            place(k + 1, outer, counts)
-
-    place(0, lam, ())
+    depth = len(lam) + len(mu)  # the most rows an outer shape can have
+    zero = [0] * depth
+    counts = [[0] * depth for _ in mu]  # each letter's cells per row
+    last = len(mu) - 1
+    sh, left = list(lam) + zero[len(lam) :], mu[0]
+    # a frame: letter k puts x cells in row r of sh, under the previous
+    # letter's cells per row ab; row 0 of the first letter has no row above
+    stack = [(0, 0, x, left, left, sh, zero) for x in range(max(left - sh[0], 0), left + 1)]
+    while stack:
+        k, r, x, left, slack, sh, ab = stack.pop()
+        cnt = counts[k]
+        while True:
+            cnt[r] = x
+            left -= x
+            slack += ab[r] - x
+            r += 1
+            if not left:  # the letter's strip is complete
+                if k == last:
+                    nu = tuple(filter(None, map(add, sh, cnt[:r] + zero[r:])))
+                    found[nu] = found.get(nu, 0) + 1
+                    break
+                ab = cnt[:r] + zero[r:]
+                sh = list(map(add, sh, ab))
+                k += 1
+                cnt = counts[k]  # row 0 stays 0: no row above it gives lattice slack
+                left, slack, r = mu[k], ab[0], 1
+            while True:  # step over the rows with no room; they add ab[r] to the slack
+                below = sh[r]
+                x = sh[r - 1] - below
+                if slack < x:
+                    x = slack
+                if left < x:
+                    x = left
+                if x:
+                    break
+                cnt[r] = 0
+                slack += ab[r]
+                r += 1
+            # x, the most the row takes, goes on at once; the rest wait
+            least = left - below
+            for y in range(least if least > 0 else 0, x):
+                stack.append((k, r, y, left, slack, sh, ab))
     # on partitions of one weight, `partitions_of` order is reverse lexicographic
     return MappingProxyType(dict(sorted(found.items(), reverse=True)))
 

@@ -10,7 +10,7 @@ All enumeration functions return labels in a deterministic canonical order
 output is stable across runs.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, prod
 from typing import Iterator
 
@@ -38,6 +38,11 @@ def sort_key(p: Partition) -> tuple:
     return (sum(p), tuple(-x for x in p))
 
 
+# at least the 3,506 partitions of weight <= 21 (B20, D21 and the LR layer)
+TRANSPOSE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=TRANSPOSE_CACHE_SIZE)
 def transpose(p: Partition) -> Partition:
     """Conjugate partition (reflect the diagram across the main diagonal)."""
     out: list[int] = []
@@ -124,6 +129,11 @@ def bipartitions_of(n: int) -> Iterator[BiPartition]:
                 yield (lam, mu)
 
 
+def _heavier_first(lam: Partition, mu: Partition) -> bool:
+    """True for the ordering of {lam, mu} that `bipartitions_of` lists first."""
+    return (sum(lam), lam) > (sum(mu), mu)
+
+
 def unordered_pair(lam: Partition, mu: Partition) -> BiPartition:
     """Canonical form of the unordered pair {lam, mu}; requires lam != mu."""
     if lam == mu:
@@ -139,11 +149,7 @@ def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
     first ordering in `bipartitions_of`: the heavier part first, and at
     equal weight the one `partitions_of` lists first (the larger tuple).
     """
-    return tuple(
-        unordered_pair(lam, mu)
-        for lam, mu in bipartitions_of(n)
-        if (sum(lam), lam) > (sum(mu), mu)
-    )
+    return tuple(unordered_pair(*bp) for bp in bipartitions_of(n) if _heavier_first(*bp))
 
 
 # --- filtered families ------------------------------------------------------
@@ -172,33 +178,27 @@ def orows(n: int, q: int) -> tuple[Partition, ...]:
 def erows_b(n: int) -> tuple[BiPartition, ...]:
     """Bipartitions of n where both components have all even parts."""
     return tuple(
-        (lam, mu)
-        for lam, mu in bipartitions_of(n)
-        if odd_part_count(lam) == 0 and odd_part_count(mu) == 0
+        (lam, mu) for k in range(n, -1, -1) for lam in erows(k) for mu in erows(n - k)
     )
 
 
 @cache
 def ecols_b(n: int) -> tuple[BiPartition, ...]:
     out = [(transpose(lam), transpose(mu)) for lam, mu in erows_b(n)]
-    order = {bp: i for i, bp in enumerate(bipartitions_of(n))}
-    return tuple(sorted(out, key=order.__getitem__))
+    # `bipartitions_of` order: on partitions of one weight, `partitions_of`
+    # order is reverse lexicographic
+    return tuple(sorted(out, key=lambda bp: (sum(bp[0]), bp), reverse=True))
 
 
 @cache
 def erows_d(n: int) -> tuple[BiPartition, ...]:
     """Unordered bipartitions {lam, mu} of n, lam != mu, all parts even."""
-    return tuple(
-        pair
-        for pair in unordered_bipartitions_of(n)
-        if odd_part_count(pair[0]) == 0 and odd_part_count(pair[1]) == 0
-    )
+    return tuple(unordered_pair(*bp) for bp in erows_b(n) if _heavier_first(*bp))
 
 
 @cache
 def ecols_d(n: int) -> tuple[BiPartition, ...]:
-    out = {unordered_pair(transpose(a), transpose(b)) for a, b in erows_d(n)}
-    return tuple(p for p in unordered_bipartitions_of(n) if p in out)
+    return tuple(unordered_pair(*bp) for bp in ecols_b(n) if _heavier_first(*bp))
 
 
 def degenerate_labels(n: int) -> tuple[tuple[Partition, str], ...]:

@@ -43,6 +43,23 @@ def test_lr_expansion(capsys):
     assert doc["expansion"] == [["(3,1)", 1], ["(2,2)", 1], ["(2,1,1)", 1]]
 
 
+@pytest.mark.parametrize(
+    "lam,mu,terms",
+    [
+        # one new cell at the end of any of the 1000 rows, or below them
+        ("(" + ",".join(map(str, range(1000, 0, -1))) + ")", "(1)", 1001),
+        # a row of 1200 on a column of 1200
+        ("(" + ",".join(["1"] * 1200) + ")", "(1200)", 2),
+    ],
+    ids=["staircase-1000", "column-1200"],
+)
+def test_lr_on_deep_partitions(capsys, lam, mu, terms):
+    code, out, err = invoke(capsys, "lr", "--lam", lam, "--mu", mu)
+    assert code == 0
+    assert "Traceback" not in err
+    assert len(json.loads(out)["expansion"]) == terms
+
+
 def test_lr_rejects_bad_partition(capsys):
     code, _, err = invoke(capsys, "lr", "--lam", "(1,2)", "--mu", "(1)")
     assert code == 1

@@ -100,16 +100,20 @@ def test_pieri_column():
 
 
 def test_expand_against_reference():
-    # every pair with |lam| + |mu| <= 9, empty partitions included
+    # every ordered pair with |lam| + |mu| <= 9, empty partitions included;
+    # `lr_expand` grows one orientation of each, so the grower itself is
+    # checked on every pair too, multi-letter contents included
     for n in range(10):
         for wl in range(n + 1):
             for lam in pt.partitions_of(wl):
                 for mu in pt.partitions_of(n - wl):
-                    exp = lr_expand(lam, mu)
-                    assert list(exp) == [nu for nu in pt.partitions_of(n) if nu in exp]
+                    exp, grown = lr_expand(lam, mu), grow(lam, mu)
+                    for got in (exp, grown):
+                        assert list(got) == [nu for nu in pt.partitions_of(n) if nu in got]
                     for nu in pt.partitions_of(n):
                         want = _reference_lr(lam, mu, nu)
                         assert exp.get(nu, 0) == want
+                        assert grown.get(nu, 0) == want
                         assert lr_coefficient(lam, mu, nu) == want
 
 

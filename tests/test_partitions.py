@@ -66,6 +66,26 @@ def test_even_row_and_column_families():
     assert set(pt.ecols(6)) == {pt.transpose(p) for p in pt.erows(6)}
 
 
+def test_even_bipartition_families_keep_the_full_scan_order():
+    # the families as filters over every bipartition of n, the old definitions
+    def even(bp):
+        return pt.odd_part_count(bp[0]) == pt.odd_part_count(bp[1]) == 0
+
+    for n in range(15):
+        position = {bp: i for i, bp in enumerate(pt.bipartitions_of(n))}
+        erows_b = tuple(bp for bp in pt.bipartitions_of(n) if even(bp))
+        ecols_b = sorted(
+            ((pt.transpose(a), pt.transpose(b)) for a, b in erows_b), key=position.get
+        )
+        erows_d = tuple(bp for bp in pt.unordered_bipartitions_of(n) if even(bp))
+        cols = {pt.unordered_pair(pt.transpose(a), pt.transpose(b)) for a, b in erows_d}
+        ecols_d = tuple(bp for bp in pt.unordered_bipartitions_of(n) if bp in cols)
+        assert pt.erows_b(n) == erows_b
+        assert pt.ecols_b(n) == tuple(ecols_b)
+        assert pt.erows_d(n) == erows_d
+        assert pt.ecols_d(n) == ecols_d
+
+
 def test_odd_row_families():
     # partitions of 6 with exactly 2 odd rows
     assert set(pt.orows(6, 2)) == {
@@ -127,3 +147,10 @@ def test_sort_key_total_order(p, q):
         assert pt.sort_key(p) != pt.sort_key(q)
     if sum(p) < sum(q):
         assert pt.sort_key(p) < pt.sort_key(q)
+
+
+def test_transpose_cache_is_bounded_above_weight_21():
+    # B20 and D21 conjugate every partition of weight <= 21; the cache holds
+    # them all, and no more than a fixed number of entries
+    assert pt.transpose.cache_info().maxsize == pt.TRANSPOSE_CACHE_SIZE
+    assert pt.TRANSPOSE_CACHE_SIZE >= sum(len(pt.partitions_of(n)) for n in range(22)) == 3506
