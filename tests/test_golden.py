@@ -7,9 +7,14 @@ files before the oracle moved onto integer Cayley tables; any drift in a
 class representative, an ordering or a count shows up here as a diff.
 `cli_messages.json` holds the exit code, stdout and stderr of `run()` on
 help, usage errors and one valid run, recorded at a terminal width of 80
-columns before the parser was built per command.
+columns before the parser was built per command.  `oracle search` A6 and
+D5 and `oracle classes` B5 were recorded before the search induced each
+class-sum key once, so every `oracle` argv the benchmark runs is pinned
+here too; each `oracle` file whose argv the benchmark reference records
+must hash to the digest recorded there.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +24,7 @@ from coxmodel.classification import d_even_nonexistence
 from coxmodel.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 CLASSIFY = sorted(GOLDEN.glob("classify_*.json"))
 ORACLE = sorted(GOLDEN.glob("oracle_*.json"))
 CLI_MESSAGES = json.loads((GOLDEN / "cli_messages.json").read_text(encoding="utf-8"))
@@ -44,19 +50,45 @@ def test_classify_matches_golden(path, capsys):
 
 
 def test_oracle_golden_files_are_present():
-    # search: A3-A5, B2-B5, D4, I2(5), I2(6), H3; classes: B4, D4, D6
-    assert len(ORACLE) == 14
+    # search: A3-A6, B2-B5, D4, D5, I2(5), I2(6), H3; classes: B4, B5, D4, D6
+    assert len(ORACLE) == 17
+
+
+def _oracle_argv(doc):
+    return doc["command"].split() + ["--type", doc["type"], "--rank", str(doc["rank"])]
 
 
 @pytest.mark.parametrize("path", ORACLE, ids=lambda p: p.stem)
 def test_oracle_matches_golden(path, capsys):
     want = path.read_text(encoding="utf-8")
     doc = json.loads(want)
-    argv = doc["command"].split() + ["--type", doc["type"], "--rank", str(doc["rank"])]
+    argv = _oracle_argv(doc)
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == 0, err
     assert out == want
+
+
+def test_oracle_goldens_match_the_benchmark_reference():
+    """A golden file and the benchmark's recorded digest of its argv agree.
+
+    The reference keys each argv by `json.dumps(argv)` and records
+    [exit code, sha256 of stdout]; it is read here, never written.
+    """
+    outputs = json.loads(REFERENCE.read_text(encoding="utf-8"))["outputs"]
+    covered = []
+    for path in ORACLE:
+        text = path.read_text(encoding="utf-8")
+        want = outputs.get(json.dumps(_oracle_argv(json.loads(text))))
+        if want is None:
+            continue
+        assert want == [0, hashlib.sha256(text.encode()).hexdigest()], path.stem
+        covered.append(path.stem)
+    # the benchmark does not run `oracle classes` at B4 or D4
+    assert sorted(set(p.stem for p in ORACLE) - set(covered)) == [
+        "oracle_classes_B4",
+        "oracle_classes_D4",
+    ]
 
 
 @pytest.mark.parametrize("n", [6, 8])
