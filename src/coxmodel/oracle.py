@@ -11,10 +11,12 @@ square-root counts.  Element tuples come back only where a value leaves
 the oracle: cycle types and output.
 
 The oracle validates itself as it goes: BFS lengths are checked against
-the exchange condition, induced character values and inner products must
-come out integral, and the square-root-count class function must have
-norm equal to the number of conjugacy classes (every irreducible here is
-orthogonal).
+the exchange condition; each distinct induced character must come out
+integral when it is first induced; every inner product passes through the
+one pairing rule, `pair`, which requires an integer and a value on every
+class; the square-root-count class function must have norm equal to the
+number of conjugacy classes (every irreducible here is orthogonal); and
+every cover the search finds must sum to the square-root count.
 
 Labeled irreducible values come from Murnaghan-Nakayama at the signed
 cycle type.  A degenerate type D label at any even rank takes half the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from itertools import compress, permutations, product
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter, mul
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -237,6 +239,7 @@ class Group:
         self._classes = None
         self._sqrt = None
         self._covers = None
+        self._induced = {}
         self._thetas = {}
         self._linear = {}
         self._centralizers = {}
@@ -461,13 +464,34 @@ def sqrt_count(group: Group):
     return group._sqrt
 
 
-def inner_product(group: Group, f, g) -> int:
-    """<f, g> of two class functions; it is an integer for characters."""
+def _check_lengths(n_classes, *fs):
+    for f in fs:
+        if len(f) != n_classes:
+            raise ValueError(f"class function has {len(f)} values, the group {n_classes} classes")
+
+
+def weigh(group: Group, f) -> tuple:
+    """f times the class sizes, the one factor `pair` needs of f."""
     _, _, sizes = group.conjugacy_classes()
-    ip, r = divmod(sum(s * a * b for s, a, b in zip(sizes, f, g)), group.order)
+    _check_lengths(len(sizes), f)
+    return tuple(map(mul, sizes, f))
+
+
+def pair(group: Group, weighed, g) -> int:
+    """<f, g> from `weigh(group, f)`; an integer for characters.
+
+    The one place that divides by |W|, and checks that nothing remains.
+    """
+    _check_lengths(len(group.conjugacy_classes()[2]), weighed, g)
+    ip, r = divmod(sum(map(mul, weighed, g)), group.order)
     if r:
         raise RuntimeError("inner product not integral")
     return ip
+
+
+def inner_product(group: Group, f, g) -> int:
+    """<f, g> of two class functions; it is an integer for characters."""
+    return pair(group, weigh(group, f), g)
 
 
 # --- linear characters ---------------------------------------------------------
@@ -653,7 +677,13 @@ def triple_character(group: Group, triple):
     sums = [0] * len(group.conjugacy_classes()[1])
     for c, members in by_class:
         sums[c] = sum(map(value, members))
-    return induced_character(group, sums, order)
+    # triples with the same class sums and order induce the same character,
+    # so each key is induced (and checked integral) once per group
+    key = (tuple(sums), order)
+    chi = group._induced.get(key)
+    if chi is None:
+        chi = group._induced[key] = induced_character(group, sums, order)
+    return chi
 
 
 def oracle_is_perfect(group: Group, chars) -> bool:
@@ -661,8 +691,8 @@ def oracle_is_perfect(group: Group, chars) -> bool:
     r2 = sqrt_count(group)
     total = [0] * len(r2)
     for chi in chars:
-        for i, v in enumerate(chi):
-            total[i] += v
+        _check_lengths(len(r2), chi)
+        total = list(map(add, total, chi))
     return tuple(total) == r2
 
 
@@ -687,37 +717,51 @@ def oracle_search(group: Group):
         rows.setdefault(chi, []).append(desc)
     items = []
     for chi, descs in rows.items():
-        norm = inner_product(group, chi, chi)
-        mult = inner_product(group, chi, r2)
-        if norm != mult:
+        weighed = weigh(group, chi)
+        norm = pair(group, weighed, chi)
+        if norm != pair(group, weighed, r2):
             continue  # repeated constituent
-        items.append((chi, norm, descs))
+        items.append((chi, norm, descs, weighed))
     items.sort(key=lambda it: (-it[1], it[0]))
+    norms = [it[1] for it in items]
     # clash[i] has bit j set when items i and j are not orthogonal
     clash = [0] * len(items)
-    for i, (chi, _, _) in enumerate(items):
+    for i, (_, _, _, weighed) in enumerate(items):
         for j in range(i + 1, len(items)):
-            if inner_product(group, chi, items[j][0]):
+            if pair(group, weighed, items[j][0]):
                 clash[i] |= 1 << j
                 clash[j] |= 1 << i
+    # with_norm[k]: the items of norm k, to add up a mask's norms by bit counts
+    with_norm = {}
+    for i, norm in enumerate(norms):
+        with_norm[norm] = with_norm.get(norm, 0) | 1 << i
     covers = []
     chosen: list[int] = []
 
-    def rec(start, remaining, blocked):
+    def rec(allowed, remaining):
+        """Covers of `remaining` from `allowed`, in increasing item order.
+
+        `allowed` holds the items after the last chosen one that are
+        orthogonal to every chosen one.
+        """
         if remaining == 0:
             if not oracle_is_perfect(group, [items[i][0] for i in chosen]):
                 raise RuntimeError("cover is not a perfect model")
             covers.append(tuple(chosen))
             return
-        for i in range(start, len(items)):
-            norm = items[i][1]
-            if norm > remaining or blocked >> i & 1:
-                continue
-            chosen.append(i)
-            rec(i + 1, remaining - norm, blocked | clash[i])
-            chosen.pop()
+        # the norms of the allowed items cannot add up to what remains
+        if sum(k * (allowed & m).bit_count() for k, m in with_norm.items()) < remaining:
+            return
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            if norms[i] <= remaining:
+                chosen.append(i)
+                rec(allowed & ~clash[i], remaining - norms[i])
+                chosen.pop()
 
-    rec(0, n_classes, 0)
+    rec((1 << len(items)) - 1, n_classes)
     group._covers = tuple(
         tuple((items[i][0], tuple(items[i][2])) for i in cover)
         for cover in covers
@@ -810,8 +854,9 @@ def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
         if vecs[lab][0] != degree(ctype, lab):
             raise RuntimeError(f"wrong degree: {lab}")
     for i, l1 in enumerate(labels):
+        weighed = weigh(group, vecs[l1])
         for l2 in labels[i:]:
-            ip = inner_product(group, vecs[l1], vecs[l2])
+            ip = pair(group, weighed, vecs[l2])
             if ip != (1 if l1 == l2 else 0):
                 raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
     if ctype == "D" and n % 2 == 0:

@@ -581,3 +581,126 @@ def test_audited_tables_do_not_outlive_their_group():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_wrong_length_class_functions_do_not_pair():
+    # zip and map stop at the shorter input: a dropped class must raise
+    g = get_group("symB", 3)
+    r2 = sqrt_count(g)
+    assert inner_product(g, r2, r2) == 10
+    for f, h in [(r2[:-1], r2), (r2, r2[:-1]), (r2 + (0,), r2), (r2, r2 + (0,))]:
+        with pytest.raises(ValueError, match="class function has"):
+            inner_product(g, f, h)
+    with pytest.raises(ValueError):
+        oc.pair(g, oc.weigh(g, r2), r2[:-1])
+    with pytest.raises(ValueError):
+        oc.pair(g, oc.weigh(g, r2)[:-1], r2[:-1])
+
+
+def test_wrong_length_class_functions_are_not_a_model():
+    g = get_group("symB", 3)
+    r2 = sqrt_count(g)
+    assert oracle_is_perfect(g, [r2])
+    for chars in ([r2[:-1]], [r2 + (0,)], [r2, ()]):
+        with pytest.raises(ValueError, match="class function has"):
+            oracle_is_perfect(g, chars)
+
+
+def _reference_covers(g):
+    """The covers by the unpruned scan: every item from `start` on, over
+    candidates sorted and clash masks built as the search builds them."""
+    r2 = sqrt_count(g)
+    rows = {}
+    for t in all_triples(g):
+        desc = (t["J"], t["min"], t["theta"], t["sigma"])
+        rows.setdefault(triple_character(g, t), []).append(desc)
+    items = sorted(
+        (
+            (chi, inner_product(g, chi, chi), tuple(descs))
+            for chi, descs in rows.items()
+            if inner_product(g, chi, chi) == inner_product(g, chi, r2)
+        ),
+        key=lambda it: (-it[1], it[0]),
+    )
+    clash = [
+        sum(1 << j for j, other in enumerate(items) if j != i and inner_product(g, chi, other[0]))
+        for i, (chi, _, _) in enumerate(items)
+    ]
+    covers = []
+
+    def rec(start, remaining, blocked, chosen):
+        if remaining == 0:
+            covers.append(tuple((items[i][0], items[i][2]) for i in chosen))
+            return
+        for i in range(start, len(items)):
+            if items[i][1] <= remaining and not blocked >> i & 1:
+                rec(i + 1, remaining - items[i][1], blocked | clash[i], chosen + [i])
+
+    rec(0, len(r2), 0, [])
+    return covers
+
+
+SEARCH_RANKS = (
+    [("A", n) for n in range(3, 7)]
+    + [("B", n) for n in range(2, 6)]
+    + [("D", 4), ("D", 5)]
+    + [("I2", m) for m in range(5, 9)]
+    + [("H3", 3)]
+)
+
+
+@pytest.mark.parametrize("ctype,n", SEARCH_RANKS, ids=[f"{t}{n}" for t, n in SEARCH_RANKS])
+def test_pruned_search_finds_the_unpruned_covers_in_order(ctype, n):
+    g = oc.group_of(ctype, n)
+    assert oracle_search(g) == _reference_covers(g)
+
+
+def _fresh_key(g, triple):
+    """(class sums, centralizer order) from the triple's restricted character."""
+    class_of, reps, _ = g.conjugacy_classes()
+    restricted = restricted_character(g, triple)
+    sums = [0] * len(reps)
+    for x, v in restricted.items():
+        sums[class_of[x]] += v
+    return tuple(sums), len(restricted)
+
+
+@pytest.mark.parametrize("kind", ["symB", "symD"])
+def test_kept_inductions_are_the_fresh_ones(kind):
+    g = oc.build_group(kind, 4)
+    oracle_search(g)
+    for triple in all_triples(g):
+        sums, order = _fresh_key(g, triple)
+        assert triple_character(g, triple) == oc.induced_character(g, sums, order)
+
+
+def test_each_class_sum_key_is_induced_once_per_group(monkeypatch):
+    import gc
+    import weakref
+
+    induced = []
+    real = oc.induced_character
+
+    def counted(group, sums, h):
+        induced.append((tuple(sums), h))
+        return real(group, sums, h)
+
+    monkeypatch.setattr(oc, "induced_character", counted)
+    g = oc.build_group("symB", 5)
+    assert g._induced == {}
+    oracle_search(g)
+    triples = all_triples(g)
+    keys = {_fresh_key(g, t) for t in triples}
+    assert (len(triples), len(keys)) == (717, 144)
+    assert sorted(induced) == sorted(keys)
+    assert set(g._induced) == keys
+    for t in triples:
+        assert triple_character(g, t) is g._induced[_fresh_key(g, t)]
+    assert len(induced) == len(keys)
+    # a new group, and a new subgroup, start empty; the memo dies with its group
+    assert oc.build_group("symB", 5)._induced == {}
+    assert g.subgroup((0, 1))._induced == {}
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
