@@ -20,12 +20,21 @@ eps(w) = +1 exactly when w is D_n-conjugate to an unsigned permutation
 Algebras, 2000, type D).  The Murnaghan-Nakayama values below serve both
 the symbolic split of an induction from S_n and the oracle's class values,
 so every character here is exact.
+
+Murnaghan-Nakayama is written once, by columns: p_mu = sum over lam of
+chi^lam(mu) s_lam (Stanley, EC2 7.17), so the values at one cycle type
+form one column {label: value}, built by adding the first cycle's border
+strips to the cached column of the remaining cycles.  In type B a strip
+goes on either component, and a negative cycle flips the sign of strips
+on the second.  `mn_value_a`, `mn_value_b` and `difference_value` read
+these columns.  Every cache here is an `lru_cache` with a stated bound.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from . import partitions as pt
 from .partitions import Partition
@@ -75,16 +84,14 @@ def label_sort_key(ctype: str, n: int, label) -> int:
     return _universe_index(ctype, n)[label]
 
 
-_UNIVERSE_INDEX_CACHE: dict = {}
+# (type, rank) keys: the three types at ranks 0 to 41
+UNIVERSE_INDEX_CACHE_SIZE = 128
 
 
-def _universe_index(ctype: str, n: int) -> dict:
-    key = (ctype, n)
-    if key not in _UNIVERSE_INDEX_CACHE:
-        _UNIVERSE_INDEX_CACHE[key] = {
-            lab: i for i, lab in enumerate(irr_universe(ctype, n))
-        }
-    return _UNIVERSE_INDEX_CACHE[key]
+@lru_cache(maxsize=UNIVERSE_INDEX_CACHE_SIZE)
+def _universe_index(ctype: str, n: int) -> MappingProxyType:
+    """{label: position in `irr_universe(ctype, n)`}, read-only."""
+    return MappingProxyType({lab: i for i, lab in enumerate(irr_universe(ctype, n))})
 
 
 def format_label(ctype: str, label) -> str:
@@ -126,68 +133,95 @@ def degree(ctype: str, label) -> int:
 
 
 # --- symmetric and hyperoctahedral values (Murnaghan-Nakayama) ----------------
+#
+# One column per cycle type (see the module docstring); cycle types that
+# share a tail share its column.
+
+# every (partition, length) with weight + length <= 21 (10,980 pairs)
+STRIP_CACHE_SIZE = 16384
+# every type A cycle type of weight <= 21 with its tails (3,506 partitions),
+# and every signed cycle type of weight <= 12 (3,132 bipartitions)
+COLUMN_CACHE_SIZE = 4096
 
 
-def _beta_set(lam: Partition, r: int):
-    return tuple(lam[i] + (r - 1 - i) if i < len(lam) else (r - 1 - i) for i in range(r))
+@lru_cache(maxsize=STRIP_CACHE_SIZE)
+def _strip_additions(nu: Partition, length: int) -> tuple:
+    """(larger partition, height sign) pairs after adding a border strip.
 
-
-def _from_beta(beta):
-    r = len(beta)
-    lam = tuple(
-        b - (r - 1 - i) for i, b in enumerate(sorted(beta, reverse=True))
-    )
-    return tuple(x for x in lam if x > 0)
-
-
-@cache
-def _strip_removals(lam: Partition, length: int):
-    """(smaller partition, height sign) pairs after removing a border strip."""
-    r = len(lam) + length  # enough beta numbers
-    beta = set(_beta_set(lam, r))
+    On beta numbers x_j = nu_j + r - 1 - j a strip moves bead i up by
+    `length` to a free place, past the beads p .. i-1; rows p+1 .. i then
+    take the row above plus one, and row p the rest of the strip.
+    """
+    if length < 1:
+        raise ValueError(f"a border strip has positive length, not {length}")
+    ext = list(nu) + [0] * length  # enough rows for `length` new ones
+    r = len(ext)
+    beta = [x + r - 1 - j for j, x in enumerate(ext)]
     out = []
-    for b in sorted(beta, reverse=True):
-        nb = b - length
-        if nb < 0 or nb in beta:
+    for i, b in enumerate(beta):
+        top = b + length
+        p = i
+        while p and beta[p - 1] < top:
+            p -= 1
+        if p and beta[p - 1] == top:
             continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        newset = set(beta)
-        newset.remove(b)
-        newset.add(nb)
-        out.append((_from_beta(tuple(newset)), (-1) ** crossed))
+        lam = ext[:p] + [ext[i] + length - (i - p)] + [x + 1 for x in ext[p:i]] + ext[i + 1 :]
+        while not lam[-1]:
+            lam.pop()
+        out.append((tuple(lam), -1 if (i - p) % 2 else 1))
     return tuple(out)
 
 
-@cache
-def mn_value_a(lam: Partition, cycles: tuple) -> int:
-    """Symmetric group character value at the given cycle type."""
+@lru_cache(maxsize=COLUMN_CACHE_SIZE)
+def mn_column_a(cycles: tuple) -> MappingProxyType:
+    """{lam: chi^lam(cycles)} over the partitions lam where it is nonzero."""
     if not cycles:
-        return 1 if not lam else 0
-    head, rest = cycles[0], cycles[1:]
-    return sum(s * mn_value_a(mu, rest) for mu, s in _strip_removals(lam, head))
+        return MappingProxyType({(): 1})
+    head = cycles[0]
+    col: dict = {}
+    for nu, v in mn_column_a(cycles[1:]).items():
+        for lam, s in _strip_additions(nu, head):
+            col[lam] = col.get(lam, 0) + s * v
+    return MappingProxyType({lam: v for lam, v in col.items() if v})
 
 
-@cache
-def mn_value_b(lam: Partition, mu: Partition, cycles: tuple) -> int:
-    """Hyperoctahedral character value; cycles are (length, sign) pairs.
+@lru_cache(maxsize=COLUMN_CACHE_SIZE)
+def mn_column_b(cycles: tuple) -> MappingProxyType:
+    """{(lam, mu): value} of the hyperoctahedral characters, where nonzero.
 
-    A border strip for a cycle comes off either component; taking it off
-    the second component of the label flips the sign for negative cycles.
+    `cycles` are (length, sign) pairs.  A border strip for a cycle goes on
+    either component; on the second component a negative cycle flips its
+    sign.
     """
     if not cycles:
-        return 1 if (not lam and not mu) else 0
-    (length, sign), rest = cycles[0], cycles[1:]
-    total = 0
-    for nl, s in _strip_removals(lam, length):
-        total += s * mn_value_b(nl, mu, rest)
-    for nm, s in _strip_removals(mu, length):
-        total += sign * s * mn_value_b(lam, nm, rest)
-    return total
+        return MappingProxyType({((), ()): 1})
+    length, sign = cycles[0]
+    col: dict = {}
+    get = col.get
+    for (lam, mu), v in mn_column_b(cycles[1:]).items():
+        for nl, s in _strip_additions(lam, length):
+            key = nl, mu
+            col[key] = get(key, 0) + s * v
+        v *= sign
+        for nm, s in _strip_additions(mu, length):
+            key = lam, nm
+            col[key] = get(key, 0) + s * v
+    return MappingProxyType({lab: v for lab, v in col.items() if v})
+
+
+def mn_value_a(lam: Partition, cycles: tuple) -> int:
+    """Symmetric group character value at the given cycle type."""
+    return mn_column_a(tuple(cycles)).get(lam, 0)
+
+
+def mn_value_b(lam: Partition, mu: Partition, cycles: tuple) -> int:
+    """Hyperoctahedral character value; cycles are (length, sign) pairs."""
+    return mn_column_b(tuple(cycles)).get((lam, mu), 0)
 
 
 def difference_value(core: Partition, mu: Partition) -> int:
     """chi[core,+] - chi[core,-] at an unsigned permutation of cycle type 2mu."""
-    return 2 ** len(mu) * mn_value_a(core, mu)
+    return 2 ** len(mu) * mn_column_a(tuple(mu)).get(core, 0)
 
 
 # --- virtual characters ------------------------------------------------------

@@ -33,9 +33,64 @@ from .model_index import (
 SCHEMA = 1
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def render(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, byte for byte.
+
+    Strings, ints, bools, None, lists, tuples and dicts with str keys;
+    anything else raises TypeError.  `json.dumps` with `indent` runs the
+    pure-Python encoder, which this walk undercuts.
+    """
+    out: list[str] = []
+    _render(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _render(x, newline: str, write) -> None:
+    """Write x; `newline` carries the indentation of its container."""
+    if isinstance(x, str):
+        write(_quote(x))
+    elif x is None:
+        write("null")
+    elif x is True:
+        write("true")
+    elif x is False:
+        write("false")
+    elif isinstance(x, int):
+        write(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            write(sep)
+            _render(item, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            write("{}")
+            return
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            write(sep + _quote(key) + ": ")
+            _render(x[key], inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"cannot render {type(x).__name__}")
+
+
 def _emit(doc: dict) -> None:
-    doc = {"schema": SCHEMA, **doc}
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(render({"schema": SCHEMA, **doc}) + "\n")
 
 
 def _parse_partition_arg(text: str) -> tuple:
@@ -188,7 +243,7 @@ def _classify_payload(args) -> dict:
 def _cmd_classify(args) -> int:
     payload = _classify_payload(args)
     if args.golden:
-        text = json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True) + "\n"
+        text = render({"schema": SCHEMA, **payload}) + "\n"
         try:
             with open(args.golden, encoding="utf-8") as fh:
                 want = fh.read()

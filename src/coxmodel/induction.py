@@ -20,7 +20,7 @@ from math import factorial
 from types import MappingProxyType
 
 from . import partitions as pt
-from .char_ring import VirtualCharacter, d_deg, d_set, difference_value, mn_value_a
+from .char_ring import VirtualCharacter, d_deg, d_set, difference_value, mn_column_a
 from .lr import lr_expand
 from .partitions import Partition
 
@@ -207,13 +207,16 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
 
 @cache
 def _restricted_difference(nu: Partition, core: Partition) -> int:
-    """<chi^nu, Res_{S_n} delta_core>, summed over the classes 2mu of S_n."""
+    """<chi^nu, Res_{S_n} delta_core>, summed over the classes 2mu of S_n.
+
+    chi^nu(2mu) is read from the Murnaghan-Nakayama column at 2mu.
+    """
     order = factorial(sum(nu))
     total = 0
     for mu in pt.partitions_of(sum(core)):
         cycles = tuple(2 * x for x in mu)
         class_size = order // pt.centralizer_size(cycles)
-        total += class_size * mn_value_a(nu, cycles) * difference_value(core, mu)
+        total += class_size * mn_column_a(cycles).get(nu, 0) * difference_value(core, mu)
     s, r = divmod(total, order)
     if r:
         raise RuntimeError(f"non-integral degenerate split of {nu} at {core}")

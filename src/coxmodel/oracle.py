@@ -13,32 +13,38 @@ the oracle: cycle types and output.
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition; each distinct induced character must come out
 integral when it is first induced; every inner product passes through the
-one pairing rule, `pair`, which requires an integer and a value on every
-class; the square-root-count class function must have norm equal to the
-number of conjugacy classes (every irreducible here is orthogonal); and
-every cover the search finds must sum to the square-root count.
+one pairing rule, `pairs` (one weighed class function against a list of
+others; `pair` is its single form), which requires an integer and a value
+on every class; the square-root-count class function must have norm
+equal to the number of conjugacy classes (every irreducible here is
+orthogonal); and every cover the search finds must sum to the square-root
+count.
 
-Labeled irreducible values come from Murnaghan-Nakayama at the signed
-cycle type.  A degenerate type D label at any even rank takes half the
-type B value of its doubled core plus or minus half the difference
-character (see char_ring); the table of every label is audited for
-degrees, orthonormality and the sign convention before it decomposes.
+Labeled irreducible values come from one Murnaghan-Nakayama column per
+class representative, read at its signed cycle type (see char_ring).  A
+degenerate type D label at any even rank takes half the type B value of
+its doubled core plus or minus half the difference character; the table
+of every label is audited for degrees, orthonormality (each label against
+all later labels in one batched pairing) and the sign convention before
+it decomposes.
 """
 
 from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import compress, permutations, product
+from itertools import compress, permutations, product, repeat
 from operator import add, eq, itemgetter, mul
 from types import MappingProxyType
 
 from . import partitions as pt
-from .char_ring import (
+from .char_ring import (  # mn_value_a and mn_value_b are re-exported
     VirtualCharacter,
     degree,
     difference_value,
     irr_universe,
+    mn_column_a,
+    mn_column_b,
     mn_value_a,
     mn_value_b,
 )
@@ -477,16 +483,22 @@ def weigh(group: Group, f) -> tuple:
     return tuple(map(mul, sizes, f))
 
 
-def pair(group: Group, weighed, g) -> int:
-    """<f, g> from `weigh(group, f)`; an integer for characters.
+def pairs(group: Group, weighed, gs) -> list:
+    """[<f, g> for g in gs] from `weigh(group, f)`; integers for characters.
 
     The one place that divides by |W|, and checks that nothing remains.
     """
-    _check_lengths(len(group.conjugacy_classes()[2]), weighed, g)
-    ip, r = divmod(sum(map(mul, weighed, g)), group.order)
-    if r:
+    _check_lengths(len(group.conjugacy_classes()[2]), weighed, *gs)
+    order = group.order
+    sums = [sum(map(mul, weighed, g)) for g in gs]
+    if any(total % order for total in sums):
         raise RuntimeError("inner product not integral")
-    return ip
+    return [total // order for total in sums]
+
+
+def pair(group: Group, weighed, g) -> int:
+    """<f, g> from `weigh(group, f)`; an integer for characters."""
+    return pairs(group, weighed, (g,))[0]
 
 
 def inner_product(group: Group, f, g) -> int:
@@ -718,17 +730,18 @@ def oracle_search(group: Group):
     items = []
     for chi, descs in rows.items():
         weighed = weigh(group, chi)
-        norm = pair(group, weighed, chi)
-        if norm != pair(group, weighed, r2):
+        norm, with_r2 = pairs(group, weighed, (chi, r2))
+        if norm != with_r2:
             continue  # repeated constituent
         items.append((chi, norm, descs, weighed))
     items.sort(key=lambda it: (-it[1], it[0]))
     norms = [it[1] for it in items]
+    chars = [it[0] for it in items]
     # clash[i] has bit j set when items i and j are not orthogonal
     clash = [0] * len(items)
     for i, (_, _, _, weighed) in enumerate(items):
-        for j in range(i + 1, len(items)):
-            if pair(group, weighed, items[j][0]):
+        for j, ip in enumerate(pairs(group, weighed, chars[i + 1 :]), i + 1):
+            if ip:
                 clash[i] |= 1 << j
                 clash[j] |= 1 << i
     # with_norm[k]: the items of norm k, to add up a mask's norms by bit counts
@@ -809,56 +822,70 @@ def _split_sign(w) -> int:
     return (-1) ** d.count(-1)
 
 
-def irr_value(ctype: str, label, w, cycles) -> int:
-    """Value of the labeled irreducible at a signed permutation element.
+def irr_column(ctype: str, labels, w) -> tuple:
+    """Values of the labeled irreducibles `labels` at a signed permutation w.
 
-    `cycles` is `signed_cycle_type(w)`.
+    One Murnaghan-Nakayama column per cycle type: a degenerate type D label
+    is half its (core, core) type B value plus or minus half the
+    difference character, which is nonzero only on the split classes.
     """
+    cycles = signed_cycle_type(w)
     if ctype == "A":
-        return mn_value_a(label, tuple(length for length, _ in cycles))
-    if ctype == "B":
-        return mn_value_b(label[0], label[1], cycles)
-    if ctype != "D":
+        column = mn_column_a(tuple(length for length, _ in cycles))
+        return tuple(map(column.get, labels, repeat(0)))
+    if ctype not in ("B", "D"):
         raise ValueError(f"bad character type: {ctype!r}")
-    if label[0] == "set":
-        return mn_value_b(label[1], label[2], cycles)
-    _, core, sign = label
-    value = mn_value_b(core, core, cycles)
-    if all(length % 2 == 0 and s == 1 for length, s in cycles):
+    column = mn_column_b(cycles)
+    if ctype == "B":
+        return tuple(map(column.get, labels, repeat(0)))
+    split = all(length % 2 == 0 and s == 1 for length, s in cycles)
+    if split:
+        eps = _split_sign(w)
         mu = tuple(length // 2 for length, _ in cycles)
-        delta = _split_sign(w) * difference_value(core, mu)
-        value += delta if sign == "+" else -delta
-    half, odd = divmod(value, 2)
-    if odd:
-        raise RuntimeError(f"odd degenerate value: {(label, w)}")
-    return half
+    out = []
+    for lab in labels:
+        if lab[0] == "set":
+            out.append(column.get(lab[1:], 0))
+            continue
+        _, core, sign = lab
+        value = column.get((core, core), 0)
+        if split:
+            delta = eps * difference_value(core, mu)
+            value += delta if sign == "+" else -delta
+        half, odd = divmod(value, 2)
+        if odd:
+            raise RuntimeError(f"odd degenerate value: {(lab, w)}")
+        out.append(half)
+    return tuple(out)
 
 
 def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
     """Class values of every labeled irreducible on `group`, audited once.
 
-    Returns a read-only {label: class-value tuple}, kept on the group.  The
-    audit checks degrees, orthonormality and the sign convention:
-    chi[core,+] - chi[core,-] is 2^(n/2) deg(core) at the standard
-    fixed-point-free involution s1 s3 ... s(n-1).
+    Returns a read-only {label: class-value tuple}, kept on the group.  Each
+    class representative's column is read once.  The audit checks degrees,
+    orthonormality (each label paired with itself and every later label in
+    one batch) and the sign convention: chi[core,+] - chi[core,-] is
+    2^(n/2) deg(core) at the standard fixed-point-free involution
+    s1 s3 ... s(n-1).
     """
     table = group._irr.get((ctype, n))
     if table is not None:
         return table
     class_of, reps, _ = group.conjugacy_classes()
     labels = irr_universe(ctype, n)
-    at = [(r, signed_cycle_type(r)) for r in reps]
-    vecs = {lab: tuple(irr_value(ctype, lab, r, c) for r, c in at) for lab in labels}
+    vecs = dict(zip(labels, zip(*(irr_column(ctype, labels, r) for r in reps))))
     for lab in labels:
         # the identity is element 0, so its class is class 0
         if vecs[lab][0] != degree(ctype, lab):
             raise RuntimeError(f"wrong degree: {lab}")
-    for i, l1 in enumerate(labels):
-        weighed = weigh(group, vecs[l1])
-        for l2 in labels[i:]:
-            ip = pair(group, weighed, vecs[l2])
-            if ip != (1 if l1 == l2 else 0):
-                raise RuntimeError(f"irreducibles not orthonormal: {(l1, l2, ip)}")
+    rows = list(vecs.values())
+    for i, row in enumerate(rows):
+        products = pairs(group, weigh(group, row), rows[i:])
+        if products[0] != 1 or any(products[1:]):
+            j = next(j for j, ip in enumerate(products) if ip != (1 if j == 0 else 0))
+            found = (labels[i], labels[i + j], products[j])
+            raise RuntimeError(f"irreducibles not orthonormal: {found}")
     if ctype == "D" and n % 2 == 0:
         fpf = 0
         for i in range(1, n, 2):

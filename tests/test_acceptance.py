@@ -255,6 +255,52 @@ def test_criterion_7_repeated_constituents():
     assert checked_d >= 300
 
 
+def _parabolic_inductions(group, corank):
+    """(J, sigma, is multiplicity-free) for Ind_{W_J}^W sigma, corank(J) >= `corank`.
+
+    The triple (J, identity, identity automorphism, sigma) has all of W_J
+    as its twisted centralizer, so it induces sigma from W_J; the
+    induction is MF exactly when its norm equals its pairing with the
+    square-root count.
+    """
+    k = len(group.gens)
+    r2 = oc.sqrt_count(group)
+    for mask in range(1 << k):
+        J = tuple(i for i in range(k) if mask >> i & 1)
+        if k - len(J) < corank:
+            continue
+        for sigma in oc.linear_characters(group.subgroup(J)):
+            triple = {"J": J, "min": group.identity, "theta": tuple(range(len(J))), "sigma": sigma}
+            chi = oc.triple_character(group, triple)
+            norm, with_r2 = oc.pairs(group, oc.weigh(group, chi), (chi, r2))
+            yield J, sigma, norm == with_r2
+
+
+# the number of inductions checked per group
+PARABOLIC_INDUCTIONS = {
+    ("A", 4): 7, ("A", 5): 27, ("A", 6): 81,
+    ("B", 3): 7, ("B", 4): 29, ("B", 5): 93,
+    ("D", 4): 27, ("D", 5): 83, ("H3", 3): 7,
+    ("I2", 5): 1, ("I2", 6): 1, ("I2", 7): 1, ("I2", 8): 1,
+}
+
+
+def test_corank_two_parabolic_inductions_are_never_multiplicity_free():
+    # the paper's technical result: no linear character of a standard
+    # parabolic of corank >= 2 induces multiplicity-freely
+    for (ctype, n), count in PARABOLIC_INDUCTIONS.items():
+        found = list(_parabolic_inductions(oc.group_of(ctype, n), corank=2))
+        assert [(J, sigma) for J, sigma, mf in found if mf] == [], (ctype, n)
+        assert len(found) == count, (ctype, n)
+    # the check can fail: at corank 1 the trivial character of
+    # S_{n-1} x S_1 induces trivial + standard, which is MF
+    for n in range(4, 7):
+        group = oc.group_of("A", n)
+        J = tuple(range(n - 2))
+        found = {(j, sigma): mf for j, sigma, mf in _parabolic_inductions(group, corank=1)}
+        assert found[J, (1,) * len(J)] is True
+
+
 # inventories frozen from the oracle after checking the published class
 # tables entry by entry: (generator permutation, minimal element, size)
 INVENTORIES = {

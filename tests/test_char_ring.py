@@ -1,8 +1,10 @@
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+from coxmodel import char_ring as cr
 from coxmodel import partitions as pt
 from coxmodel.char_ring import (
     VirtualCharacter,
@@ -11,9 +13,14 @@ from coxmodel.char_ring import (
     d_set,
     degree,
     format_label,
+    difference_value,
     irr_universe,
     is_multiplicity_free,
     label_sort_key,
+    mn_column_a,
+    mn_column_b,
+    mn_value_a,
+    mn_value_b,
     parse_label,
     twist,
 )
@@ -119,3 +126,104 @@ def test_to_json_is_sorted_and_stable():
     f = char_of("B", ((1,), (2,))).add(((3,), ()), 2)
     doc = f.to_json()
     assert doc["coeffs"] == [["((3),())", 2], ["((1),(2))", 1]]
+
+
+# --- Murnaghan-Nakayama: the columns against one entry at a time -------------
+# The reference removes the first cycle's border strips from the label and
+# recurses on the rest, one (label, cycle type) entry at a time.
+
+
+@cache
+def _removals(lam, length):
+    """(smaller partition, height sign) pairs after removing a border strip."""
+    r = len(lam) + length
+    beta = {x + r - 1 - i for i, x in enumerate(lam + (0,) * length)}
+    out = []
+    for b in sorted(beta, reverse=True):
+        if b - length < 0 or b - length in beta:
+            continue
+        crossed = sum(1 for x in beta if b - length < x < b)
+        new = sorted(beta - {b} | {b - length}, reverse=True)
+        smaller = tuple(x - (r - 1 - i) for i, x in enumerate(new))
+        out.append((tuple(x for x in smaller if x), (-1) ** crossed))
+    return tuple(out)
+
+
+@cache
+def _reference_a(lam, cycles):
+    if not cycles:
+        return 1 if not lam else 0
+    return sum(s * _reference_a(mu, cycles[1:]) for mu, s in _removals(lam, cycles[0]))
+
+
+@cache
+def _reference_b(lam, mu, cycles):
+    if not cycles:
+        return 1 if not lam and not mu else 0
+    (length, sign), rest = cycles[0], cycles[1:]
+    first = sum(s * _reference_b(nl, mu, rest) for nl, s in _removals(lam, length))
+    second = sum(s * _reference_b(lam, nm, rest) for nm, s in _removals(mu, length))
+    return first + sign * second
+
+
+def _signed_cycle_types(n):
+    """One (length, sign) tuple per class of B_n, in `signed_cycle_type` order."""
+    for plus, minus in pt.bipartitions_of(n):
+        cycles = [(x, 1) for x in plus] + [(x, -1) for x in minus]
+        yield tuple(sorted(cycles, key=lambda c: (-c[0], -c[1])))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_type_a_columns_match_the_reference(n):
+    for cycles in pt.partitions_of(n):
+        for lam in pt.partitions_of(n):
+            assert mn_value_a(lam, cycles) == _reference_a(lam, cycles), (lam, cycles)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type_b_columns_match_the_reference(n):
+    labels = irr_universe("B", n)
+    for cycles in _signed_cycle_types(n):
+        for lam, mu in labels:
+            want = _reference_b(lam, mu, cycles)
+            assert mn_value_b(lam, mu, cycles) == want, (lam, mu, cycles)
+
+
+def test_difference_values_match_the_reference():
+    for n in range(1, 9):
+        for core in pt.partitions_of(n):
+            for mu in pt.partitions_of(n):
+                assert difference_value(core, mu) == 2 ** len(mu) * _reference_a(core, mu)
+
+
+def test_identity_columns_are_the_degrees():
+    for n in range(10):
+        assert mn_column_a((1,) * n) == {
+            lam: pt.standard_tableau_count(lam) for lam in pt.partitions_of(n)
+        }
+    for n in range(7):
+        degrees = {lab: degree("B", lab) for lab in irr_universe("B", n)}
+        assert mn_column_b(((1, 1),) * n) == degrees
+
+
+def test_columns_are_read_only_and_cycles_positive():
+    with pytest.raises(TypeError):
+        mn_column_a((2, 1))[(3,)] = 0
+    with pytest.raises(TypeError):
+        mn_column_b(((2, 1),))[(2,), ()] = 0
+    with pytest.raises(ValueError):
+        mn_value_a((1,), (0, 1))
+
+
+def test_char_ring_caches_are_bounded():
+    # each cache is an lru_cache whose bound holds what the program reaches
+    partition_counts = [len(pt.partitions_of(w)) for w in range(22)]
+    assert cr._universe_index.cache_info().maxsize == cr.UNIVERSE_INDEX_CACHE_SIZE >= 3 * 42
+    # every (partition, strip length) with weight + length <= 21
+    assert cr._strip_additions.cache_info().maxsize == cr.STRIP_CACHE_SIZE
+    assert cr.STRIP_CACHE_SIZE >= sum(p * (21 - w) for w, p in enumerate(partition_counts)) == 10980
+    # every cycle type of weight <= 21, and every signed one of weight <= 12
+    for column in (mn_column_a, mn_column_b):
+        assert column.cache_info().maxsize == cr.COLUMN_CACHE_SIZE
+    assert cr.COLUMN_CACHE_SIZE >= sum(partition_counts) == 3506
+    assert cr.COLUMN_CACHE_SIZE >= sum(1 for w in range(13) for _ in pt.bipartitions_of(w)) == 3132

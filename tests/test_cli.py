@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import coxmodel
 from coxmodel import oracle as oc
 from coxmodel.classification import known_model
-from coxmodel.cli import COMMANDS, _plain_args, build_parser, run
+from coxmodel.cli import COMMANDS, _plain_args, build_parser, render, run
 from coxmodel.model_index import format_index
 
 REPO = Path(__file__).resolve().parents[1]
@@ -558,3 +558,43 @@ def test_no_cli_input_ends_in_a_traceback(monkeypatch):
         assert "Traceback" not in err.getvalue(), argv
 
     check()
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+GOLDEN_FILES = sorted((REPO / "tests" / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_render_is_json_dumps_on_every_golden_document(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert render(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        "",
+        0,
+        {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+        ["é", "ü\u2603", "\U0001f600", 'quote " and \\ back', "tab\tline\nfeed\x00\x1f\x7f"],
+        {"\u00e9": 1, "z": True, "a": False, "m": None},
+        [True, False, None, -1, 0, 10**30, -(10**30)],
+        (1, (2, ()), [3, (4,)]),
+        {"nested": {"deep": [{"x": -7, "y": [None]}]}},
+    ],
+)
+def test_render_is_json_dumps_on_edge_documents(doc):
+    assert render(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, {1: "int key"}, {None: 0}, {"a": {(1,): 2}}, {1, 2}, b"x", object()]
+)
+def test_render_rejects_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        render(doc)

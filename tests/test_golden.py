@@ -11,7 +11,8 @@ columns before the parser was built per command.  `oracle search` A6 and
 D5 and `oracle classes` B5 were recorded before the search induced each
 class-sum key once, so every `oracle` argv the benchmark runs is pinned
 here too; each `oracle` file whose argv the benchmark reference records
-must hash to the digest recorded there.
+must hash to the digest recorded there.  No file pins `verify`: its
+positive `--oracle` jobs are checked against the reference digests.
 """
 
 import hashlib
@@ -89,6 +90,31 @@ def test_oracle_goldens_match_the_benchmark_reference():
         "oracle_classes_B4",
         "oracle_classes_D4",
     ]
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded by path: it is not a package."""
+    import importlib.util
+
+    path = REFERENCE.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_oracle_matches_the_benchmark_reference(capsys):
+    """Each positive `verify --model family:... --oracle` job of the
+    benchmark prints what the reference recorded: [exit code, sha256 of
+    stdout], read here, never written."""
+    outputs = json.loads(REFERENCE.read_text(encoding="utf-8"))["outputs"]
+    argvs = _benchmark_workloads()._positive_verify_jobs()
+    assert len(argvs) == 28
+    for argv in argvs:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        got = [code, hashlib.sha256(out.encode()).hexdigest()]
+        assert got == outputs[json.dumps(argv)], (argv, err)
 
 
 @pytest.mark.parametrize("n", [6, 8])

@@ -66,6 +66,52 @@ def test_group_rejects_non_coxeter_generators_under_dash_o():
     assert lines[2] == "optimize=1"
 
 
+_FLIPPED_TABLE = """
+import sys
+from coxmodel import oracle as oc
+
+assert False, "unreachable under -O"
+columns = oc.irr_column
+calls = []
+
+
+def flipped(ctype, labels, w):
+    values = list(columns(ctype, labels, w))
+    calls.append(w)
+    if len(calls) == 2:
+        values[0] = -values[0]
+    return tuple(values)
+
+
+oc.irr_column = flipped
+for ctype, n in (("A", 4), ("B", 3), ("D", 4)):
+    calls.clear()
+    try:
+        oc._irr_table(oc.build_group(oc.GROUP_KIND[ctype], n), ctype, n)
+    except RuntimeError:
+        print(f"{ctype}{n}: RuntimeError")
+    else:
+        print(f"{ctype}{n}: accepted")
+print(f"optimize={sys.flags.optimize}")
+"""
+
+
+def test_character_table_audit_rejects_a_flipped_value_under_dash_o():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_TABLE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "A4: RuntimeError",
+        "B3: RuntimeError",
+        "D4: RuntimeError",
+        "optimize=1",
+    ]
+
+
 def test_traced_boundaries_resolve():
     # perfbench/tracing.py wraps each (module, attr) of its BOUNDARIES by
     # name from outside the package, the way Recorder.install resolves it

@@ -597,6 +597,41 @@ def test_wrong_length_class_functions_do_not_pair():
         oc.pair(g, oc.weigh(g, r2)[:-1], r2[:-1])
 
 
+def test_batched_pairs_are_the_single_pairs_with_their_checks():
+    g = get_group("symB", 3)
+    r2 = sqrt_count(g)
+    table = list(oc._irr_table(g, "B", 3).values())
+    weighed = oc.weigh(g, r2)
+    assert oc.pairs(g, weighed, table) == [oc.pair(g, weighed, chi) for chi in table]
+    assert oc.pairs(g, weighed, []) == []
+    # one short class function fails the whole batch
+    with pytest.raises(ValueError, match="class function has"):
+        oc.pairs(g, weighed, table[:2] + [r2[:-1]])
+    # the identity class alone is no character: its pairing leaves a remainder
+    with pytest.raises(RuntimeError, match="not integral"):
+        oc.pairs(g, weighed, [r2, (1,) + (0,) * (len(r2) - 1)])
+
+
+@pytest.mark.parametrize("ctype,n", [("A", 4), ("B", 3), ("D", 4), ("D", 5)])
+def test_a_flipped_table_value_fails_the_audit(ctype, n, monkeypatch):
+    # the first label's value at the second class changes sign
+    columns = oc.irr_column
+    calls = []
+
+    def flipped(ctype, labels, w):
+        values = list(columns(ctype, labels, w))
+        calls.append(w)
+        if len(calls) == 2:
+            values[0] = -values[0]
+        return tuple(values)
+
+    monkeypatch.setattr(oc, "irr_column", flipped)
+    g = oc.build_group(GROUP_KIND[ctype], n)
+    with pytest.raises(RuntimeError, match="orthonormal|integral"):
+        oc._irr_table(g, ctype, n)
+    assert g._irr == {}
+
+
 def test_wrong_length_class_functions_are_not_a_model():
     g = get_group("symB", 3)
     r2 = sqrt_count(g)
