@@ -3,12 +3,17 @@
 Groups are enumerated element by element (signed permutations for the
 classical series, rotation/flip pairs for the dihedral groups, a signed
 permutation realization for the rank three icosahedral group).  One BFS
-numbers the elements, and everything downstream runs on those integer ids
-through the tables of right products by a generator, the BFS parents and
-one inverse table: subgroups, conjugacy classes, twisted involution
-classes, the perfection test, twisted centralizers, induced characters,
-square-root counts.  Element tuples come back only where a value leaves
-the oracle: cycle types and output.
+numbers the elements.  It runs on compact keys: a signed permutation w of
+at most 127 letters is keyed by the bytes of w^-1, so a product by a
+generator is one `bytes.translate`; dihedral elements and wider
+permutations are their own keys.  Everything downstream runs on the
+integer ids through the tables of right products by a generator, the BFS
+parents and one inverse table: subgroups, conjugacy classes, twisted
+involution classes, the perfection test, twisted centralizers, induced
+characters, square-root counts.  Element tuples are decoded one at a time,
+only where a value leaves the oracle: class representatives (for cycle
+types and output), the minimum and elements of a perfect class, and the
+tuple-to-id lookups of `sqrt_count` and the twisted centralizers.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition; each distinct induced character must come out
@@ -34,7 +39,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from itertools import compress, permutations, product, repeat
-from operator import add, eq, itemgetter, mul
+from operator import add, eq, mul
 from types import MappingProxyType
 
 from . import partitions as pt
@@ -73,22 +78,12 @@ def _sp_mult(x, y):
     return tuple([x[i - 1] if i > 0 else -x[-i - 1] for i in y])
 
 
-def _sp_right(g):
-    """w -> w g for one fixed signed permutation g, by a C-level gather."""
-    if len(g) < 2:
-        return lambda w: _sp_mult(w, g)
-    gather = itemgetter(*[abs(i) - 1 for i in g])
-    signs = [k for k, i in enumerate(g) if i < 0]
-    if not signs:
-        return gather
-
-    def step(w):
-        v = list(gather(w))
-        for k in signs:
-            v[k] = -v[k]
-        return tuple(v)
-
-    return step
+def _sp_inverse(w):
+    """w^-1 of a signed permutation: w(i) = v gives w^-1(|v|) = +-i."""
+    inv = [0] * len(w)
+    for i, v in enumerate(w, 1):
+        inv[abs(v) - 1] = i if v > 0 else -i
+    return tuple(inv)
 
 
 def _dih_mult_factory(m):
@@ -117,14 +112,79 @@ def _neg_transposition(n):
     return tuple(w)
 
 
+# --- element keys ---------------------------------------------------------------
+
+# A byte codes the letters -n .. n as 0 .. 2n, so n is at most 127.
+_BYTE_LETTERS = 127
+
+
+class _TupleKeys:
+    """Elements keyed by themselves; the key of w s is `mult(w, s)`."""
+
+    def __init__(self, mult):
+        self.times = mult
+
+    def encode(self, w):
+        return w
+
+    decode = letter = encode
+
+
+class _ByteKeys:
+    """A signed permutation w of n letters keyed by the bytes of w^-1.
+
+    Letter v is coded v + n.  For an involution s, (w s)^-1 = s w^-1, so
+    the key of w s is the key of w with each code passed through s: one
+    C-level `bytes.translate` by the letter table of s.  A key hashes once
+    and is not tracked by the GC.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.times = bytes.translate
+
+    def encode(self, w):
+        n = self.n
+        return bytes([v + n for v in _sp_inverse(w)])
+
+    def decode(self, key):
+        n = self.n
+        return _sp_inverse([c - n for c in key])
+
+    def letter(self, g):
+        """The table that maps the code of each letter v to that of g(v)."""
+        n = self.n
+        table = bytearray(range(256))
+        for i, v in enumerate(g, 1):
+            table[n + i] = n + v
+            table[n - i] = n - v
+        return bytes(table)
+
+
+def _keys_for(mult, identity):
+    """Byte keys for signed permutations of at most 127 letters, else tuples."""
+    if mult is _sp_mult and len(identity) <= _BYTE_LETTERS:
+        return _ByteKeys(len(identity))
+    return _TupleKeys(mult)
+
+
+def _row_at(i, row):
+    """The key of a parabolic's product: the parent's right row at id i."""
+    return row[i]
+
+
 # --- the group container ------------------------------------------------------
 
 
 class Group:
     """Fully enumerated Coxeter group, numbered once by its BFS.
 
-    Element i is `elements[i]`; the identity is 0.  Every map after the
-    enumeration runs on these integer ids:
+    The BFS runs on keys: the bytes of w^-1 for a signed permutation of
+    at most 127 letters (see `_ByteKeys`), the element tuple itself
+    otherwise.  Element i is `element(i)`, decoded from its key; `id_of(w)`
+    encodes a tuple and looks it up.  The identity is 0.  `elements` and
+    `index` are the whole group as tuples, decoded on first use.  Every
+    map after the enumeration runs on the integer ids:
 
     - `right[g][i]` is the id of w_i s_g, and `inverse[i]` that of w_i^-1;
     - w_i = w_rparent[i] s_rgen[i] and w_i = s_lgen[i] w_lparent[i], each
@@ -139,8 +199,7 @@ class Group:
     `parent_ids` and `gen_ids` map its ids and generators to the parent's.
     """
 
-    def __init__(self, kind, gens, mult, identity, right_step=None):
-        """`right_step(g)`, if given, is a faster w -> mult(w, g) for the BFS."""
+    def __init__(self, kind, gens, mult, identity):
         self.kind = kind
         self.gens = tuple(gens)
         self.mult = mult
@@ -148,10 +207,9 @@ class Group:
         for g in self.gens:
             if mult(g, g) != identity:
                 raise ValueError(f"generator {g} of {kind} is not an involution")
-        right_step = right_step or (lambda g: lambda w: mult(w, g))
-        index = self._enumerate(identity, [right_step(g) for g in self.gens])
-        self.elements = tuple(index)
-        self.index = index
+        codec = self._codec = _keys_for(mult, identity)
+        letters = [codec.letter(g) for g in self.gens]
+        self._keys, self._ids = self._enumerate(codec.encode(identity), codec.times, letters)
         self.parent_ids = range(self.order)
         self.gen_ids = tuple(range(len(self.gens)))
         self._derive()
@@ -164,21 +222,42 @@ class Group:
         sub.gens = tuple(parent.gens[i] for i in gen_ids)
         sub.mult = parent.mult
         sub.identity = parent.identity
-        steps = [parent.right[i].__getitem__ for i in gen_ids]
-        sub.parent_ids = list(sub._enumerate(0, steps))
-        sub.elements = tuple(parent.elements[x] for x in sub.parent_ids)
+        rows = [parent.right[i] for i in gen_ids]
+        sub.parent_ids, _ = sub._enumerate(0, _row_at, rows)
+        sub._codec = parent._codec
+        sub._keys = list(map(parent._keys.__getitem__, sub.parent_ids))
         sub.gen_ids = gen_ids
         sub._derive()
         return sub
 
-    def _enumerate(self, start, steps):
-        """One BFS queue from `start`; returns {key: id} in BFS order.
+    def element(self, i):
+        """w_i as a tuple, decoded from its key."""
+        return self._codec.decode(self._keys[i])
 
-        `steps[gi](key)` is the key of the product by generator gi.  Every
-        generator is an involution, so finding w s = v also gives v s = w:
-        each pair {w, w s} is multiplied once, from the end the queue
-        reaches first.  A product already known must then lie one layer up,
-        which checks the exchange condition on every pair.
+    def id_of(self, w):
+        """The id of the tuple w; a parabolic keeps no {key: id} dict."""
+        return self._ids[self._codec.encode(w)]
+
+    @cached_property
+    def elements(self):
+        """Every element as a tuple, in id order."""
+        return tuple(map(self.element, range(self.order)))
+
+    @cached_property
+    def index(self):
+        """{element tuple: id}."""
+        return dict(zip(self.elements, range(self.order)))
+
+    def _enumerate(self, start, times, letters):
+        """One BFS queue from `start`; returns ([key by id], {key: id}).
+
+        `times(key, letters[gi])` is the key of the product by generator
+        gi: a byte key translated by a table, a parent id looked up in a
+        right row, or a tuple multiplied.  Every generator is an
+        involution, so finding w s = v also gives v s = w: each pair
+        {w, w s} is multiplied once, from the end the queue reaches first.
+        A product already known must then lie one layer up, which checks
+        the exchange condition on every pair.
         """
         cap = oracle_cap()
         index = {start: 0}
@@ -188,14 +267,14 @@ class Group:
         rgen = [-1]
         # -1 until the product is known; rows double in length as ids outgrow them
         right = [[-1] for _ in self.gens]
-        letters = list(zip(range(len(steps)), steps, right))
+        gens = list(zip(range(len(letters)), letters, right))
         # the queue is `keys` itself, which grows under the loop
         for base, w in enumerate(keys):
             length = lengths[base]
-            for gi, step, row in letters:
+            for gi, letter, row in gens:
                 if row[base] >= 0:
                     continue
-                v = step(w)
+                v = times(w, letter)
                 seen = index.get(v)
                 if seen is None:
                     seen = index[v] = len(keys)
@@ -222,7 +301,7 @@ class Group:
         self.rparent = rparent
         self.rgen = rgen
         self.right = right
-        return index
+        return keys, index
 
     def _derive(self):
         """Left parents from the right parents, in BFS order; empty caches.
@@ -339,7 +418,7 @@ class Group:
                 orbit = self.twisted_orbit(i, ident)
                 for x in orbit:
                     class_of[x] = len(reps)
-                reps.append(self.elements[i])
+                reps.append(self.element(i))
                 sizes.append(len(orbit))
             self._classes = (class_of, tuple(reps), tuple(sizes))
         return self._classes
@@ -402,16 +481,16 @@ def build_group(kind: str, n: int = 0) -> Group:
     if kind == "symA":
         # the symmetric group on n letters
         gens = [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symA", gens, _sp_mult, _sp_identity(n), _sp_right)
+        return Group("symA", gens, _sp_mult, _sp_identity(n))
     if kind == "symB":
         s0 = tuple([-1] + list(range(2, n + 1)))
         gens = [s0] + [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symB", gens, _sp_mult, _sp_identity(n), _sp_right)
+        return Group("symB", gens, _sp_mult, _sp_identity(n))
     if kind == "symD":
         gens = [_neg_transposition(n)] + [
             _transposition(n, i, i + 1) for i in range(1, n)
         ]
-        return Group("symD", gens, _sp_mult, _sp_identity(n), _sp_right)
+        return Group("symD", gens, _sp_mult, _sp_identity(n))
     if kind == "dihedral":
         # s and t as (rotation, flip) pairs
         return Group(f"dihedral{n}", [(0, 1), (1, 1)], _dih_mult_factory(n), (0, 0))
@@ -423,7 +502,7 @@ def build_group(kind: str, n: int = 0) -> Group:
         h1 = _sp_mult(s[1], s[3])
         h2 = _sp_mult(s[2], s[4])
         h3 = _sp_mult(s[0], s[5])
-        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size), _sp_right)
+        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size))
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
@@ -459,7 +538,7 @@ def sqrt_count(group: Group):
         # into a class, so one representative per class is enough
         counts = [0] * len(reps)
         for rep, size in zip(reps, sizes):
-            h = group.index[rep]
+            h = group.id_of(rep)
             counts[class_of[group.times(h, h)]] += size
         vec = tuple(c // size for c, size in zip(counts, sizes))
         # every irreducible of these groups is orthogonal, so the norm of the
@@ -545,7 +624,7 @@ def perfect_classes(group: Group):
     """
     refl = sorted(group.reflections())
     inverse = group.inverse
-    elements, lengths = group.elements, group.lengths
+    element, lengths = group.element, group.lengths
     out = []
     for pi in _involutive_autos(group):
         theta = group.theta_ids(pi)
@@ -566,8 +645,8 @@ def perfect_classes(group: Group):
             out.append(
                 {
                     "theta": pi,
-                    "elements": frozenset(elements[x] for x in orbit),
-                    "min": elements[mins[0]],
+                    "elements": frozenset(map(element, orbit)),
+                    "min": element(mins[0]),
                 }
             )
     return out
@@ -665,7 +744,7 @@ def _centralizer(group: Group, triple):
     key = (triple["min"], triple["theta"])
     cent = sub._centralizers.get(key)
     if cent is None:
-        ids = twisted_centralizer(group, sub, group.index[key[0]], key[1])
+        ids = twisted_centralizer(group, sub, group.id_of(key[0]), key[1])
         class_of = group.conjugacy_classes()[0]
         parent_ids = sub.parent_ids
         by_class = {}
@@ -900,12 +979,16 @@ def _irr_table(group: Group, ctype: str, n: int) -> MappingProxyType:
 
 
 def virtual_char_values(group: Group, chi):
-    """Class-value vector of a symbolic VirtualCharacter on an oracle group."""
+    """Class-value vector of a symbolic VirtualCharacter on an oracle group.
+
+    The sum of the table rows, each scaled by its coefficient.
+    """
     _, reps, _ = group.conjugacy_classes()
     table = _irr_table(group, chi.ctype, chi.rank)
-    return tuple(
-        sum(c * table[lab][i] for lab, c in chi.coeffs.items()) for i in range(len(reps))
-    )
+    total = [0] * len(reps)
+    for lab, c in chi.coeffs.items():
+        total = list(map(add, total, map(mul, table[lab], repeat(c))))
+    return tuple(total)
 
 
 def decompose(group: Group, ctype: str, n: int, values):

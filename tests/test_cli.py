@@ -287,6 +287,17 @@ def test_an_empty_element_cap_is_the_default(monkeypatch):
     assert oc.get_group("symB", 3).order == 48
 
 
+@pytest.mark.parametrize("rank", [127, 130])
+@pytest.mark.parametrize("ctype,kind", [("A", "symA"), ("B", "symB"), ("D", "symD")])
+def test_the_cap_exits_3_on_more_letters_than_a_byte_codes(capsys, monkeypatch, ctype, kind, rank):
+    # a byte codes the letters of at most 127: 130 letters are keyed by
+    # their tuples, and the group still stops at the cap
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setenv("COXMODEL_ORACLE_CAP", "200")
+    code, out, err = invoke(capsys, "oracle", "search", "--type", ctype, "--rank", str(rank))
+    assert (code, out, err) == (3, "", f"cap exceeded: group {kind} exceeds cap 200\n")
+
+
 def test_verify_below_the_rank_floor_exits_1(capsys):
     model = [{"type": "D", "alpha": [2, 0], "beta": ["id", "id"], "gamma": ["triv", "triv"]}]
     code, out, err = invoke(capsys, "verify", "--model", json.dumps(model), "--oracle")

@@ -380,6 +380,49 @@ def test_numbering_is_the_one_queue_bfs(kind, n, matrix, classes, autos):
         assert got == _queue_bfs(sub.gens, g.mult, g.identity)
 
 
+@pytest.mark.parametrize("kind,n", [("symA", 5), ("symB", 4), ("symD", 5), ("h3", 0)])
+def test_byte_keys_round_trip(kind, n):
+    g = oc.build_group(kind, n)
+    codec = g._codec
+    assert isinstance(codec, oc._ByteKeys)
+    # the lazy tuples are the plain queue's, in the same order
+    assert g.elements == _queue_bfs(g.gens, g.mult, g.identity)[0]
+    for i, w in enumerate(g.elements):
+        key = codec.encode(w)
+        # the key is w^-1, each letter v coded v + n
+        assert key == bytes(v + len(w) for v in g.elements[g.inverse[i]])
+        assert codec.decode(key) == w
+        assert g.id_of(w) == g.index[w] == i
+        assert g.element(i) == w
+
+
+def test_dihedral_and_wide_groups_keep_tuple_keys():
+    assert isinstance(get_group("dihedral", 6)._codec, oc._TupleKeys)
+    assert isinstance(oc._keys_for(oc._sp_mult, oc._sp_identity(127)), oc._ByteKeys)
+    assert isinstance(oc._keys_for(oc._sp_mult, oc._sp_identity(128)), oc._TupleKeys)
+
+
+def test_no_collection_fires_while_a_group_is_built():
+    # byte keys and their {key: id} dict are not tracked by the GC, so the
+    # BFS allocates no object that counts towards a collection
+    import gc
+
+    fired = []
+
+    def record(phase, info):
+        if phase == "start":
+            fired.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        g = oc.build_group("symD", 6)
+    finally:
+        gc.callbacks.remove(record)
+    assert g.order == 23040
+    assert fired == []
+
+
 def _brute_theta(sub, pi):
     """{g: theta(g)} on tuples, grown by theta(x s) = theta(x) pi(s)."""
     images = {sub.identity: sub.identity}
