@@ -16,8 +16,13 @@ and "mp" (negative there).
 Two indexes are strongly equivalent when related by value-preserving
 rewrites, duality, or inner diagram symmetries; full equivalence also
 allows the sign twist and the outer symmetries (the flip in even rank D,
-the rank-4 triality, the rank-2 swap in type B).  canonical_form picks
-the least member of the orbit.
+the rank-4 triality, the rank-2 swap in type B).  An orbit is walked on
+column tuples, and its least member by `ModelIndex.key` is its canonical
+form.  canonical_form and the strong class representatives of
+enumerate_indices read it from one bounded cache keyed by (type, columns,
+relation), which a walk fills for the whole orbit; only the least member
+is built as an index.  equivalence_orbit walks without the cache and
+builds every member.
 """
 
 from __future__ import annotations
@@ -71,6 +76,14 @@ def _beta_key(beta) -> tuple:
     return (6, beta[1], beta[2], 0 if beta[3] == "cw" else 1)
 
 
+def _columns_key(cols: tuple) -> tuple:
+    """The order of indexes of one type, read off their columns."""
+    return (
+        len(cols),
+        tuple((a, _beta_key(b), _GAMMA_ORDER[g]) for a, b, g in cols),
+    )
+
+
 class ModelIndex:
     """Immutable index value; columns is a tuple of (alpha, beta, gamma)."""
 
@@ -98,13 +111,7 @@ class ModelIndex:
         return sum(abs(a) for a, _, _ in self.columns)
 
     def key(self) -> tuple:
-        return (
-            self.ctype,
-            len(self.columns),
-            tuple(
-                (a, _beta_key(b), _GAMMA_ORDER[g]) for a, b, g in self.columns
-            ),
-        )
+        return (self.ctype, *_columns_key(self.columns))
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,6 +136,15 @@ class ModelIndex:
             "beta": [list(b) if isinstance(b, tuple) else b for _, b, _ in self.columns],
             "gamma": [g for _, _, g in self.columns],
         }
+
+
+def _trusted_index(ctype: str, columns: tuple) -> ModelIndex:
+    """An index on columns the program built, without the checks of
+    ModelIndex on outside input."""
+    idx = object.__new__(ModelIndex)
+    object.__setattr__(idx, "ctype", ctype)
+    object.__setattr__(idx, "columns", columns)
+    return idx
 
 
 def from_json(doc) -> ModelIndex:
@@ -295,16 +311,13 @@ def normalize(idx: ModelIndex) -> ModelIndex:
     return idx if cols == idx.columns else ModelIndex(idx.ctype, cols)
 
 
-def _dual_beta_a(beta):
-    return {"id": "idplus", "idplus": "id", "fpf": "fpfplus", "fpfplus": "fpf"}[beta]
-
-
-def _bar_gamma(gamma):
-    return {"triv": "sgn", "sgn": "triv", "pm": "mp", "mp": "pm"}[gamma]
+_DUAL_BETA = {"id": "idplus", "idplus": "id", "fpf": "fpfplus", "fpfplus": "fpf"}
+_BAR_GAMMA = {"triv": "sgn", "sgn": "triv", "pm": "mp", "mp": "pm"}
+_SWAP_PM = {"pm": "mp", "mp": "pm"}
 
 
 def _swap_pm(gamma):
-    return {"pm": "mp", "mp": "pm"}.get(gamma, gamma)
+    return _SWAP_PM.get(gamma, gamma)
 
 
 def transform(idx: ModelIndex, kind: str) -> ModelIndex:
@@ -327,7 +340,7 @@ def transform(idx: ModelIndex, kind: str) -> ModelIndex:
 
 
 def _bar(ctype: str, cols: tuple) -> tuple:
-    return tuple((a, b, _bar_gamma(g)) for a, b, g in cols)
+    return tuple((a, b, _BAR_GAMMA[g]) for a, b, g in cols)
 
 
 def _star(ctype: str, cols: tuple) -> tuple:
@@ -336,14 +349,14 @@ def _star(ctype: str, cols: tuple) -> tuple:
 
 def _dual(ctype: str, cols: tuple) -> tuple:
     if ctype == "A":
-        return tuple((a, _dual_beta_a(b), g) for a, b, g in reversed(cols))
+        return tuple((a, _DUAL_BETA[b], g) for a, b, g in reversed(cols))
     (a0, b0, g0), (a1, b1, g1) = cols
-    b1 = _dual_beta_a(b1)
+    b1 = _DUAL_BETA[b1]
     if ctype == "B":
         if isinstance(b0, tuple):  # ("pq", p, q)
             b0 = ("pq", b0[2], b0[1])
         elif b0 != "fpf":
-            b0 = {"id": "idplus", "idplus": "id"}[b0]
+            b0 = _DUAL_BETA[b0]
         return ((a0, b0, g0), (a1, b1, g1))
     n = a0 + abs(a1)
     odd = n % 2 == 1
@@ -358,7 +371,7 @@ def _dual(ctype: str, cols: tuple) -> tuple:
         if (a0 // 2 + n) % 2 == 1:
             b0 = "fpfdiamond" if b0 == "fpf" else "fpf"
     else:
-        b0 = {"id": "idplus", "idplus": "id"}[b0]
+        b0 = _DUAL_BETA[b0]
     if odd:
         g0 = _swap_pm(g0)
     return ((a0, b0, g0), (a1, b1, g1))
@@ -419,31 +432,31 @@ def _b2_swap(ctype: str, cols: tuple):
 # --- canonical forms -----------------------------------------------------------
 
 
-_CANON_CACHE: dict = {}
-
-
-def equivalence_orbit(idx: ModelIndex, relation: str = "strong") -> tuple:
-    """All normalized indexes reachable under the relation's generators."""
+def _orbit_generators(ctype: str, rank: int, relation: str) -> list:
     if relation not in ("strong", "full"):
         raise ValueError(f"bad relation: {relation!r}")
-    check_valid(idx)
-    start = normalize(idx)
     gens = [_dual]
-    if idx.ctype == "A":
+    if ctype == "A":
         gens.append(_star)
-    if idx.ctype == "D" and idx.rank % 2 == 1:
+    if ctype == "D" and rank % 2 == 1:
         gens.append(_diamond)
     if relation == "full":
         gens.append(_bar)
-        if idx.ctype == "D" and idx.rank % 2 == 0:
+        if ctype == "D" and rank % 2 == 0:
             gens.append(_diamond)
-        if idx.ctype == "D" and idx.rank == 4:
+        if ctype == "D" and rank == 4:
             gens.append(_triality)
-        if idx.ctype == "B" and idx.rank == 2:
+        if ctype == "B" and rank == 2:
             gens.append(_b2_swap)
-    ctype = idx.ctype
-    seen = {start.columns: start}
-    frontier = [start.columns]
+    return gens
+
+
+def _orbit_columns(ctype: str, cols: tuple, relation: str) -> set:
+    """The columns of every member of the orbit of `cols`, the columns of a
+    valid normal index; the rewrites keep them valid and normal."""
+    gens = _orbit_generators(ctype, sum(abs(a) for a, _, _ in cols), relation)
+    seen = {cols}
+    frontier = [cols]
     while frontier:
         cur = frontier.pop()
         for gen in gens:
@@ -452,23 +465,49 @@ def equivalence_orbit(idx: ModelIndex, relation: str = "strong") -> tuple:
                 continue
             img = _normal_columns(ctype, img)
             if img not in seen:
-                seen[img] = ModelIndex(ctype, img)
+                seen.add(img)
                 frontier.append(img)
-    return tuple(sorted(seen.values(), key=ModelIndex.key))
+    return seen
+
+
+# {(ctype, columns, relation): least member of the orbit} on valid normal
+# columns, at most ORBIT_CACHE_SIZE keys.  A walk fills every member of its
+# orbit at once, and empties the cache first when they would pass the
+# bound.  One classify at SEARCH_CAPS touches at most 296 keys (A16, both
+# relations), and an unpruned enumeration up to A11 at most 14,215, so
+# these walk each orbit once.
+ORBIT_CACHE_SIZE = 1 << 14
+_ORBIT_CACHE: dict = {}
+
+
+def _least(ctype: str, cols: tuple, relation: str) -> ModelIndex:
+    """The least member of the orbit of valid normal columns `cols`."""
+    least = _ORBIT_CACHE.get((ctype, cols, relation))
+    if least is None:
+        orbit = _orbit_columns(ctype, cols, relation)
+        least = _trusted_index(ctype, min(orbit, key=_columns_key))
+        if len(_ORBIT_CACHE) + len(orbit) > ORBIT_CACHE_SIZE:
+            _ORBIT_CACHE.clear()
+        for member in orbit:
+            _ORBIT_CACHE[(ctype, member, relation)] = least
+    return least
+
+
+def equivalence_orbit(idx: ModelIndex, relation: str = "strong") -> tuple:
+    """All normalized indexes reachable under the relation's generators."""
+    check_valid(idx)
+    ctype = idx.ctype
+    orbit = _orbit_columns(ctype, _normal_columns(ctype, idx.columns), relation)
+    return tuple(ModelIndex(ctype, cols) for cols in sorted(orbit, key=_columns_key))
 
 
 def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
     """Least member of the equivalence orbit; constant on the orbit."""
-    cached = _CANON_CACHE.get((idx, relation))
-    if cached is None:
-        cached = _CANON_CACHE.get((normalize(idx), relation))
-    if cached is not None:
-        return cached
-    orbit = equivalence_orbit(idx, relation)
-    least = orbit[0]
-    for member in orbit:
-        _CANON_CACHE[(member, relation)] = least
-    return least
+    least = _ORBIT_CACHE.get((idx.ctype, idx.columns, relation))
+    if least is not None:
+        return least
+    check_valid(idx)
+    return _least(idx.ctype, _normal_columns(idx.ctype, idx.columns), relation)
 
 
 # --- characters ----------------------------------------------------------------
@@ -657,10 +696,10 @@ def _compositions(n: int, parts: int):
 _A_MF_MAX_COLUMNS = 2
 
 
-def _raw_indices(ctype: str, n: int, mf_only: bool = False):
-    """Every index of the rank-n shapes; with mf_only, only the indexes the
-    corank-two lemma and `_lemma_excludes_mf` leave as candidates for a
-    perfect model, each pruned before it is built."""
+def _raw_columns(ctype: str, n: int, mf_only: bool = False):
+    """The columns of every index of the rank-n shapes, each valid and
+    normal; with mf_only, only those the corank-two lemma and
+    `_lemma_excludes_mf` leave as candidates for a perfect model."""
     if ctype == "A":
         widest = min(n, _A_MF_MAX_COLUMNS) if mf_only else n
         shapes = (
@@ -682,14 +721,14 @@ def _raw_indices(ctype: str, n: int, mf_only: bool = False):
         for cols in product(*pools):
             if mf_only and _lemma_excludes_mf(ctype, cols):
                 continue
-            yield ModelIndex(ctype, cols)
+            yield cols
 
 
 def _lemma_excludes_mf(ctype: str, columns) -> bool:
     """Known sufficient conditions for a repeated constituent, read off the
     columns of a type B or D index.
 
-    Type A is pruned by shape instead, in `_raw_indices`.
+    Type A is pruned by shape instead, in `_raw_columns`.
     """
     if ctype == "A":
         return False
@@ -729,8 +768,9 @@ def multiplicity_free_characters(ctype: str, n: int) -> dict:
 
 
 def _strong_representatives(ctype: str, n: int, pruned: bool):
-    """Sorted strong class representatives; with `pruned`, the lemmas apply."""
-    reps: dict[ModelIndex, None] = {}
-    for idx in _raw_indices(ctype, n, pruned):
-        reps[canonical_form(idx, "strong")] = None
+    """Sorted strong class representatives; with `pruned`, the lemmas apply.
+
+    The raw columns are valid and normal, so they are looked up unchecked.
+    """
+    reps = {_least(ctype, cols, "strong"): None for cols in _raw_columns(ctype, n, pruned)}
     return tuple(sorted(reps, key=ModelIndex.key))

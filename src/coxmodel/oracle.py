@@ -12,7 +12,8 @@ parents and one inverse table: subgroups, conjugacy classes, twisted
 involution classes, the perfection test, twisted centralizers, induced
 characters, square-root counts.  Element tuples are decoded one at a time,
 only where a value leaves the oracle: class representatives (for cycle
-types and output), the minimum and elements of a perfect class, and the
+types and output), the minimum of a perfect class (and its elements for
+`perfect_classes` alone; the triples read the classes on ids), and the
 tuple-to-id lookups of `sqrt_count` and the twisted centralizers.
 
 The oracle validates itself as it goes: BFS lengths are checked against
@@ -615,17 +616,12 @@ def _involutive_autos(group: Group):
     return tuple(out)
 
 
-def perfect_classes(group: Group):
-    """Twisted conjugacy classes of perfect involutions with a unique minimum.
-
-    Returns a list of dicts with keys theta (generator permutation),
-    elements (frozenset of group elements paired with that theta), and
-    min (the unique minimal-length element).
-    """
+def _perfect_class_ids(group: Group):
+    """(theta, class ids, id of the minimum) per perfect class with a unique
+    minimal-length element: the one walk that `perfect_classes` and
+    `all_triples` read."""
     refl = sorted(group.reflections())
-    inverse = group.inverse
-    element, lengths = group.element, group.lengths
-    out = []
+    inverse, lengths = group.inverse, group.lengths
     for pi in _involutive_autos(group):
         theta = group.theta_ids(pi)
         seen = set()
@@ -640,16 +636,22 @@ def perfect_classes(group: Group):
                 continue
             min_len = min(lengths[x] for x in orbit)
             mins = [x for x in orbit if lengths[x] == min_len]
-            if len(mins) != 1:
-                continue
-            out.append(
-                {
-                    "theta": pi,
-                    "elements": frozenset(map(element, orbit)),
-                    "min": element(mins[0]),
-                }
-            )
-    return out
+            if len(mins) == 1:
+                yield pi, orbit, mins[0]
+
+
+def perfect_classes(group: Group):
+    """Twisted conjugacy classes of perfect involutions with a unique minimum.
+
+    Returns a list of dicts with keys theta (generator permutation),
+    elements (frozenset of group elements paired with that theta), and
+    min (the unique minimal-length element).
+    """
+    element = group.element
+    return [
+        {"theta": pi, "elements": frozenset(map(element, orbit)), "min": element(m)}
+        for pi, orbit, m in _perfect_class_ids(group)
+    ]
 
 
 def _is_perfect(group: Group, w, theta, refl) -> bool:
@@ -720,16 +722,11 @@ def all_triples(group: Group):
         # induces the regular character
         sub = group.subgroup(gen_ids)
         sigmas = linear_characters(sub)
-        for cls in perfect_classes(sub):
+        # only the class minimum is decoded
+        for pi, _, m in _perfect_class_ids(sub):
+            w = sub.element(m)
             for sigma in sigmas:
-                out.append(
-                    {
-                        "J": gen_ids,
-                        "min": cls["min"],
-                        "theta": cls["theta"],
-                        "sigma": sigma,
-                    }
-                )
+                out.append({"J": gen_ids, "min": w, "theta": pi, "sigma": sigma})
     return out
 
 

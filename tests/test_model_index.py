@@ -5,8 +5,9 @@ from itertools import combinations, product
 
 import pytest
 
+from coxmodel import model_index as mx
 from coxmodel.char_ring import is_multiplicity_free, twist
-from coxmodel.classification import SEARCH_CAPS
+from coxmodel.classification import SEARCH_CAPS, classify
 from coxmodel.induction import bullet, column_char, project
 from coxmodel.model_index import (
     A_BETAS,
@@ -18,7 +19,7 @@ from coxmodel.model_index import (
     _a_column_options,
     _compositions,
     _lemma_excludes_mf,
-    _raw_indices,
+    _raw_columns,
     character_of_index,
     check_valid,
     enumerate_indices,
@@ -34,6 +35,10 @@ from coxmodel.model_index import (
 
 def mi(ctype, *cols):
     return ModelIndex(ctype, cols)
+
+
+def raw_indices(ctype, n, mf_only=False):
+    return [ModelIndex(ctype, cols) for cols in _raw_columns(ctype, n, mf_only)]
 
 
 @cache
@@ -161,6 +166,104 @@ def test_canonical_form_is_constant_on_orbits():
                 assert canonical_form(member, relation) == canon
 
 
+def reference_orbit(idx, relation):
+    """The orbit by a walk over indexes, one ModelIndex built per member,
+    with its own list of generators, sorted by ModelIndex.key."""
+    check_valid(idx)
+    ctype, n = idx.ctype, idx.rank
+    gens = [mx._dual]
+    if ctype == "A":
+        gens.append(mx._star)
+    if ctype == "D" and n % 2 == 1:
+        gens.append(mx._diamond)
+    if relation == "full":
+        gens.append(mx._bar)
+        if ctype == "D" and n % 2 == 0:
+            gens.append(mx._diamond)
+        if ctype == "D" and n == 4:
+            gens.append(mx._triality)
+        if ctype == "B" and n == 2:
+            gens.append(mx._b2_swap)
+    start = normalize(idx)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        for gen in gens:
+            img = gen(ctype, cur.columns)
+            if img is None:
+                continue
+            img = normalize(ModelIndex(ctype, img))
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return tuple(sorted(seen, key=ModelIndex.key))
+
+
+def reference_strong_representatives(ctype, n, pruned):
+    least = {}
+    for idx in raw_indices(ctype, n, pruned):
+        if idx not in least:
+            orbit = reference_orbit(idx, "strong")
+            least.update(dict.fromkeys(orbit, orbit[0]))
+    reps = {least[idx] for idx in raw_indices(ctype, n, pruned)}
+    return tuple(sorted(reps, key=ModelIndex.key))
+
+
+REFERENCE_RANKS = [
+    *(("A", n) for n in range(2, 13)),
+    *(("B", n) for n in range(2, 11)),
+    *(("D", n) for n in range(3, 11)),
+]
+
+
+@pytest.mark.parametrize("ctype,n", REFERENCE_RANKS)
+def test_strong_representatives_are_the_reference_orbit_minima(ctype, n, monkeypatch):
+    monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
+    for pruned in (False, True):
+        assert mx._strong_representatives(ctype, n, pruned) == (
+            reference_strong_representatives(ctype, n, pruned)
+        )
+
+
+@pytest.mark.parametrize(
+    "ctype,n", [(c, n) for c, n in REFERENCE_RANKS if n <= {"A": 8, "B": 6, "D": 6}[c]]
+)
+def test_canonical_form_and_orbit_are_the_reference_on_every_raw_index(
+    ctype, n, monkeypatch
+):
+    # an empty cache first, so that both the walk and the lookup are read
+    monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
+    for relation in ("strong", "full"):
+        for idx in raw_indices(ctype, n):
+            want = reference_orbit(idx, relation)
+            assert equivalence_orbit(idx, relation) == want
+            assert canonical_form(idx, relation) == want[0]
+            assert canonical_form(idx, relation) == want[0]
+
+
+@pytest.mark.parametrize("ctype", sorted(SEARCH_CAPS))
+def test_one_classify_at_the_caps_fits_the_orbit_cache(ctype, monkeypatch):
+    # so that a classify walks each orbit once
+    monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
+    for relation in ("strong", "full"):
+        classify(ctype, SEARCH_CAPS[ctype], relation)
+    assert 0 < len(mx._ORBIT_CACHE) < mx.ORBIT_CACHE_SIZE
+
+
+def test_a_full_orbit_cache_is_emptied_and_refilled(monkeypatch):
+    monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
+    monkeypatch.setattr(mx, "ORBIT_CACHE_SIZE", 10)
+    for ctype, n in (("A", 6), ("B", 5), ("D", 5)):
+        assert mx._strong_representatives(ctype, n, False) == (
+            reference_strong_representatives(ctype, n, False)
+        )
+        assert 0 < len(mx._ORBIT_CACHE) <= 10
+    idx = mi("B", (3, "id", "pm"), (2, "id", "sgn"))
+    assert canonical_form(idx, "full") == reference_orbit(idx, "full")[0]
+    assert len(mx._ORBIT_CACHE) <= 10
+
+
 def test_full_orbit_contains_strong_orbit():
     idx = mi("B", (2, "id", "pm"), (1, "id", "triv"))
     strong = set(equivalence_orbit(idx, "strong"))
@@ -212,8 +315,8 @@ def test_lemma_prunes_only_repeated_constituents():
     pruned = {"A": 0, "B": 0, "D": 0}
     for ctype, ranks in (("A", range(3, 9)), ("B", range(2, 11)), ("D", range(4, 11))):
         for n in ranks:
-            raw = list(_raw_indices(ctype, n))
-            kept = list(_raw_indices(ctype, n, mf_only=True))
+            raw = raw_indices(ctype, n)
+            kept = raw_indices(ctype, n, mf_only=True)
             # the pruned enumeration is the full one, in order, minus what
             # the lemmas name
             assert kept == [
@@ -248,7 +351,7 @@ def test_lemma_prunes_repeat_a_constituent_above_the_caps():
     }
     for ctype, n in want:
         pruned = 0
-        for idx in _raw_indices(ctype, n):
+        for idx in raw_indices(ctype, n):
             if _lemma_excludes_mf(ctype, idx.columns):
                 assert is_multiplicity_free(character_of_index(idx)) is False, idx
                 pruned += 1
@@ -303,20 +406,21 @@ def test_full_orbits_at_even_rank_d_keep_degree_and_multiplicity_freeness(
 
 
 def test_raw_indices_are_valid():
-    # the strong representatives are taken from _raw_indices unchecked
+    # the strong representatives are taken from _raw_columns unchecked
     for ctype, ranks in (("A", range(2, 11)), ("B", range(2, 9)), ("D", range(3, 9))):
         for n in ranks:
             for mf_only in (False, True):
-                for idx in _raw_indices(ctype, n, mf_only):
+                for idx in raw_indices(ctype, n, mf_only):
                     assert not validate(idx), idx
 
 
 def test_normalize_returns_a_normal_index_itself():
-    # canonical_form looks an index up before normalizing it, so the raw
-    # indexes must come out of normalize unchanged, not as equal copies
+    # _strong_representatives looks the raw columns up in the orbit cache,
+    # whose keys are normal columns, so a raw index must come out of
+    # normalize unchanged, not as an equal copy
     for ctype, ranks in (("A", range(2, 11)), ("B", range(2, 9)), ("D", range(3, 9))):
         for n in ranks:
-            for idx in _raw_indices(ctype, n):
+            for idx in raw_indices(ctype, n):
                 assert normalize(idx) is idx, idx
     idx = mi("A", (5, "idplus", "sgn"))
     out = normalize(idx)
@@ -389,7 +493,7 @@ SPELLED_RANKS = [
 
 @pytest.mark.parametrize("ctype,n", SPELLED_RANKS)
 def test_column_generators_are_the_valid_normalized_spellings(ctype, n):
-    raw = list(_raw_indices(ctype, n))
+    raw = raw_indices(ctype, n)
     assert len(set(raw)) == len(raw)
     want = {idx for idx in _spellings(ctype, n) if not validate(idx) and normalize(idx) == idx}
     assert set(raw) == want

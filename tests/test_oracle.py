@@ -782,3 +782,29 @@ def test_each_class_sum_key_is_induced_once_per_group(monkeypatch):
     del g
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("kind,n", [("symB", 5), ("symD", 5)])
+def test_all_triples_decode_only_the_class_minima(kind, n, monkeypatch):
+    # the triples are the perfect classes of every parabolic, each class
+    # once per linear character, read off the one id-level walk; only a
+    # class minimum is decoded (the walk's orbits were decoded too: 249
+    # unused elements at B5, 251 at D5)
+    g = oc.build_group(kind, n)
+    decoded = []
+    real = Group.element
+    monkeypatch.setattr(Group, "element", lambda self, i: decoded.append(i) or real(self, i))
+    triples = all_triples(g)
+    classes = {(t["J"], t["min"], t["theta"]) for t in triples}
+    assert len(decoded) == len(classes)
+    monkeypatch.undo()
+    want = []
+    k = len(g.gens)
+    for mask in range(1 << k):
+        gen_ids = tuple(i for i in range(k) if mask >> i & 1)
+        sub = g.subgroup(gen_ids)
+        for cls in perfect_classes(sub):
+            assert cls["min"] in cls["elements"]
+            for sigma in oc.linear_characters(sub):
+                want.append({"J": gen_ids, "min": cls["min"], "theta": cls["theta"], "sigma": sigma})
+    assert triples == want
