@@ -28,6 +28,10 @@ strips to the cached column of the remaining cycles.  In type B a strip
 goes on either component, and a negative cycle flips the sign of strips
 on the second.  `mn_value_a`, `mn_value_b` and `difference_value` read
 these columns.  Every cache here is an `lru_cache` with a stated bound.
+
+A `VirtualCharacter` is immutable: built once from its terms, with a
+read-only `coeffs`, and `add` returns a new value.  So a cache can hand
+out the character itself, without a copy.
 """
 
 from __future__ import annotations
@@ -228,39 +232,39 @@ def difference_value(core: Partition, mu: Partition) -> int:
 
 
 class VirtualCharacter:
-    """Sparse integer combination of irreducible labels of one type/rank."""
+    """Immutable sparse integer combination of irreducible labels of one
+    type/rank, summed once from (label, c) terms or a mapping: each label's
+    rank is checked, and zero sums are dropped."""
 
     __slots__ = ("ctype", "rank", "coeffs")
 
-    def __init__(self, ctype: str, rank: int, coeffs=None):
-        self.ctype = ctype
-        self.rank = rank
-        self.coeffs: dict = {}
-        if coeffs:
-            for lab, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                self.add(lab, c)
+    def __new__(cls, ctype: str, rank: int, terms=()):
+        coeffs: dict = {}
+        get = coeffs.get
+        # concrete types, not the Mapping ABC, whose first check in a process
+        # walks the ABC's registry and subclasses
+        for lab, c in (terms.items() if isinstance(terms, (dict, MappingProxyType)) else terms):
+            if not c:
+                continue
+            if label_rank(ctype, lab) != rank:
+                raise ValueError(
+                    f"label {format_label(ctype, lab)} has wrong rank for {ctype}{rank}"
+                )
+            new = get(lab, 0) + c
+            if new:
+                coeffs[lab] = new
+            else:
+                del coeffs[lab]
+        return _trusted_character(ctype, rank, coeffs)
+
+    def _immutable(self, *args):
+        raise AttributeError("VirtualCharacter is immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     def add(self, label, c: int = 1) -> "VirtualCharacter":
-        if c == 0:
-            return self
-        if label_rank(self.ctype, label) != self.rank:
-            raise ValueError(
-                f"label {format_label(self.ctype, label)} has wrong rank "
-                f"for {self.ctype}{self.rank}"
-            )
-        new = self.coeffs.get(label, 0) + c
-        if new:
-            self.coeffs[label] = new
-        else:
-            self.coeffs.pop(label, None)
-        return self
-
-    def add_char(self, other: "VirtualCharacter", scale: int = 1) -> "VirtualCharacter":
-        if (other.ctype, other.rank) != (self.ctype, self.rank):
-            raise ValueError("type/rank mismatch in character sum")
-        for lab, c in other.coeffs.items():
-            self.add(lab, scale * c)
-        return self
+        """This character plus c times `label`, as a new value."""
+        return VirtualCharacter(self.ctype, self.rank, [*self.coeffs.items(), (label, c)])
 
     def sorted_items(self):
         idx = _universe_index(self.ctype, self.rank)
@@ -296,6 +300,15 @@ class VirtualCharacter:
                 [format_label(self.ctype, lab), c] for lab, c in self.sorted_items()
             ],
         }
+
+
+def _trusted_character(ctype: str, rank: int, coeffs: dict) -> VirtualCharacter:
+    """A character on a {label: nonzero c} dict the program summed, unchecked."""
+    chi = object.__new__(VirtualCharacter)
+    object.__setattr__(chi, "ctype", ctype)
+    object.__setattr__(chi, "rank", rank)
+    object.__setattr__(chi, "coeffs", MappingProxyType(coeffs))
+    return chi
 
 
 def char_of(ctype: str, label, c: int = 1) -> VirtualCharacter:
@@ -339,10 +352,8 @@ def _twist_label(ctype: str, label, kind: str):
 
 
 def twist(chi: VirtualCharacter, kind: str) -> VirtualCharacter:
-    out = VirtualCharacter(chi.ctype, chi.rank)
-    for lab, c in chi.coeffs.items():
-        out.add(_twist_label(chi.ctype, lab, kind), c)
-    return out
+    terms = [(_twist_label(chi.ctype, lab, kind), c) for lab, c in chi.coeffs.items()]
+    return VirtualCharacter(chi.ctype, chi.rank, terms)
 
 
 # --- multiplicity-freeness -----------------------------------------------------
@@ -366,7 +377,7 @@ def parse_label(ctype: str, text: str):
     if ctype == "A":
         return pt.parse_partition(text)
     if ctype == "B":
-        if not (text.startswith("((") or text.startswith("((")) and text.endswith(")"):
+        if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"bad B label: {text!r}")
         lam, mu = _split_pair(text[1:-1])
         return (pt.parse_partition(lam), pt.parse_partition(mu))

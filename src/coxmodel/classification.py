@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import partitions as pt
-from .char_ring import VirtualCharacter, irr_universe
+from .char_ring import irr_universe
 from .model_index import (
     ModelIndex,
     canonical_form,
@@ -111,13 +111,14 @@ def is_perfect_symbolic(indices) -> dict:
         raise ValueError("empty model")
     ctype, n = indices[0].ctype, indices[0].rank
     _check_floor(ctype, n)
-    total = VirtualCharacter(ctype, n)
+    total: dict = {}
     for idx in indices:
         if idx.ctype != ctype or idx.rank != n:
             raise ValueError("mixed types or ranks in model")
-        total.add_char(character_of_index(idx))
+        for lab, c in character_of_index(idx).coeffs.items():
+            total[lab] = total.get(lab, 0) + c
     for lab in irr_universe(ctype, n):
-        m = total.coeffs.get(lab, 0)
+        m = total.get(lab, 0)
         if m != 1:
             return {"status": "not_perfect", "witness": lab, "multiplicity": m}
     return {"status": "perfect"}

@@ -15,12 +15,19 @@ character built here is exact.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cache
+from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
 
 from . import partitions as pt
-from .char_ring import VirtualCharacter, d_deg, d_set, difference_value, mn_column_a
+from .char_ring import (
+    VirtualCharacter,
+    _trusted_character,
+    d_deg,
+    d_set,
+    difference_value,
+    mn_column_a,
+)
 from .lr import lr_expand
 from .partitions import Partition
 
@@ -28,7 +35,13 @@ from .partitions import Partition
 # --- the bullet products ------------------------------------------------------
 
 
-@cache
+# Each bound is above the keys that one classify at SEARCH_CAPS (both
+# relations) touches, and those of the sweep A1-A16, B1-B8, D3-D8 in one
+# process.  Label pairs: at most 314 per classify (B8), 913 per sweep.
+BULLET_B_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=BULLET_B_CACHE_SIZE)
 def _bullet_b_labels(lab1, lab2) -> Mapping:
     (l1, l2), (m1, m2) = lab1, lab2
     out = {}
@@ -93,7 +106,11 @@ def taylor_coefficient(lab1, lab2, out) -> int:
     return num // 2
 
 
-@cache
+# label pairs: at most 120 per classify (D8), 296 per sweep
+BULLET_D_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BULLET_D_CACHE_SIZE)
 def _bullet_d_labels(lab1, lab2) -> Mapping:
     """Full D product of two labels, with the type-B lift consistency check."""
     a1, a2 = _lift_components(lab1)
@@ -137,7 +154,7 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
         raise ValueError("bullet: mixed character types")
     table = {"A": lr_expand, "B": _bullet_b_labels, "D": _bullet_d_labels}[ctype]
     # A product's labels have rank f.rank + g.rank by construction, so the
-    # sum skips the per-term rank check of `VirtualCharacter.add`.
+    # sum skips the per-term rank check of the constructor.
     coeffs: dict = {}
     for lab1, c1 in f.coeffs.items():
         for lab2, c2 in g.coeffs.items():
@@ -146,10 +163,8 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
                 if new:
                     coeffs[lab] = new
                 else:
-                    coeffs.pop(lab, None)
-    out = VirtualCharacter(ctype, f.rank + g.rank)
-    out.coeffs = coeffs
-    return out
+                    del coeffs[lab]
+    return _trusted_character(ctype, f.rank + g.rank, coeffs)
 
 
 # --- cross-type inductions ----------------------------------------------------
@@ -159,7 +174,11 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
 # S_n read only the pairs inside nu, from the cached `lr_expand`.
 
 
-@cache
+# partitions: at most 15 per classify (B8), 15 per sweep
+INSIDE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=INSIDE_CACHE_SIZE)
 def _inside(nu: Partition) -> tuple[tuple[Partition, ...], ...]:
     """The partitions whose diagrams fit inside nu's, by size, each size in
     `partitions_of` order."""
@@ -196,16 +215,20 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     """Induction from the symmetric subgroup up to the full signed group."""
     if chi.ctype != "A":
         raise ValueError("ind_A_to_B expects a type A character")
-    out = VirtualCharacter("B", chi.rank)
-    for nu, c in chi.coeffs.items():
-        for lam, mu in _pairs_inside(nu, unordered=False):
-            d = lr_expand(lam, mu).get(nu, 0)
-            if d:
-                out.add((lam, mu), c * d)
-    return out
+    terms = [
+        ((lam, mu), c * d)
+        for nu, c in chi.coeffs.items()
+        for lam, mu in _pairs_inside(nu, unordered=False)
+        if (d := lr_expand(lam, mu).get(nu, 0))
+    ]
+    return VirtualCharacter("B", chi.rank, terms)
 
 
-@cache
+# (partition, core) pairs: at most 22 per classify (D8), 22 per sweep
+DIFFERENCE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=DIFFERENCE_CACHE_SIZE)
 def _restricted_difference(nu: Partition, core: Partition) -> int:
     """<chi^nu, Res_{S_n} delta_core>, summed over the classes 2mu of S_n.
 
@@ -223,15 +246,15 @@ def _restricted_difference(nu: Partition, core: Partition) -> int:
     return s
 
 
-def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
+def _ind_label_A_to_D(nu: Partition, side: str):
+    """The (label, multiplicity) terms of the induction of chi^nu to D_n."""
     n = sum(nu)
-    out = VirtualCharacter("D", n)
     for lam, mu in _pairs_inside(nu, unordered=True):
         d = lr_expand(lam, mu).get(nu, 0)
         if d:
-            out.add(d_set(lam, mu), d)
+            yield d_set(lam, mu), d
     if n % 2 != 0:
-        return out
+        return
     for core in pt.partitions_of(n // 2):
         # [core,+] and [core,-] share c and differ by s; the diamond image
         # of S_n (side minus) sees delta_core with the opposite sign.  A core
@@ -242,9 +265,8 @@ def _ind_label_A_to_D(nu: Partition, side: str) -> VirtualCharacter:
             raise RuntimeError(f"bad degenerate split of {nu} at {core}: c={c}, s={s}")
         if side == "minus":
             s = -s
-        out.add(d_deg(core, "+"), (c + s) // 2)
-        out.add(d_deg(core, "-"), (c - s) // 2)
-    return out
+        yield d_deg(core, "+"), (c + s) // 2
+        yield d_deg(core, "-"), (c - s) // 2
 
 
 def ind_A_to_D(chi: VirtualCharacter, side: str = "plus") -> VirtualCharacter:
@@ -253,36 +275,34 @@ def ind_A_to_D(chi: VirtualCharacter, side: str = "plus") -> VirtualCharacter:
         raise ValueError("ind_A_to_D expects a type A character")
     if side not in ("plus", "minus"):
         raise ValueError(f"bad side: {side!r}")
-    out = VirtualCharacter("D", chi.rank)
-    for nu, c in chi.coeffs.items():
-        out.add_char(_ind_label_A_to_D(nu, side), c)
-    return out
+    terms = [
+        (lab, c * d) for nu, c in chi.coeffs.items() for lab, d in _ind_label_A_to_D(nu, side)
+    ]
+    return VirtualCharacter("D", chi.rank, terms)
 
 
 def restrict_B_to_D(chi: VirtualCharacter) -> VirtualCharacter:
     if chi.ctype != "B":
         raise ValueError("restrict_B_to_D expects a type B character")
-    out = VirtualCharacter("D", chi.rank)
+    terms = []
     for (lam, mu), c in chi.coeffs.items():
         if lam != mu:
-            out.add(d_set(lam, mu), c)
+            terms.append((d_set(lam, mu), c))
         else:
-            out.add(d_deg(lam, "+"), c)
-            out.add(d_deg(lam, "-"), c)
-    return out
+            terms += ((d_deg(lam, "+"), c), (d_deg(lam, "-"), c))
+    return VirtualCharacter("D", chi.rank, terms)
 
 
 def induce_D_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     if chi.ctype != "D":
         raise ValueError("induce_D_to_B expects a type D character")
-    out = VirtualCharacter("B", chi.rank)
+    terms = []
     for lab, c in chi.coeffs.items():
         if lab[0] == "set":
-            out.add((lab[1], lab[2]), c)
-            out.add((lab[2], lab[1]), c)
+            terms += (((lab[1], lab[2]), c), ((lab[2], lab[1]), c))
         else:
-            out.add((lab[1], lab[1]), c)
-    return out
+            terms.append(((lab[1], lab[1]), c))
+    return VirtualCharacter("B", chi.rank, terms)
 
 
 # --- projections ----------------------------------------------------------------
@@ -290,24 +310,20 @@ def induce_D_to_B(chi: VirtualCharacter) -> VirtualCharacter:
 
 def project(kind: str, chi: VirtualCharacter) -> VirtualCharacter:
     """Character-level projection onto the symmetric-group character ring."""
-    out = VirtualCharacter("A", chi.rank)
     if kind in ("piL", "piR"):
         if chi.ctype != "B":
             raise ValueError(f"{kind} expects a type B character")
         pos = 0 if kind == "piL" else 1
-        for (lam, mu), c in chi.coeffs.items():
-            pair = (lam, mu)
-            if pair[1 - pos] == ():
-                out.add(pair[pos], c)
-        return out
-    if kind == "piD":
+        terms = [(pair[pos], c) for pair, c in chi.coeffs.items() if pair[1 - pos] == ()]
+    elif kind == "piD":
         if chi.ctype != "D":
             raise ValueError("piD expects a type D character")
-        for lab, c in chi.coeffs.items():
-            if lab[0] == "set" and lab[2] == ():
-                out.add(lab[1], c)
-        return out
-    raise ValueError(f"unknown projection: {kind!r}")
+        terms = [
+            (lab[1], c) for lab, c in chi.coeffs.items() if lab[0] == "set" and lab[2] == ()
+        ]
+    else:
+        raise ValueError(f"unknown projection: {kind!r}")
+    return VirtualCharacter("A", chi.rank, terms)
 
 
 # --- closed-form column characters -----------------------------------------------
@@ -334,27 +350,24 @@ def column_char(ctype: str, column: tuple) -> VirtualCharacter:
     alpha, beta, gamma = column
     n = abs(alpha)
     if ctype == "A":
-        out = VirtualCharacter("A", n)
         if beta in ("id", "idplus"):
-            out.add(_gamma_a_label(n, gamma))
+            labels = [_gamma_a_label(n, gamma)]
         elif beta in ("fpf", "fpfplus"):
             if n % 2 != 0:
                 raise ValueError(f"fpf column with odd size {n}")
-            fam = pt.erows(n) if gamma == "triv" else pt.ecols(n)
-            for lam in fam:
-                out.add(lam)
+            labels = pt.erows(n) if gamma == "triv" else pt.ecols(n)
         else:
             raise ValueError(f"bad A column: {column!r}")
-        return out
-    if ctype == "B":
-        return _column_char_b(n, beta, gamma)
-    if ctype == "D":
-        return _column_char_d(n, beta, gamma)
-    raise ValueError(f"bad character type: {ctype!r}")
+    elif ctype == "B":
+        labels = _column_labels_b(n, beta, gamma)
+    elif ctype == "D":
+        labels = _column_labels_d(n, beta, gamma)
+    else:
+        raise ValueError(f"bad character type: {ctype!r}")
+    return VirtualCharacter(ctype, n, [(lab, 1) for lab in labels])
 
 
-def _column_char_b(n: int, beta, gamma: str) -> VirtualCharacter:
-    out = VirtualCharacter("B", n)
+def _column_labels_b(n: int, beta, gamma: str):
     if beta in ("id", "idplus"):
         label = {
             "triv": (_one_row(n), ()),
@@ -364,107 +377,81 @@ def _column_char_b(n: int, beta, gamma: str) -> VirtualCharacter:
         }.get(gamma)
         if label is None:
             raise ValueError(f"bad B column character: {gamma!r}")
-        out.add(label)
-        return out
+        return [label]
     if beta == "fpf":
         if n % 2 != 0:
             raise ValueError(f"fpf column with odd size {n}")
         # The centralizer avoids the sign-change generator, so the mixed
         # linear characters restrict to triv/sgn and collapse onto them.
         eff = {"triv": "triv", "mp": "triv", "sgn": "sgn", "pm": "sgn"}[gamma]
-        fam = pt.erows_b(n) if eff == "triv" else pt.ecols_b(n)
-        for bp in fam:
-            out.add(bp)
-        return out
+        return pt.erows_b(n) if eff == "triv" else pt.ecols_b(n)
     if isinstance(beta, tuple) and beta[0] == "pq":
         p, q = beta[1], beta[2]
         if p + q != n or p <= 0 or q <= 0:
             raise ValueError(f"bad (p,q) column: {beta!r} at size {n}")
         lo, hi = min(p, q), max(p, q)
-        shapes = []
-        for r in range(lo + 1):
-            parts = tuple(x for x in (hi + r, lo - r) if x > 0)
-            shapes.append(parts)
-        for lam in shapes:
-            if gamma == "triv":
-                out.add((lam, ()))
-            elif gamma == "mp":
-                out.add(((), lam))
-            elif gamma == "sgn":
-                out.add(((), pt.transpose(lam)))
-            elif gamma == "pm":
-                out.add((pt.transpose(lam), ()))
-            else:
-                raise ValueError(f"bad B column character: {gamma!r}")
-        return out
+        shapes = [tuple(x for x in (hi + r, lo - r) if x > 0) for r in range(lo + 1)]
+        if gamma == "triv":
+            return [(lam, ()) for lam in shapes]
+        if gamma == "mp":
+            return [((), lam) for lam in shapes]
+        if gamma == "sgn":
+            return [((), pt.transpose(lam)) for lam in shapes]
+        if gamma == "pm":
+            return [(pt.transpose(lam), ()) for lam in shapes]
+        raise ValueError(f"bad B column character: {gamma!r}")
     raise ValueError(f"bad B column: {beta!r}")
 
 
-def _column_char_d(n: int, beta, gamma: str) -> VirtualCharacter:
-    out = VirtualCharacter("D", n)
+def _column_labels_d(n: int, beta, gamma: str):
     if n == 0:
         raise ValueError("empty D columns have no character; skip them instead")
     if beta in ("id", "idplus"):
         if gamma == "triv":
-            out.add(d_set(_one_row(n), ()))
-        elif gamma == "sgn":
-            out.add(d_set(_one_col(n), ()))
-        elif gamma in ("pm", "mp"):
+            return [d_set(_one_row(n), ())]
+        if gamma == "sgn":
+            return [d_set(_one_col(n), ())]
+        if gamma in ("pm", "mp"):
             if n != 2:
                 raise ValueError("mixed D linear characters exist only at rank 2")
-            out.add(d_deg((1,), "+" if gamma == "mp" else "-"))
-        else:
-            raise ValueError(f"bad D column character: {gamma!r}")
-        return out
+            return [d_deg((1,), "+" if gamma == "mp" else "-")]
+        raise ValueError(f"bad D column character: {gamma!r}")
     if beta in ("fpf", "fpfdiamond"):
         if n % 2 != 0:
             raise ValueError(f"fpf column with odd size {n}")
         if n == 2 and gamma in ("pm", "mp"):
             # Rank-2 groups are abelian: the class is central, the
             # centralizer is everything, and the character is gamma itself.
-            out.add(d_deg((1,), "+" if gamma == "mp" else "-"))
-            return out
+            return [d_deg((1,), "+" if gamma == "mp" else "-")]
         sign = "+" if beta == "fpf" else "-"
         if gamma == "triv":
-            for pair in pt.erows_d(n):
-                out.add(("set",) + pair)
-            if n % 4 == 0:
-                for core in pt.erows(n // 2):
-                    out.add(d_deg(core, sign))
+            pairs, cores = pt.erows_d(n), pt.erows
         elif gamma == "sgn":
-            for pair in pt.ecols_d(n):
-                out.add(("set",) + pair)
-            if n % 4 == 0:
-                for core in pt.ecols(n // 2):
-                    out.add(d_deg(core, sign))
+            pairs, cores = pt.ecols_d(n), pt.ecols
         else:
             raise ValueError(f"bad D fpf column character: {gamma!r}")
-        return out
+        labels = [("set",) + pair for pair in pairs]
+        if n % 4 == 0:
+            labels += (d_deg(core, sign) for core in cores(n // 2))
+        return labels
     if isinstance(beta, tuple) and beta[0] == "pq":
         p, q = beta[1], beta[2]
         if p + q != n or p <= 0 or q <= 0:
             raise ValueError(f"bad (p,q) column: {beta!r} at size {n}")
-        for j in range(min(p, q) + 1):
-            if gamma == "triv":
-                lam = tuple(x for x in (n - j, j) if x > 0)
-                out.add(d_set(lam, ()))
-            elif gamma == "sgn":
-                lam = (2,) * j + (1,) * (n - 2 * j)
-                out.add(d_set(lam, ()))
-            else:
-                raise ValueError(f"bad D (p,q) column character: {gamma!r}")
-        return out
+        if gamma == "triv":
+            shapes = (tuple(x for x in (n - j, j) if x > 0) for j in range(min(p, q) + 1))
+        elif gamma == "sgn":
+            shapes = ((2,) * j + (1,) * (n - 2 * j) for j in range(min(p, q) + 1))
+        else:
+            raise ValueError(f"bad D (p,q) column character: {gamma!r}")
+        return [d_set(lam, ()) for lam in shapes]
     if isinstance(beta, tuple) and beta[0] == "tri":
         if n != 4:
             raise ValueError("triality columns exist only at size 4")
         sign = "+" if beta[3] == "cw" else "-"
         if gamma == "triv":
-            out.add(d_set((4,), ()))
-            out.add(d_deg((2,), sign))
-        elif gamma == "sgn":
-            out.add(d_set((1, 1, 1, 1), ()))
-            out.add(d_deg((1, 1), sign))
-        else:
-            raise ValueError(f"bad D triality column character: {gamma!r}")
-        return out
+            return [d_set((4,), ()), d_deg((2,), sign)]
+        if gamma == "sgn":
+            return [d_set((1, 1, 1, 1), ()), d_deg((1, 1), sign)]
+        raise ValueError(f"bad D triality column character: {gamma!r}")
     raise ValueError(f"bad D column: {beta!r}")

@@ -23,15 +23,17 @@ enumerate_indices read it from one bounded cache keyed by (type, columns,
 relation), which a walk fills for the whole orbit; only the least member
 is built as an index.  equivalence_orbit walks without the cache and
 builds every member.
+
+Each column's character is built once into one bounded cache and shared,
+since characters are immutable: character_of_index returns it unchanged
+for an index with one nonempty column.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
-from functools import cache
+from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
 from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
@@ -513,45 +515,41 @@ def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
 # --- characters ----------------------------------------------------------------
 
 
-@cache
-def _column_coeffs(ctype: str, column: tuple, induced: bool) -> Mapping:
-    """Read-only {label: coefficient} of one column's character, built once.
+# (type, column, induced) keys: at most 69 per classify at SEARCH_CAPS, both
+# relations (B8); 257 for the sweep A1-A16, B1-B8, D3-D8 in one process
+COLUMN_CHAR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=COLUMN_CHAR_CACHE_SIZE)
+def _column(ctype: str, column: tuple, induced: bool) -> VirtualCharacter:
+    """One column's character, built once and shared.
 
     With `induced`, the symmetric block column of a type B or D index,
     induced up to the whole group; in type D a negative size induces from
     the diamond image of S_n.
     """
     if not induced:
-        return MappingProxyType(column_char(ctype, column).coeffs)
+        return column_char(ctype, column)
     alpha, beta, gamma = column
     inner = column_char("A", (abs(alpha), beta, gamma))
     if ctype == "B":
-        chi = ind_A_to_B(inner)
-    else:
-        chi = ind_A_to_D(inner, "minus" if alpha < 0 else "plus")
-    return MappingProxyType(chi.coeffs)
-
-
-def _column(ctype: str, column: tuple, induced: bool = False) -> VirtualCharacter:
-    """A new character holding a copy of the cached column coefficients."""
-    out = VirtualCharacter(ctype, abs(column[0]))
-    out.coeffs = dict(_column_coeffs(ctype, column, induced))
-    return out
+        return ind_A_to_B(inner)
+    return ind_A_to_D(inner, "minus" if alpha < 0 else "plus")
 
 
 def character_of_index(idx: ModelIndex) -> VirtualCharacter:
-    """The model character attached to an index, as a new value per call."""
+    """The model character attached to an index; one column's is shared."""
     check_valid(idx)
     ctype = idx.ctype
     if ctype == "A":
-        factors = [_column("A", col) for col in idx.columns if col[0] != 0]
+        factors = [_column("A", col, False) for col in idx.columns if col[0] != 0]
         out = factors[0]
         for f in factors[1:]:
             out = bullet("A", out, f)
         return out
     col0, col1 = idx.columns
-    chi0 = _column(ctype, col0) if col0[0] else None
-    chi1 = _column(ctype, col1, induced=True) if col1[0] else None
+    chi0 = _column(ctype, col0, False) if col0[0] else None
+    chi1 = _column(ctype, col1, True) if col1[0] else None
     if chi0 is None:
         return chi1
     if chi1 is None:

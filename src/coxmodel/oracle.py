@@ -990,17 +990,17 @@ def virtual_char_values(group: Group, chi):
 
 def decompose(group: Group, ctype: str, n: int, values):
     """Write a class-value vector in the labeled irreducible basis."""
-    out = VirtualCharacter(ctype, n)
+    terms = []
     residual = list(values)
     for lab, vec in _irr_table(group, ctype, n).items():
         c = inner_product(group, residual, vec)
         if c:
-            out.add(lab, c)
+            terms.append((lab, c))
             for i in range(len(residual)):
                 residual[i] -= c * vec[i]
     if any(residual):
         raise RuntimeError("decomposition left a residue")
-    return out
+    return VirtualCharacter(ctype, n, terms)
 
 
 # --- bridge from symbolic indexes to concrete triples --------------------------

@@ -56,11 +56,11 @@ def test_degenerate_degree_is_half_the_pair():
 
 def test_add_and_eq():
     f = VirtualCharacter("A", 3)
-    f.add((2, 1), 2)
-    f.add((2, 1), -1)
+    f = f.add((2, 1), 2)
+    f = f.add((2, 1), -1)
     g = char_of("A", (2, 1))
     assert f == g
-    f.add((2, 1), -1)
+    f = f.add((2, 1), -1)
     assert f.coeffs == {}
 
 
@@ -106,7 +106,7 @@ def test_b_mixed_twists():
 def test_is_multiplicity_free():
     f = char_of("A", (2, 1)).add((3,))
     assert is_multiplicity_free(f) is True
-    f.add((3,))
+    f = f.add((3,))
     assert is_multiplicity_free(f) is False
 
 
@@ -114,6 +114,56 @@ def test_format_parse_roundtrip():
     for ctype, n in [("A", 4), ("B", 3), ("D", 4)]:
         for lab in irr_universe(ctype, n):
             assert parse_label(ctype, format_label(ctype, lab)) == lab
+
+
+@pytest.mark.parametrize(
+    "ctype, text",
+    [("B", "x(1),(2)y"), ("B", "[(1),(2)]"), ("B", "(1),(2)"), ("B", "((1),(2)"), ("D", "(3)")],
+)
+def test_parse_label_rejects_malformed_text(ctype, text):
+    with pytest.raises(ValueError):
+        parse_label(ctype, text)
+
+
+def test_characters_are_immutable():
+    f = char_of("B", ((2,), (1,))).add(((1,), (2,)), 2)
+    for name, value in (("coeffs", {}), ("rank", 4), ("ctype", "D")):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    with pytest.raises(TypeError):
+        f.coeffs[((3,), ())] = 1
+    assert f == VirtualCharacter("B", 3, {((2,), (1,)): 1, ((1,), (2,)): 2})
+
+
+def test_add_returns_a_new_value_and_leaves_its_receiver():
+    f = char_of("A", (2, 1))
+    g = f.add((3,), 2)
+    assert g is not f
+    assert f == char_of("A", (2, 1)) and dict(f.coeffs) == {(2, 1): 1}
+    assert dict(g.coeffs) == {(2, 1): 1, (3,): 2}
+    assert dict(g.add((3,), -2).coeffs) == {(2, 1): 1}
+    assert dict(g.coeffs) == {(2, 1): 1, (3,): 2}
+
+
+def test_a_character_keeps_its_hash_as_a_dict_key():
+    f = char_of("D", d_deg((2,), "+")).add(d_set((3,), (1,)))
+    table = {f: "f"}
+    h = hash(f)
+    # both return new values and leave f as it was
+    f.add(d_set((3,), (1,)), 5)
+    twist(f, "diamond")
+    assert hash(f) == h
+    assert table[f] == "f"
+    assert table[char_of("D", d_set((3,), (1,))).add(d_deg((2,), "+"))] == "f"
+
+
+def test_the_constructor_sums_terms_and_drops_zeros():
+    f = VirtualCharacter("A", 3, [((3,), 1), ((2, 1), 2), ((3,), -1), ((1, 1, 1), 0)])
+    assert list(f.coeffs.items()) == [((2, 1), 2)]
+    with pytest.raises(ValueError):
+        VirtualCharacter("A", 3, [((2, 2), 1)])
 
 
 def test_label_sort_key_matches_universe_order():

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from coxmodel import induction as ind
 from coxmodel import model_index as mx
 from coxmodel.char_ring import is_multiplicity_free, twist
 from coxmodel.classification import SEARCH_CAPS, classify
@@ -251,6 +252,41 @@ def test_one_classify_at_the_caps_fits_the_orbit_cache(ctype, monkeypatch):
     assert 0 < len(mx._ORBIT_CACHE) < mx.ORBIT_CACHE_SIZE
 
 
+# the keys one classify at SEARCH_CAPS, both relations, touches per cache
+CLASSIFY_CACHE_KEYS = {
+    "A": {"_column": 51},
+    "B": {"_column": 69, "_bullet_b_labels": 314, "_inside": 15},
+    "D": {
+        "_column": 53,
+        "_bullet_b_labels": 306,
+        "_bullet_d_labels": 120,
+        "_inside": 13,
+        "_restricted_difference": 22,
+    },
+}
+
+
+@pytest.mark.parametrize("ctype", sorted(SEARCH_CAPS))
+def test_one_classify_at_the_caps_fits_the_character_caches(ctype, monkeypatch):
+    caches = {
+        "_column": mx._column,
+        "_bullet_b_labels": ind._bullet_b_labels,
+        "_bullet_d_labels": ind._bullet_d_labels,
+        "_inside": ind._inside,
+        "_restricted_difference": ind._restricted_difference,
+    }
+    for f in caches.values():
+        f.cache_clear()
+    monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
+    for relation in ("strong", "full"):
+        classify(ctype, SEARCH_CAPS[ctype], relation)
+    for name, f in caches.items():
+        info = f.cache_info()
+        # each miss is a new key, as long as nothing was evicted
+        assert info.misses == CLASSIFY_CACHE_KEYS[ctype].get(name, 0), name
+        assert info.misses < info.maxsize, name
+
+
 def test_a_full_orbit_cache_is_emptied_and_refilled(monkeypatch):
     monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
     monkeypatch.setattr(mx, "ORBIT_CACHE_SIZE", 10)
@@ -430,9 +466,9 @@ def test_normalize_returns_a_normal_index_itself():
     assert normalize(idx) == mi("D", (0, "id", "triv"), (-5, "id", "sgn"))
 
 
-def test_characters_are_new_values_over_the_column_cache():
-    # the column characters are cached; a caller that changes a returned
-    # character must not reach the cache or another index's character
+def test_cached_characters_cannot_be_changed():
+    # the column characters are cached and shared, so no caller may change
+    # one: not the cache, nor another index's character built on it
     # each first index is one column alone, which the second shares
     pairs = [
         (mi("A", (3, "id", "sgn")), mi("A", (3, "id", "sgn"), (2, "id", "triv"))),
@@ -444,11 +480,16 @@ def test_characters_are_new_values_over_the_column_cache():
     for first, second in pairs:
         chi = character_of_index(first)
         before, other = dict(chi.coeffs), character_of_index(second)
-        chi.coeffs.clear()
-        chi.add(next(iter(before)), 5)
-        assert character_of_index(first).coeffs == before
+        label = next(iter(before))
+        with pytest.raises(TypeError):
+            chi.coeffs[label] = 5
+        with pytest.raises(AttributeError):
+            chi.coeffs.clear()
+        with pytest.raises(AttributeError):
+            chi.coeffs = {}
+        assert chi.add(label, 5) != chi
+        assert character_of_index(first) == chi and dict(chi.coeffs) == before
         assert character_of_index(second) == other
-        assert character_of_index(first) is not character_of_index(first)
 
 
 def test_enumerate_returns_canonical_representatives():
