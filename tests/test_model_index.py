@@ -538,3 +538,18 @@ def test_column_generators_are_the_valid_normalized_spellings(ctype, n):
     assert len(set(raw)) == len(raw)
     want = {idx for idx in _spellings(ctype, n) if not validate(idx) and normalize(idx) == idx}
     assert set(raw) == want
+
+
+# the number of spellings validate accepts at each rank, pinned so that a
+# rewrite of the column rules keeps every verdict
+VALID_SPELLINGS = {
+    **dict(zip((("A", n) for n in range(6)), (0, 68, 152, 196, 872, 4228))),
+    **dict(zip((("B", n) for n in range(8)), (0, 40, 96, 160, 272, 360, 544, 672))),
+    **dict(zip((("D", n) for n in range(8)), (0, 64, 128, 160, 312, 296, 496, 464))),
+}
+
+
+@pytest.mark.parametrize("ctype,n", sorted(VALID_SPELLINGS))
+def test_validate_accepts_the_pinned_number_of_spellings(ctype, n):
+    valid = sum(1 for idx in _spellings(ctype, n) if not validate(idx))
+    assert valid == VALID_SPELLINGS[ctype, n]
