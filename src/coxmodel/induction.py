@@ -1,4 +1,4 @@
-"""Induction products, cross-type inductions, projections, column characters.
+"""Induction products, cross-type inductions, projections, column kinds.
 
 The three products are parabolic inductions of outer tensor products:
 type A from S_p x S_q, type B from B_p x B_q, type D from D_p x D_q.
@@ -10,6 +10,11 @@ type B, which must equal the B product of the inductions of the factors.
 Induction from S_n to even-rank D_n splits each degenerate pair by the
 difference character restricted to S_n (see char_ring), so every
 character built here is exact.
+
+The column kinds of the model-index notation live here too, in one table
+(COLUMN_KINDS): for each block, class and linear character, the block
+sizes that take it and the labels of its closed-form character.
+column_char reads it, and so does model_index.validate.
 """
 
 from __future__ import annotations
@@ -326,7 +331,19 @@ def project(kind: str, chi: VirtualCharacter) -> VirtualCharacter:
     return VirtualCharacter("A", chi.rank, terms)
 
 
-# --- closed-form column characters -----------------------------------------------
+# --- the column kinds -----------------------------------------------------------
+
+# A column (alpha, beta, gamma) of a model index lies in one of three blocks:
+# "A", a symmetric block (every type A column, and column 1 of types B and D
+# at |alpha|), or "B" or "D", the sign-change block of column 0.
+# COLUMN_KINDS maps (block, beta tag, gamma) to (fits, labels): fits(n, beta)
+# says whether a block of size n takes the column, and labels(n, beta) lists
+# the labels of its character, each once.  The tag of a class ("pq", p, q)
+# or ("tri", p, q, d) is ("pq",) or ("tri",), so no string symbol names one.
+_PQ, _TRI = ("pq",), ("tri",)
+
+# beta tags that name the same column as another tag of their block
+COLUMN_ALIASES = {**{(block, "idplus"): "id" for block in "ABD"}, ("A", "fpfplus"): "fpf"}
 
 
 def _one_row(n: int) -> Partition:
@@ -337,121 +354,99 @@ def _one_col(n: int) -> Partition:
     return (1,) * n
 
 
-def _gamma_a_label(n: int, gamma: str) -> Partition:
-    if gamma == "triv":
-        return _one_row(n)
-    if gamma == "sgn":
-        return _one_col(n)
-    raise ValueError(f"bad A column character: {gamma!r}")
+def _split(n: int, beta) -> bool:
+    """("pq", p, q): two nonempty parts that fill the block."""
+    return beta[1] > 0 and beta[2] > 0 and beta[1] + beta[2] == n
+
+
+def _d_split(n: int, beta) -> bool:
+    return n > 2 and _split(n, beta)
+
+
+def _triality(n: int, beta) -> bool:
+    return n == 4 and beta[1:3] in ((3, 1), (1, 3)) and beta[3] in ("cw", "ccw")
+
+
+def _two_rows(n: int, beta, transposed: bool = False) -> list[Partition]:
+    """The shapes (n - j, j), j = 0 .. min(p, q), of a split class, or
+    their transposes."""
+    shapes = [tuple(x for x in (n - j, j) if x > 0) for j in range(min(beta[1:]) + 1)]
+    return [pt.transpose(lam) for lam in shapes] if transposed else shapes
+
+
+def _b_split(n: int, beta, left: bool, transposed: bool) -> list:
+    """A split class's shapes as B labels, in the left or right component."""
+    return [(lam, ()) if left else ((), lam) for lam in _two_rows(n, beta, transposed)[::-1]]
+
+
+def _d_fpf(n: int, sign: str, rows: bool) -> list:
+    pairs, cores = (pt.erows_d, pt.erows) if rows else (pt.ecols_d, pt.ecols)
+    labels = [("set",) + pair for pair in pairs(n)]
+    if n % 4 == 0:
+        labels += (d_deg(core, sign) for core in cores(n // 2))
+    return labels
+
+
+def _tri_sign(beta) -> str:
+    return "+" if beta[3] == "cw" else "-"
+
+
+COLUMN_KINDS = {
+    ("A", "id", "triv"): (lambda n, b: True, lambda n, b: [_one_row(n)]),
+    ("A", "id", "sgn"): (lambda n, b: True, lambda n, b: [_one_col(n)]),
+    ("A", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: pt.erows(n)),
+    ("A", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: pt.ecols(n)),
+    ("B", "id", "triv"): (lambda n, b: True, lambda n, b: [(_one_row(n), ())]),
+    ("B", "id", "sgn"): (lambda n, b: True, lambda n, b: [((), _one_col(n))]),
+    ("B", "id", "pm"): (lambda n, b: n >= 2, lambda n, b: [(_one_col(n), ())]),
+    ("B", "id", "mp"): (lambda n, b: n >= 2, lambda n, b: [((), _one_row(n))]),
+    # the centralizer of a fixed-point-free class avoids the sign-change
+    # generator, where pm and mp would restrict to sgn and triv
+    ("B", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: pt.erows_b(n)),
+    ("B", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: pt.ecols_b(n)),
+    ("B", _PQ, "triv"): (_split, lambda n, b: _b_split(n, b, True, False)),
+    ("B", _PQ, "sgn"): (_split, lambda n, b: _b_split(n, b, False, True)),
+    ("B", _PQ, "pm"): (_split, lambda n, b: _b_split(n, b, True, True)),
+    ("B", _PQ, "mp"): (_split, lambda n, b: _b_split(n, b, False, False)),
+    ("D", "id", "triv"): (lambda n, b: n != 1, lambda n, b: [d_set(_one_row(n), ())]),
+    ("D", "id", "sgn"): (lambda n, b: n != 1, lambda n, b: [d_set(_one_col(n), ())]),
+    ("D", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "+", True)),
+    ("D", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "+", False)),
+    ("D", "fpfdiamond", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "-", True)),
+    ("D", "fpfdiamond", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "-", False)),
+    ("D", _PQ, "triv"): (_d_split, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b)]),
+    ("D", _PQ, "sgn"): (_d_split, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b, True)]),
+    ("D", _TRI, "triv"): (_triality, lambda n, b: [d_set((4,), ()), d_deg((2,), _tri_sign(b))]),
+    ("D", _TRI, "sgn"): (
+        _triality,
+        lambda n, b: [d_set((1, 1, 1, 1), ()), d_deg((1, 1), _tri_sign(b))],
+    ),
+    # Rank-2 groups are abelian: every class is central, its centralizer is
+    # everything, and the character is gamma itself.
+    **{
+        ("D", beta, gamma): (lambda n, b: n == 2, lambda n, b, sign=sign: [d_deg((1,), sign)])
+        for beta in ("id", "fpf", "fpfdiamond")
+        for gamma, sign in (("mp", "+"), ("pm", "-"))
+    },
+}
+
+
+def column_kind(block: str, column: tuple):
+    """The labels function of a column in its block ("A", "B" or "D"), or
+    None when the block has no such column."""
+    alpha, beta, gamma = column
+    tag = beta if isinstance(beta, str) else beta[:1]
+    kind = COLUMN_KINDS.get((block, COLUMN_ALIASES.get((block, tag), tag), gamma))
+    if kind is None or not kind[0](abs(alpha), beta):
+        return None
+    return kind[1]
 
 
 def column_char(ctype: str, column: tuple) -> VirtualCharacter:
-    """The closed-form character of a single model-index column."""
-    alpha, beta, gamma = column
-    n = abs(alpha)
-    if ctype == "A":
-        if beta in ("id", "idplus"):
-            labels = [_gamma_a_label(n, gamma)]
-        elif beta in ("fpf", "fpfplus"):
-            if n % 2 != 0:
-                raise ValueError(f"fpf column with odd size {n}")
-            labels = pt.erows(n) if gamma == "triv" else pt.ecols(n)
-        else:
-            raise ValueError(f"bad A column: {column!r}")
-    elif ctype == "B":
-        labels = _column_labels_b(n, beta, gamma)
-    elif ctype == "D":
-        labels = _column_labels_d(n, beta, gamma)
-    else:
-        raise ValueError(f"bad character type: {ctype!r}")
-    return VirtualCharacter(ctype, n, [(lab, 1) for lab in labels])
-
-
-def _column_labels_b(n: int, beta, gamma: str):
-    if beta in ("id", "idplus"):
-        label = {
-            "triv": (_one_row(n), ()),
-            "sgn": ((), _one_col(n)),
-            "pm": (_one_col(n), ()),
-            "mp": ((), _one_row(n)),
-        }.get(gamma)
-        if label is None:
-            raise ValueError(f"bad B column character: {gamma!r}")
-        return [label]
-    if beta == "fpf":
-        if n % 2 != 0:
-            raise ValueError(f"fpf column with odd size {n}")
-        # The centralizer avoids the sign-change generator, so the mixed
-        # linear characters restrict to triv/sgn and collapse onto them.
-        eff = {"triv": "triv", "mp": "triv", "sgn": "sgn", "pm": "sgn"}[gamma]
-        return pt.erows_b(n) if eff == "triv" else pt.ecols_b(n)
-    if isinstance(beta, tuple) and beta[0] == "pq":
-        p, q = beta[1], beta[2]
-        if p + q != n or p <= 0 or q <= 0:
-            raise ValueError(f"bad (p,q) column: {beta!r} at size {n}")
-        lo, hi = min(p, q), max(p, q)
-        shapes = [tuple(x for x in (hi + r, lo - r) if x > 0) for r in range(lo + 1)]
-        if gamma == "triv":
-            return [(lam, ()) for lam in shapes]
-        if gamma == "mp":
-            return [((), lam) for lam in shapes]
-        if gamma == "sgn":
-            return [((), pt.transpose(lam)) for lam in shapes]
-        if gamma == "pm":
-            return [(pt.transpose(lam), ()) for lam in shapes]
-        raise ValueError(f"bad B column character: {gamma!r}")
-    raise ValueError(f"bad B column: {beta!r}")
-
-
-def _column_labels_d(n: int, beta, gamma: str):
-    if n == 0:
-        raise ValueError("empty D columns have no character; skip them instead")
-    if beta in ("id", "idplus"):
-        if gamma == "triv":
-            return [d_set(_one_row(n), ())]
-        if gamma == "sgn":
-            return [d_set(_one_col(n), ())]
-        if gamma in ("pm", "mp"):
-            if n != 2:
-                raise ValueError("mixed D linear characters exist only at rank 2")
-            return [d_deg((1,), "+" if gamma == "mp" else "-")]
-        raise ValueError(f"bad D column character: {gamma!r}")
-    if beta in ("fpf", "fpfdiamond"):
-        if n % 2 != 0:
-            raise ValueError(f"fpf column with odd size {n}")
-        if n == 2 and gamma in ("pm", "mp"):
-            # Rank-2 groups are abelian: the class is central, the
-            # centralizer is everything, and the character is gamma itself.
-            return [d_deg((1,), "+" if gamma == "mp" else "-")]
-        sign = "+" if beta == "fpf" else "-"
-        if gamma == "triv":
-            pairs, cores = pt.erows_d(n), pt.erows
-        elif gamma == "sgn":
-            pairs, cores = pt.ecols_d(n), pt.ecols
-        else:
-            raise ValueError(f"bad D fpf column character: {gamma!r}")
-        labels = [("set",) + pair for pair in pairs]
-        if n % 4 == 0:
-            labels += (d_deg(core, sign) for core in cores(n // 2))
-        return labels
-    if isinstance(beta, tuple) and beta[0] == "pq":
-        p, q = beta[1], beta[2]
-        if p + q != n or p <= 0 or q <= 0:
-            raise ValueError(f"bad (p,q) column: {beta!r} at size {n}")
-        if gamma == "triv":
-            shapes = (tuple(x for x in (n - j, j) if x > 0) for j in range(min(p, q) + 1))
-        elif gamma == "sgn":
-            shapes = ((2,) * j + (1,) * (n - 2 * j) for j in range(min(p, q) + 1))
-        else:
-            raise ValueError(f"bad D (p,q) column character: {gamma!r}")
-        return [d_set(lam, ()) for lam in shapes]
-    if isinstance(beta, tuple) and beta[0] == "tri":
-        if n != 4:
-            raise ValueError("triality columns exist only at size 4")
-        sign = "+" if beta[3] == "cw" else "-"
-        if gamma == "triv":
-            return [d_set((4,), ()), d_deg((2,), sign)]
-        if gamma == "sgn":
-            return [d_set((1, 1, 1, 1), ()), d_deg((1, 1), sign)]
-        raise ValueError(f"bad D triality column character: {gamma!r}")
-    raise ValueError(f"bad D column: {beta!r}")
+    """The closed-form character of a single model-index column in the
+    block of its type."""
+    labels = column_kind(ctype, column)
+    if labels is None:
+        raise ValueError(f"no type {ctype} column {column!r}")
+    n = abs(column[0])
+    return VirtualCharacter(ctype, n, [(lab, 1) for lab in labels(n, column[1])])

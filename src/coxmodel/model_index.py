@@ -11,7 +11,10 @@ negative, meaning the diagram-flipped copy of the symmetric block.
 Beta symbols: "id", "idplus", "fpf", "fpfplus", "fpfdiamond",
 ("pq", p, q), ("tri", p, q, "cw"/"ccw").  Gamma symbols: "triv", "sgn",
 and for the sign-change block "pm" (positive on the leftmost generator)
-and "mp" (negative there).
+and "mp" (negative there).  Which (alpha, beta, gamma) a block takes is
+read from one table, induction.COLUMN_KINDS, which also gives each
+column's character; validate keeps only the rules of a whole index
+(column count, rank 0, signs of the sizes, the fpf floor of column 1).
 
 Two indexes are strongly equivalent when related by value-preserving
 rewrites, duality, or inner diagram symmetries; full equivalence also
@@ -36,10 +39,8 @@ from functools import lru_cache
 from itertools import product
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
-from .induction import bullet, column_char, ind_A_to_B, ind_A_to_D
+from .induction import bullet, column_char, column_kind, ind_A_to_B, ind_A_to_D
 
-A_BETAS = ("id", "idplus", "fpf", "fpfplus")
-D_BETAS = ("id", "idplus", "fpf", "fpfdiamond")
 A_GAMMAS = ("triv", "sgn")
 B_GAMMAS = ("triv", "sgn", "pm", "mp")
 
@@ -180,82 +181,39 @@ def _fpfish(beta) -> bool:
     return beta in ("fpf", "fpfplus", "fpfdiamond")
 
 
-def _validate_a_column(i, alpha, beta, gamma, two_col, problems):
-    if alpha < 0 or (alpha == 0 and not two_col):
-        problems.append(f"column {i}: bad block size {alpha}")
-        return
-    if beta not in A_BETAS:
-        problems.append(f"column {i}: bad symmetric block class {beta!r}")
-        return
-    if gamma not in A_GAMMAS:
-        problems.append(f"column {i}: bad symmetric block character {gamma!r}")
-    if alpha % 2 == 1 and _fpfish(beta):
-        problems.append(f"column {i}: fixed-point-free class needs even size")
-
-
 def validate(idx: ModelIndex) -> list[str]:
-    """Diagnostics for an index; empty list means valid."""
-    problems: list[str] = []
-    cols = idx.columns
-    if idx.ctype == "A":
+    """Diagnostics for an index; empty list means valid.
+
+    Which columns exist is read from induction's column-kind table; the
+    rules here are those of the whole index.
+    """
+    ctype, cols = idx.ctype, idx.columns
+    if ctype == "A":
         if not cols:
             return ["no columns"]
-        two_col = len(cols) == 2
-        for i, (a, b, g) in enumerate(cols):
-            _validate_a_column(i, a, b, g, two_col, problems)
-        if idx.rank == 0:
-            problems.append("index has rank 0")
-        return problems
-    if len(cols) != 2:
-        return [f"type {idx.ctype} indexes need exactly two columns"]
-    (a0, b0, g0), (a1, b1, g1) = cols
-    n = a0 + abs(a1)
-    if n == 0:
-        return ["index has rank 0"]
-    if idx.ctype == "B":
-        if a0 < 0 or a1 < 0:
-            problems.append("negative block size")
-            return problems
-        if isinstance(b0, tuple) and b0[0] == "pq":
-            p, q = b0[1], b0[2]
-            if p <= 0 or q <= 0 or p + q != a0:
-                problems.append(f"column 0: bad split class {b0!r} at size {a0}")
-        elif b0 not in ("id", "idplus", "fpf"):
-            problems.append(f"column 0: bad sign-block class {b0!r}")
-        elif b0 == "fpf" and a0 % 2 == 1:
-            problems.append("column 0: fixed-point-free class needs even size")
-        if g0 not in B_GAMMAS:
-            problems.append(f"column 0: bad character {g0!r}")
-        elif g0 in ("pm", "mp") and (a0 <= 1 or b0 == "fpf"):
-            problems.append("column 0: mixed character needs size >= 2 and a non-fpf class")
-        _validate_a_column(1, a1, b1, g1, True, problems)
-        if _fpfish(b1) and a1 < 4:
+        blocks = "A" * len(cols)
+    elif len(cols) != 2:
+        return [f"type {ctype} indexes need exactly two columns"]
+    else:
+        blocks = ctype + "A"
+    problems, rank = [], 0
+    for i, (block, col) in enumerate(zip(blocks, cols)):
+        a = col[0]
+        rank += abs(a)
+        if a < 0 and (ctype, i) != ("D", 1):
+            problems.append(f"column {i}: negative block size {a}")
+        elif a == 0 and ctype == "A" and len(cols) != 2:
+            problems.append(f"column {i}: empty block outside the two-column form")
+        elif column_kind(block, col) is None:
+            problems.append(f"column {i}: no {block} block column {col!r}")
+    if ctype != "A":
+        (a0, _, _), (a1, b1, _) = cols
+        if a1 < 0 and a0 != 0:
+            problems.append("column 1: flipped block must be the whole diagram")
+        if _fpfish(b1) and abs(a1) < 4:
             problems.append("column 1: fixed-point-free class needs size >= 4")
-        return problems
-    # type D
-    if a0 < 0 or a0 == 1:
-        problems.append(f"column 0: bad block size {a0}")
-    if a1 < 0 and (abs(a1) != n or a0 != 0):
-        problems.append("column 1: flipped block must be the whole diagram")
-    if isinstance(b0, tuple) and b0[0] == "pq":
-        p, q = b0[1], b0[2]
-        if p <= 0 or q <= 0 or p + q != a0 or a0 <= 2:
-            problems.append(f"column 0: bad split class {b0!r} at size {a0}")
-    elif isinstance(b0, tuple) and b0[0] == "tri":
-        p, q = b0[1], b0[2]
-        if a0 != 4 or (p, q) not in ((3, 1), (1, 3)) or b0[3] not in ("cw", "ccw"):
-            problems.append(f"column 0: bad triality class {b0!r}")
-    elif b0 not in D_BETAS:
-        problems.append(f"column 0: bad sign-block class {b0!r}")
-    elif _fpfish(b0) and a0 % 2 == 1:
-        problems.append("column 0: fixed-point-free class needs even size")
-    if g0 not in B_GAMMAS:
-        problems.append(f"column 0: bad character {g0!r}")
-    elif g0 in ("pm", "mp") and a0 != 2:
-        problems.append("column 0: mixed character exists only at size 2")
-    _validate_a_column(1, abs(a1), b1, g1, True, problems)
-    if _fpfish(b1) and abs(a1) < 4:
-        problems.append("column 1: fixed-point-free class needs size >= 4")
+    if rank == 0:
+        problems.append("index has rank 0")
     return problems
 
 
@@ -530,11 +488,10 @@ def _column(ctype: str, column: tuple, induced: bool) -> VirtualCharacter:
     """
     if not induced:
         return column_char(ctype, column)
-    alpha, beta, gamma = column
-    inner = column_char("A", (abs(alpha), beta, gamma))
+    inner = column_char("A", column)
     if ctype == "B":
         return ind_A_to_B(inner)
-    return ind_A_to_D(inner, "minus" if alpha < 0 else "plus")
+    return ind_A_to_D(inner, "minus" if column[0] < 0 else "plus")
 
 
 def character_of_index(idx: ModelIndex) -> VirtualCharacter:

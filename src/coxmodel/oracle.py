@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import compress, permutations, product, repeat
+from itertools import chain, compress, permutations, product, repeat
 from operator import add, eq, mul
 from types import MappingProxyType
 
@@ -507,13 +507,42 @@ def build_group(kind: str, n: int = 0) -> Group:
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
+def _order_passes(kind: str, n: int, cap: int) -> bool:
+    """Whether the order of the group of one kind and rank passes `cap`.
+
+    The orders are n!, 2^n n!, 2^(n-1) n!, 2m and 120.  The product stops
+    as soon as it passes the cap, so a huge rank costs nothing.
+    """
+    factors = {
+        "symA": range(2, n + 1),
+        "symB": chain(repeat(2, n), range(2, n + 1)),
+        "symD": chain(repeat(2, n - 1), range(2, n + 1)),
+        "dihedral": (2 * n,),
+        "h3": (120,),
+    }.get(kind, ())
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            break
+    return order > cap
+
+
 _GROUP_CACHE: dict = {}
 
 
 def get_group(kind: str, n: int = 0) -> Group:
-    """The group of one kind and rank, built once; H3 has one rank only."""
+    """The group of one kind and rank, built once; H3 has one rank only.
+
+    A group whose order passes the element cap is refused before it is
+    built; the BFS checks the cap again as it goes.
+    """
     key = (kind, 0 if kind == "h3" else n)
     if key not in _GROUP_CACHE:
+        cap = oracle_cap()
+        if _order_passes(kind, n, cap):
+            name = f"dihedral{n}" if kind == "dihedral" else kind
+            raise CapExceeded(f"group {name} exceeds cap {cap}")
         _GROUP_CACHE[key] = build_group(kind, n)
     return _GROUP_CACHE[key]
 

@@ -10,7 +10,7 @@ All enumeration functions return labels in a deterministic canonical order
 output is stable across runs.
 """
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator
 
@@ -70,7 +70,12 @@ def contains(big: Partition, small: Partition) -> bool:
     return all(small[i] <= big[i] for i in range(len(small)))
 
 
-@cache
+# (n, max_part) keys: 111 per classify at SEARCH_CAPS (A16), 153 for the
+# sweep A1-A16, B1-B8, D3-D8 in one process, 253 for every n <= 21
+PARTITIONS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, grevlex order."""
     if n < 0:
@@ -141,7 +146,13 @@ def unordered_pair(lam: Partition, mu: Partition) -> BiPartition:
     return (lam, mu) if lam > mu else (mu, lam)
 
 
-@cache
+# The label families below are keyed by size alone, so this holds every
+# size up to 63.  The keys one classify at SEARCH_CAPS touches are beside
+# each; the sweep A1-A16, B1-B8, D3-D8 touches at most 13 (erows).
+FAMILY_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 1 per classify (D8)
 def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
     """Unordered pairs {lam, mu} of distinct partitions with |lam| + |mu| = n.
 
@@ -155,13 +166,13 @@ def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
 # --- filtered families ------------------------------------------------------
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 9 per classify (B8, D8)
 def erows(n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts even."""
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == 0)
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 7 per classify (A16)
 def ecols(n: int) -> tuple[Partition, ...]:
     out = [transpose(p) for p in erows(n)]
     return tuple(sorted(out, key=sort_key))
@@ -174,7 +185,7 @@ def orows(n: int, q: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == q)
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 4 per classify (B8)
 def erows_b(n: int) -> tuple[BiPartition, ...]:
     """Bipartitions of n where both components have all even parts."""
     return tuple(
@@ -182,7 +193,7 @@ def erows_b(n: int) -> tuple[BiPartition, ...]:
     )
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 4 per classify (B8)
 def ecols_b(n: int) -> tuple[BiPartition, ...]:
     out = [(transpose(lam), transpose(mu)) for lam, mu in erows_b(n)]
     # `bipartitions_of` order: on partitions of one weight, `partitions_of`
@@ -190,13 +201,13 @@ def ecols_b(n: int) -> tuple[BiPartition, ...]:
     return tuple(sorted(out, key=lambda bp: (sum(bp[0]), bp), reverse=True))
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 3 per classify (D8)
 def erows_d(n: int) -> tuple[BiPartition, ...]:
     """Unordered bipartitions {lam, mu} of n, lam != mu, all parts even."""
     return tuple(unordered_pair(*bp) for bp in erows_b(n) if _heavier_first(*bp))
 
 
-@cache
+@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 3 per classify (D8)
 def ecols_d(n: int) -> tuple[BiPartition, ...]:
     return tuple(unordered_pair(*bp) for bp in ecols_b(n) if _heavier_first(*bp))
 

@@ -271,6 +271,29 @@ def test_the_element_cap_admits_a_group_of_its_size(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "cap exceeded: group symB exceeds cap 47\n")
 
 
+@pytest.mark.parametrize(
+    "ctype,rank,kind",
+    [
+        ("A", "10", "symA"),
+        ("A", "200", "symA"),
+        ("B", "9", "symB"),
+        ("D", "10", "symD"),
+        ("I2", "10000000", "dihedral10000000"),
+    ],
+)
+def test_the_cap_refuses_a_group_by_its_order_before_building_it(
+    capsys, monkeypatch, ctype, rank, kind
+):
+    def no_build(*args):
+        raise RuntimeError("a group past the cap was built")
+
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.delenv("COXMODEL_ORACLE_CAP", raising=False)
+    monkeypatch.setattr(oc.Group, "__init__", no_build)
+    code, out, err = invoke(capsys, "oracle", "classes", "--type", ctype, "--rank", rank)
+    assert (code, out, err) == (3, "", f"cap exceeded: group {kind} exceeds cap 1000000\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
 def test_a_bad_element_cap_exits_1(capsys, monkeypatch, value):
     monkeypatch.setattr(oc, "_GROUP_CACHE", {})

@@ -7,14 +7,13 @@ import pytest
 
 from coxmodel import induction as ind
 from coxmodel import model_index as mx
+from coxmodel import partitions as pt
 from coxmodel.char_ring import is_multiplicity_free, twist
 from coxmodel.classification import SEARCH_CAPS, classify
 from coxmodel.induction import bullet, column_char, project
 from coxmodel.model_index import (
-    A_BETAS,
     A_GAMMAS,
     B_GAMMAS,
-    D_BETAS,
     ModelIndex,
     canonical_form,
     _a_column_options,
@@ -254,16 +253,42 @@ def test_one_classify_at_the_caps_fits_the_orbit_cache(ctype, monkeypatch):
 
 # the keys one classify at SEARCH_CAPS, both relations, touches per cache
 CLASSIFY_CACHE_KEYS = {
-    "A": {"_column": 51},
-    "B": {"_column": 69, "_bullet_b_labels": 314, "_inside": 15},
+    "A": {"_column": 51, "partitions_of": 111, "erows": 7, "ecols": 7},
+    "B": {
+        "_column": 69,
+        "_bullet_b_labels": 314,
+        "_inside": 15,
+        "partitions_of": 45,
+        "erows": 9,
+        "erows_b": 4,
+        "ecols_b": 4,
+    },
     "D": {
         "_column": 53,
         "_bullet_b_labels": 306,
         "_bullet_d_labels": 120,
         "_inside": 13,
         "_restricted_difference": 22,
+        "partitions_of": 45,
+        "unordered_bipartitions_of": 1,
+        "erows": 9,
+        "ecols": 2,
+        "erows_b": 3,
+        "ecols_b": 3,
+        "erows_d": 3,
+        "ecols_d": 3,
     },
 }
+PARTITION_CACHES = (
+    "partitions_of",
+    "unordered_bipartitions_of",
+    "erows",
+    "ecols",
+    "erows_b",
+    "ecols_b",
+    "erows_d",
+    "ecols_d",
+)
 
 
 @pytest.mark.parametrize("ctype", sorted(SEARCH_CAPS))
@@ -274,6 +299,7 @@ def test_one_classify_at_the_caps_fits_the_character_caches(ctype, monkeypatch):
         "_bullet_d_labels": ind._bullet_d_labels,
         "_inside": ind._inside,
         "_restricted_difference": ind._restricted_difference,
+        **{name: getattr(pt, name) for name in PARTITION_CACHES},
     }
     for f in caches.values():
         f.cache_clear()
@@ -497,6 +523,12 @@ def test_enumerate_returns_canonical_representatives():
         assert canonical_form(idx, "strong") == idx
 
 
+# every beta symbol of the index notation, written out here rather than read
+# from the column-kind table that validate consults
+A_BETAS = ("id", "idplus", "fpf", "fpfplus")
+D_BETAS = ("id", "idplus", "fpf", "fpfdiamond")
+
+
 def _spellings(ctype, n):
     """Every rank-n index over the symbols: the sign block takes every beta
     (with all pq splits and triality rotations) and every gamma, the
@@ -553,3 +585,35 @@ VALID_SPELLINGS = {
 def test_validate_accepts_the_pinned_number_of_spellings(ctype, n):
     valid = sum(1 for idx in _spellings(ctype, n) if not validate(idx))
     assert valid == VALID_SPELLINGS[ctype, n]
+
+
+def _column_char_args(idx):
+    """The column_char arguments of the nonempty columns of an index: the
+    symmetric column of a type B or D index is read in type A at |alpha|.
+    A size-0 column names no generators, and character_of_index skips it."""
+    if idx.ctype == "A":
+        args = [("A", col) for col in idx.columns]
+    else:
+        col0, (a1, b1, g1) = idx.columns
+        args = [(idx.ctype, col0), ("A", (abs(a1), b1, g1))]
+    return [(ctype, col) for ctype, col in args if col[0] != 0]
+
+
+def _takes(ctype, col) -> bool:
+    try:
+        column_char(ctype, col)
+    except ValueError:
+        return False
+    return True
+
+
+def test_column_char_takes_exactly_the_columns_of_valid_indexes():
+    spelled, valid = set(), set()
+    ranks = [*(("A", n) for n in range(1, 6)), *((t, n) for t in "BD" for n in range(1, 8))]
+    for ctype, n in ranks:
+        for idx in _spellings(ctype, n):
+            args = _column_char_args(idx)
+            spelled.update(args)
+            if not validate(idx):
+                valid.update(args)
+    assert {args for args in spelled if _takes(*args)} == valid

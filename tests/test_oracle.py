@@ -1,10 +1,12 @@
 """Brute-force group computations used to cross-check the symbolic layer."""
 
+import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from coxmodel import induction
 from coxmodel import oracle as oc
 from coxmodel.classification import search_perfect_models
 from coxmodel.cli import run
@@ -808,3 +810,34 @@ def test_all_triples_decode_only_the_class_minima(kind, n, monkeypatch):
             for sigma in oc.linear_characters(sub):
                 want.append({"J": gen_ids, "min": cls["min"], "theta": cls["theta"], "sigma": sigma})
     assert triples == want
+
+
+def test_the_oracle_never_names_the_column_kind_table():
+    # the oracle's sign blocks are the independent side of every index check,
+    # so they must not be read from the table that validate and column_char share
+    table = {"COLUMN_KINDS", "COLUMN_ALIASES", "column_kind"}
+    assert table <= set(vars(induction))
+    tree = ast.parse(Path(oc.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert not named & table
+
+
+@pytest.mark.parametrize(
+    "kind,ranks",
+    [("symA", range(1, 8)), ("symB", range(1, 6)), ("symD", range(2, 7)),
+     ("dihedral", range(2, 9)), ("h3", [3])],
+)
+def test_the_order_formula_is_the_order_the_group_walk_finds(kind, ranks):
+    for n in ranks:
+        order = get_group(kind, n).order
+        assert not oc._order_passes(kind, n, order), (kind, n)
+        assert oc._order_passes(kind, n, order - 1), (kind, n)
