@@ -12,9 +12,10 @@ difference character restricted to S_n (see char_ring), so every
 character built here is exact.
 
 The column kinds of the model-index notation live here too, in one table
-(COLUMN_KINDS): for each block, class and linear character, the block
-sizes that take it and the labels of its closed-form character.
-column_char reads it, and so does model_index.validate.
+(COLUMN_KINDS): for each block, class and linear character, the beta
+symbols a block of each size takes and the labels of its closed-form
+character.  column_kind reads it for column_char and model_index.validate,
+and columns_of spells it out for the enumerator of model_index.
 """
 
 from __future__ import annotations
@@ -336,13 +337,15 @@ def project(kind: str, chi: VirtualCharacter) -> VirtualCharacter:
 # A column (alpha, beta, gamma) of a model index lies in one of three blocks:
 # "A", a symmetric block (every type A column, and column 1 of types B and D
 # at |alpha|), or "B" or "D", the sign-change block of column 0.
-# COLUMN_KINDS maps (block, beta tag, gamma) to (fits, labels): fits(n, beta)
-# says whether a block of size n takes the column, and labels(n, beta) lists
-# the labels of its character, each once.  The tag of a class ("pq", p, q)
-# or ("tri", p, q, d) is ("pq",) or ("tri",), so no string symbol names one.
+# COLUMN_KINDS maps (block, beta tag, gamma) to (betas, labels): betas(n)
+# lists the beta symbols of the tag that a block of size n takes, betas(n,
+# near) only those that could equal near (a lookup costs the same at any
+# size), and labels(n, beta) the labels of the column's character, once each.
+# The tag of a class ("pq", p, q) or ("tri", p, q, d) is ("pq",) or
+# ("tri",), so no string symbol names one.
 _PQ, _TRI = ("pq",), ("tri",)
 
-# beta tags that name the same column as another tag of their block
+# beta symbols that name the same column as another symbol of their block
 COLUMN_ALIASES = {**{(block, "idplus"): "id" for block in "ABD"}, ("A", "fpfplus"): "fpf"}
 
 
@@ -354,17 +357,33 @@ def _one_col(n: int) -> Partition:
     return (1,) * n
 
 
-def _split(n: int, beta) -> bool:
+def _only(beta: str, fits=lambda n: True):
+    """The betas of a string symbol: the symbol itself at the sizes that fit."""
+    return lambda n, near=None, beta=beta, fits=fits: (beta,) if fits(n) else ()
+
+
+# the betas of the string symbols, each built once for every entry it serves
+_ID = _only("id")
+_ID_FROM_2 = _only("id", lambda n: n >= 2)
+_ID_BUT_1 = _only("id", lambda n: n != 1)
+_AT_2 = {beta: _only(beta, lambda n: n == 2) for beta in ("id", "fpf", "fpfdiamond")}
+_FPF = _only("fpf", lambda n: n % 2 == 0)
+_FPF_DIAMOND = _only("fpfdiamond", lambda n: n % 2 == 0)
+
+
+def _splits(n: int, near=None) -> tuple:
     """("pq", p, q): two nonempty parts that fill the block."""
-    return beta[1] > 0 and beta[2] > 0 and beta[1] + beta[2] == n
+    ps = range(1, n) if near is None else [p for p in near[1:2] if 0 < p < n]
+    return tuple(("pq", p, n - p) for p in ps)
 
 
-def _d_split(n: int, beta) -> bool:
-    return n > 2 and _split(n, beta)
+def _d_splits(n: int, near=None) -> tuple:
+    return _splits(n, near) if n > 2 else ()
 
 
-def _triality(n: int, beta) -> bool:
-    return n == 4 and beta[1:3] in ((3, 1), (1, 3)) and beta[3] in ("cw", "ccw")
+def _trialities(n: int, near=None) -> tuple:
+    rotations = (("tri", p, q, d) for p, q in ((3, 1), (1, 3)) for d in ("cw", "ccw"))
+    return tuple(rotations) if n == 4 else ()
 
 
 def _two_rows(n: int, beta, transposed: bool = False) -> list[Partition]:
@@ -392,40 +411,40 @@ def _tri_sign(beta) -> str:
 
 
 COLUMN_KINDS = {
-    ("A", "id", "triv"): (lambda n, b: True, lambda n, b: [_one_row(n)]),
-    ("A", "id", "sgn"): (lambda n, b: True, lambda n, b: [_one_col(n)]),
-    ("A", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: pt.erows(n)),
-    ("A", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: pt.ecols(n)),
-    ("B", "id", "triv"): (lambda n, b: True, lambda n, b: [(_one_row(n), ())]),
-    ("B", "id", "sgn"): (lambda n, b: True, lambda n, b: [((), _one_col(n))]),
-    ("B", "id", "pm"): (lambda n, b: n >= 2, lambda n, b: [(_one_col(n), ())]),
-    ("B", "id", "mp"): (lambda n, b: n >= 2, lambda n, b: [((), _one_row(n))]),
+    ("A", "id", "triv"): (_ID, lambda n, b: [_one_row(n)]),
+    ("A", "id", "sgn"): (_ID, lambda n, b: [_one_col(n)]),
+    ("A", "fpf", "triv"): (_FPF, lambda n, b: pt.erows(n)),
+    ("A", "fpf", "sgn"): (_FPF, lambda n, b: pt.ecols(n)),
+    ("B", "id", "triv"): (_ID, lambda n, b: [(_one_row(n), ())]),
+    ("B", "id", "sgn"): (_ID, lambda n, b: [((), _one_col(n))]),
+    ("B", "id", "pm"): (_ID_FROM_2, lambda n, b: [(_one_col(n), ())]),
+    ("B", "id", "mp"): (_ID_FROM_2, lambda n, b: [((), _one_row(n))]),
     # the centralizer of a fixed-point-free class avoids the sign-change
     # generator, where pm and mp would restrict to sgn and triv
-    ("B", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: pt.erows_b(n)),
-    ("B", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: pt.ecols_b(n)),
-    ("B", _PQ, "triv"): (_split, lambda n, b: _b_split(n, b, True, False)),
-    ("B", _PQ, "sgn"): (_split, lambda n, b: _b_split(n, b, False, True)),
-    ("B", _PQ, "pm"): (_split, lambda n, b: _b_split(n, b, True, True)),
-    ("B", _PQ, "mp"): (_split, lambda n, b: _b_split(n, b, False, False)),
-    ("D", "id", "triv"): (lambda n, b: n != 1, lambda n, b: [d_set(_one_row(n), ())]),
-    ("D", "id", "sgn"): (lambda n, b: n != 1, lambda n, b: [d_set(_one_col(n), ())]),
-    ("D", "fpf", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "+", True)),
-    ("D", "fpf", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "+", False)),
-    ("D", "fpfdiamond", "triv"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "-", True)),
-    ("D", "fpfdiamond", "sgn"): (lambda n, b: n % 2 == 0, lambda n, b: _d_fpf(n, "-", False)),
-    ("D", _PQ, "triv"): (_d_split, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b)]),
-    ("D", _PQ, "sgn"): (_d_split, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b, True)]),
-    ("D", _TRI, "triv"): (_triality, lambda n, b: [d_set((4,), ()), d_deg((2,), _tri_sign(b))]),
+    ("B", "fpf", "triv"): (_FPF, lambda n, b: pt.erows_b(n)),
+    ("B", "fpf", "sgn"): (_FPF, lambda n, b: pt.ecols_b(n)),
+    ("B", _PQ, "triv"): (_splits, lambda n, b: _b_split(n, b, True, False)),
+    ("B", _PQ, "sgn"): (_splits, lambda n, b: _b_split(n, b, False, True)),
+    ("B", _PQ, "pm"): (_splits, lambda n, b: _b_split(n, b, True, True)),
+    ("B", _PQ, "mp"): (_splits, lambda n, b: _b_split(n, b, False, False)),
+    ("D", "id", "triv"): (_ID_BUT_1, lambda n, b: [d_set(_one_row(n), ())]),
+    ("D", "id", "sgn"): (_ID_BUT_1, lambda n, b: [d_set(_one_col(n), ())]),
+    ("D", "fpf", "triv"): (_FPF, lambda n, b: _d_fpf(n, "+", True)),
+    ("D", "fpf", "sgn"): (_FPF, lambda n, b: _d_fpf(n, "+", False)),
+    ("D", "fpfdiamond", "triv"): (_FPF_DIAMOND, lambda n, b: _d_fpf(n, "-", True)),
+    ("D", "fpfdiamond", "sgn"): (_FPF_DIAMOND, lambda n, b: _d_fpf(n, "-", False)),
+    ("D", _PQ, "triv"): (_d_splits, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b)]),
+    ("D", _PQ, "sgn"): (_d_splits, lambda n, b: [d_set(lam, ()) for lam in _two_rows(n, b, True)]),
+    ("D", _TRI, "triv"): (_trialities, lambda n, b: [d_set((4,), ()), d_deg((2,), _tri_sign(b))]),
     ("D", _TRI, "sgn"): (
-        _triality,
+        _trialities,
         lambda n, b: [d_set((1, 1, 1, 1), ()), d_deg((1, 1), _tri_sign(b))],
     ),
     # Rank-2 groups are abelian: every class is central, its centralizer is
     # everything, and the character is gamma itself.
     **{
-        ("D", beta, gamma): (lambda n, b: n == 2, lambda n, b, sign=sign: [d_deg((1,), sign)])
-        for beta in ("id", "fpf", "fpfdiamond")
+        ("D", beta, gamma): (betas, lambda n, b, sign=sign: [d_deg((1,), sign)])
+        for beta, betas in _AT_2.items()
         for gamma, sign in (("mp", "+"), ("pm", "-"))
     },
 }
@@ -435,18 +454,30 @@ def column_kind(block: str, column: tuple):
     """The labels function of a column in its block ("A", "B" or "D"), or
     None when the block has no such column."""
     alpha, beta, gamma = column
-    tag = beta if isinstance(beta, str) else beta[:1]
-    kind = COLUMN_KINDS.get((block, COLUMN_ALIASES.get((block, tag), tag), gamma))
-    if kind is None or not kind[0](abs(alpha), beta):
+    if isinstance(beta, str):
+        beta = tag = COLUMN_ALIASES.get((block, beta), beta)
+    else:
+        tag = beta[:1]
+    kind = COLUMN_KINDS.get((block, tag, gamma))
+    if kind is None or beta not in kind[0](abs(alpha), beta):
         return None
     return kind[1]
 
 
+def columns_of(block: str, alpha: int) -> list:
+    """Every column of size alpha that column_kind takes in the block, each
+    alias spelled too; a negative alpha is read at |alpha|."""
+    kinds = [(gamma, betas) for (b, _, gamma), (betas, _) in COLUMN_KINDS.items() if b == block]
+    spelled = [(alpha, beta, gamma) for gamma, betas in kinds for beta in betas(abs(alpha))]
+    aliases = [(alias, target) for (b, alias), target in COLUMN_ALIASES.items() if b == block]
+    return spelled + [(alpha, a, g) for a, t in aliases for _, beta, g in spelled if beta == t]
+
+
 def column_char(ctype: str, column: tuple) -> VirtualCharacter:
-    """The closed-form character of a single model-index column in the
-    block of its type."""
-    labels = column_kind(ctype, column)
+    """The closed-form character of one nonempty model-index column in the
+    block of its type (a size-0 column names no generators)."""
+    n = abs(column[0])
+    labels = column_kind(ctype, column) if n else None
     if labels is None:
         raise ValueError(f"no type {ctype} column {column!r}")
-    n = abs(column[0])
     return VirtualCharacter(ctype, n, [(lab, 1) for lab in labels(n, column[1])])

@@ -26,15 +26,22 @@ a conjugate request reads it with transposed keys, in key order again.
 """
 
 from collections.abc import Mapping
-from functools import cache
+from functools import lru_cache
 from math import comb
 from operator import add
 from types import MappingProxyType
 
 from .partitions import Partition, contains, standard_tableau_count, transpose
 
+# Keys per cache, _grow / _transposed / lr_expand: at most 128 / 123 / 273 for
+# one classify at SEARCH_CAPS, both relations (A16); 462 / 442 / 986 for the
+# sweep A1-A16, B1-B8, D3-D8 in one process; 297 / 292 / 1,174 for one lr-table pass.
+GROW_CACHE_SIZE = 1024  # _grow and _transposed
+EXPAND_CACHE_SIZE = 4096
+COEFFICIENT_CACHE_SIZE = 1024  # `lr --nu` and library callers; no classify calls it
 
-@cache
+
+@lru_cache(maxsize=GROW_CACHE_SIZE)
 def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """The LR tableaux of content mu grown on lam, counted by outer shape.
 
@@ -104,13 +111,13 @@ def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     return MappingProxyType(dict(sorted(found.items(), reverse=True)))
 
 
-@cache
+@lru_cache(maxsize=GROW_CACHE_SIZE)
 def _transposed(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     terms = ((transpose(nu), c) for nu, c in _grow(lam, mu).items())
     return MappingProxyType(dict(sorted(terms, reverse=True)))
 
 
-@cache
+@lru_cache(maxsize=EXPAND_CACHE_SIZE)
 def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """{nu: c^nu_{lam,mu}}, read-only, keys in `partitions_of` order."""
     lc, mc = transpose(lam), transpose(mu)
@@ -121,7 +128,7 @@ def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     return (_transposed if conjugate else _grow)(base, content)
 
 
-@cache
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,mu}."""
     # A caller may ask for any lam and mu of |nu| (`lr --nu`, library code);

@@ -15,6 +15,7 @@ and "mp" (negative there).  Which (alpha, beta, gamma) a block takes is
 read from one table, induction.COLUMN_KINDS, which also gives each
 column's character; validate keeps only the rules of a whole index
 (column count, rank 0, signs of the sizes, the fpf floor of column 1).
+The enumerator spells each block's columns from that table, keeping the normal ones.
 
 Two indexes are strongly equivalent when related by value-preserving
 rewrites, duality, or inner diagram symmetries; full equivalence also
@@ -29,7 +30,8 @@ builds every member.
 
 Each column's character is built once into one bounded cache and shared,
 since characters are immutable: character_of_index returns it unchanged
-for an index with one nonempty column.
+for an index with one nonempty column.  character_of_index checks its
+index; the multiplicity-free filter skips the check on the enumerator's.
 """
 
 from __future__ import annotations
@@ -39,10 +41,7 @@ from functools import lru_cache
 from itertools import product
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
-from .induction import bullet, column_char, column_kind, ind_A_to_B, ind_A_to_D
-
-A_GAMMAS = ("triv", "sgn")
-B_GAMMAS = ("triv", "sgn", "pm", "mp")
+from .induction import bullet, column_char, column_kind, columns_of, ind_A_to_B, ind_A_to_D
 
 _BETA_ORDER = {"id": 0, "idplus": 1, "fpf": 2, "fpfplus": 3, "fpfdiamond": 4}
 _GAMMA_ORDER = {"triv": 0, "sgn": 1, "pm": 2, "mp": 3}
@@ -497,14 +496,18 @@ def _column(ctype: str, column: tuple, induced: bool) -> VirtualCharacter:
 def character_of_index(idx: ModelIndex) -> VirtualCharacter:
     """The model character attached to an index; one column's is shared."""
     check_valid(idx)
-    ctype = idx.ctype
+    return _character(idx.ctype, idx.columns)
+
+
+def _character(ctype: str, cols: tuple) -> VirtualCharacter:
+    """character_of_index on the columns of a valid index, unchecked."""
     if ctype == "A":
-        factors = [_column("A", col, False) for col in idx.columns if col[0] != 0]
+        factors = [_column("A", col, False) for col in cols if col[0] != 0]
         out = factors[0]
         for f in factors[1:]:
             out = bullet("A", out, f)
         return out
-    col0, col1 = idx.columns
+    col0, col1 = cols
     chi0 = _column(ctype, col0, False) if col0[0] else None
     chi1 = _column(ctype, col1, True) if col1[0] else None
     if chi0 is None:
@@ -574,61 +577,20 @@ def project_index(kind: str, idx: ModelIndex):
 # --- enumeration -----------------------------------------------------------------
 
 
-def _a_column_options(a: int):
-    if a == 0:
-        return [(0, "id", "triv")]
-    if a == 1:
-        return [(1, "id", "triv")]
-    if a == 2:
-        return [(2, "id", g) for g in A_GAMMAS]
-    out = [(a, "id", g) for g in A_GAMMAS]
-    if a % 2 == 0:
-        out += [(a, b, g) for b in ("fpf", "fpfplus") for g in A_GAMMAS]
-    return out
+# (block, size) keys: at most 19 per classify at SEARCH_CAPS, both
+# relations (D8); 41 for the sweep A1-A16, B1-B8, D3-D8 in one process
+BLOCK_COLUMNS_CACHE_SIZE = 256
 
 
-def _b_column0_options(a0: int):
-    if a0 == 0:
-        return [(0, "id", "triv")]
-    if a0 == 1:
-        return [(1, "id", g) for g in A_GAMMAS]
-    out = [(a0, "id", g) for g in B_GAMMAS]
-    if a0 % 2 == 0:
-        out += [(a0, "fpf", g) for g in A_GAMMAS]
-    for p in range(1, a0):
-        out += [(a0, ("pq", p, a0 - p), g) for g in B_GAMMAS]
-    return out
-
-
-def _ab_column1_options(a1: int):
-    """Symmetric-block column with the fpf size floor raised to four."""
-    if abs(a1) <= 3:
-        return [
-            (a1, b, g)
-            for (_, b, g) in _a_column_options(abs(a1))
-            if not _fpfish(b)
-        ]
-    return [(a1, b, g) for (_, b, g) in _a_column_options(abs(a1))]
-
-
-def _d_column0_options(a0: int):
-    if a0 == 0:
-        return [(0, "id", "triv")]
-    if a0 == 2:
-        return [(2, "id", g) for g in B_GAMMAS]
-    out = [(a0, "id", g) for g in A_GAMMAS]
-    if a0 % 2 == 0:
-        out += [(a0, b, g) for b in ("fpf", "fpfdiamond") for g in A_GAMMAS]
-    for p in range(1, a0):
-        out += [(a0, ("pq", p, a0 - p), g) for g in A_GAMMAS]
-    if a0 == 4:
-        out += [
-            (4, ("tri", p, q, d), g)
-            for (p, q) in ((3, 1), (1, 3))
-            for d in ("cw", "ccw")
-            for g in A_GAMMAS
-        ]
-    return out
+@lru_cache(maxsize=BLOCK_COLUMNS_CACHE_SIZE)
+def _block_columns(block: str, alpha: int) -> tuple:
+    """The valid normal columns of size alpha in a block, read off the
+    column-kind table; a negative alpha is D's flipped symmetric block."""
+    if block == "A":
+        return tuple([col for col in columns_of(block, alpha) if _normalize_a_column(col) == col])
+    # _normal_columns normalizes the two columns of a B or D index apart
+    pairs = [(col, (0, "id", "triv")) for col in columns_of(block, alpha)]
+    return tuple([cols[0] for cols in pairs if _normal_columns(block, cols) == cols])
 
 
 def _compositions(n: int, parts: int):
@@ -658,22 +620,19 @@ def _raw_columns(ctype: str, n: int, mf_only: bool = False):
     if ctype == "A":
         widest = min(n, _A_MF_MAX_COLUMNS) if mf_only else n
         shapes = (
-            [_a_column_options(a) for a in comp]
+            [("A", a) for a in comp]
             for parts in range(1, widest + 1)
             for comp in _compositions(n, parts)
         )
-    elif ctype == "B":
-        shapes = ([_b_column0_options(a0), _ab_column1_options(n - a0)] for a0 in range(n + 1))
-    elif ctype == "D":
-        # the whole diagram either way round, then sign blocks of size n .. 2
-        shapes = (
-            [_d_column0_options(n - abs(a1)), _ab_column1_options(a1)]
-            for a1 in [n, -n, *range(n - 1)]
-        )
+    elif ctype in ("B", "D"):
+        # the symmetric block takes n .. 0 letters, and in D also the whole
+        # diagram flipped; its fpf floor of size 4 is normal form at size 2
+        flipped = [-n] if ctype == "D" else []
+        shapes = ([(ctype, n - abs(a1)), ("A", a1)] for a1 in [n, *flipped, *range(n)])
     else:
         raise ValueError(f"bad index type: {ctype!r}")
-    for pools in shapes:
-        for cols in product(*pools):
+    for shape in shapes:
+        for cols in product(*(_block_columns(block, a) for block, a in shape)):
             if mf_only and _lemma_excludes_mf(ctype, cols):
                 continue
             yield cols
@@ -716,7 +675,7 @@ def multiplicity_free_characters(ctype: str, n: int) -> dict:
     """{index: character} of the multiplicity-free strong classes, in order."""
     out = {}
     for idx in _strong_representatives(ctype, n, True):
-        chi = character_of_index(idx)
+        chi = _character(ctype, idx.columns)
         if is_multiplicity_free(chi):
             out[idx] = chi
     return out

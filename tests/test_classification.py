@@ -292,13 +292,13 @@ def test_search_computes_each_candidate_character_once(ctype, n, monkeypatch):
     from coxmodel import model_index
 
     calls = []
-    real = model_index.character_of_index
+    real = model_index._character
 
-    def counted(idx):
-        calls.append(idx)
-        return real(idx)
+    def counted(ctype, cols):
+        calls.append(cols)
+        return real(ctype, cols)
 
-    monkeypatch.setattr(model_index, "character_of_index", counted)
+    monkeypatch.setattr(model_index, "_character", counted)
     search_perfect_models(ctype, n)
     assert len(calls) == len(set(calls))
     assert len(calls) == len(model_index._strong_representatives(ctype, n, True))

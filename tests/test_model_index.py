@@ -5,18 +5,18 @@ from itertools import combinations, product
 
 import pytest
 
+from coxmodel import classification as cl
 from coxmodel import induction as ind
+from coxmodel import lr
 from coxmodel import model_index as mx
 from coxmodel import partitions as pt
 from coxmodel.char_ring import is_multiplicity_free, twist
 from coxmodel.classification import SEARCH_CAPS, classify
-from coxmodel.induction import bullet, column_char, project
+from coxmodel.induction import bullet, column_char, column_kind, project
 from coxmodel.model_index import (
-    A_GAMMAS,
-    B_GAMMAS,
     ModelIndex,
     canonical_form,
-    _a_column_options,
+    _block_columns,
     _compositions,
     _lemma_excludes_mf,
     _raw_columns,
@@ -253,9 +253,22 @@ def test_one_classify_at_the_caps_fits_the_orbit_cache(ctype, monkeypatch):
 
 # the keys one classify at SEARCH_CAPS, both relations, touches per cache
 CLASSIFY_CACHE_KEYS = {
-    "A": {"_column": 51, "partitions_of": 111, "erows": 7, "ecols": 7},
+    "A": {
+        "_column": 51,
+        "_block_columns": 16,
+        "_grow": 128,
+        "_transposed": 123,
+        "lr_expand": 273,
+        "partitions_of": 111,
+        "erows": 7,
+        "ecols": 7,
+    },
     "B": {
         "_column": 69,
+        "_block_columns": 18,
+        "_grow": 45,
+        "_transposed": 37,
+        "lr_expand": 136,
         "_bullet_b_labels": 314,
         "_inside": 15,
         "partitions_of": 45,
@@ -265,6 +278,10 @@ CLASSIFY_CACHE_KEYS = {
     },
     "D": {
         "_column": 53,
+        "_block_columns": 19,
+        "_grow": 45,
+        "_transposed": 37,
+        "lr_expand": 137,
         "_bullet_b_labels": 306,
         "_bullet_d_labels": 120,
         "_inside": 13,
@@ -295,6 +312,10 @@ PARTITION_CACHES = (
 def test_one_classify_at_the_caps_fits_the_character_caches(ctype, monkeypatch):
     caches = {
         "_column": mx._column,
+        "_block_columns": mx._block_columns,
+        "_grow": lr._grow,
+        "_transposed": lr._transposed,
+        "lr_expand": lr.lr_expand,
         "_bullet_b_labels": ind._bullet_b_labels,
         "_bullet_d_labels": ind._bullet_d_labels,
         "_inside": ind._inside,
@@ -430,7 +451,7 @@ def test_type_a_prune_holds_at_every_rank_the_cap_allows():
     products = 0
     for n in range(3, SEARCH_CAPS["A"] + 1):
         for comp in _compositions(n, 3):
-            for cols in product(*map(_a_column_options, comp)):
+            for cols in product(*(_block_columns("A", a) for a in comp)):
                 chars = [column_char("A", col) for col in cols]
                 assert all(chi.coeffs and min(chi.coeffs.values()) > 0 for chi in chars)
                 chi = bullet("A", bullet("A", chars[0], chars[1]), chars[2])
@@ -523,35 +544,41 @@ def test_enumerate_returns_canonical_representatives():
         assert canonical_form(idx, "strong") == idx
 
 
-# every beta symbol of the index notation, written out here rather than read
-# from the column-kind table that validate consults
+# every beta and gamma symbol of the index notation, written out here rather
+# than read from the column-kind table that validate and the enumerator read
 A_BETAS = ("id", "idplus", "fpf", "fpfplus")
 D_BETAS = ("id", "idplus", "fpf", "fpfdiamond")
+A_GAMMAS = ("triv", "sgn")
+B_GAMMAS = ("triv", "sgn", "pm", "mp")
+
+
+def _symmetric_spellings(a):
+    """Every symmetric-block column of size a: A_BETAS by A_GAMMAS."""
+    return [(a, b, g) for b in A_BETAS for g in A_GAMMAS]
+
+
+def _sign_spellings(a0):
+    """Every sign-block column of size a0: every beta, with all pq splits
+    and triality rotations, by every gamma."""
+    betas = [*dict.fromkeys(A_BETAS + D_BETAS)]
+    betas += [("pq", p, a0 - p) for p in range(a0 + 1)]
+    betas += [("tri", p, q, d) for p, q in ((3, 1), (1, 3)) for d in ("cw", "ccw")]
+    return [(a0, b, g) for b in betas for g in B_GAMMAS]
 
 
 def _spellings(ctype, n):
-    """Every rank-n index over the symbols: the sign block takes every beta
-    (with all pq splits and triality rotations) and every gamma, the
-    symmetric columns A_BETAS and A_GAMMAS."""
-
-    def symmetric(a):
-        return [(a, b, g) for b in A_BETAS for g in A_GAMMAS]
-
-    def sign_block(a0):
-        betas = [*dict.fromkeys(A_BETAS + D_BETAS)]
-        betas += [("pq", p, a0 - p) for p in range(a0 + 1)]
-        betas += [("tri", p, q, d) for p, q in ((3, 1), (1, 3)) for d in ("cw", "ccw")]
-        return [(a0, b, g) for b in betas for g in B_GAMMAS]
-
+    """Every rank-n index over the symbols."""
     if ctype == "A":
         cuts = (c for k in range(n) for c in combinations(range(1, n), k))
         shapes = [tuple(b - a for a, b in zip((0, *c), (*c, n))) for c in cuts]
         shapes += [(0, n), (n, 0)]
-        pools = [[symmetric(a) for a in shape] for shape in shapes]
+        pools = [[_symmetric_spellings(a) for a in shape] for shape in shapes]
     elif ctype == "B":
-        pools = [[sign_block(n - a1), symmetric(a1)] for a1 in range(n + 1)]
+        pools = [[_sign_spellings(n - a1), _symmetric_spellings(a1)] for a1 in range(n + 1)]
     else:
-        pools = [[sign_block(n - abs(a1)), symmetric(a1)] for a1 in range(-n, n + 1)]
+        pools = [
+            [_sign_spellings(n - abs(a1)), _symmetric_spellings(a1)] for a1 in range(-n, n + 1)
+        ]
     for pool in pools:
         for cols in product(*pool):
             yield ModelIndex(ctype, cols)
@@ -588,15 +615,12 @@ def test_validate_accepts_the_pinned_number_of_spellings(ctype, n):
 
 
 def _column_char_args(idx):
-    """The column_char arguments of the nonempty columns of an index: the
-    symmetric column of a type B or D index is read in type A at |alpha|.
-    A size-0 column names no generators, and character_of_index skips it."""
+    """The column_char arguments of the columns of an index: the symmetric
+    column of a type B or D index is read in type A at |alpha|."""
     if idx.ctype == "A":
-        args = [("A", col) for col in idx.columns]
-    else:
-        col0, (a1, b1, g1) = idx.columns
-        args = [(idx.ctype, col0), ("A", (abs(a1), b1, g1))]
-    return [(ctype, col) for ctype, col in args if col[0] != 0]
+        return [("A", col) for col in idx.columns]
+    col0, (a1, b1, g1) = idx.columns
+    return [(idx.ctype, col0), ("A", (abs(a1), b1, g1))]
 
 
 def _takes(ctype, col) -> bool:
@@ -612,8 +636,110 @@ def test_column_char_takes_exactly_the_columns_of_valid_indexes():
     ranks = [*(("A", n) for n in range(1, 6)), *((t, n) for t in "BD" for n in range(1, 8))]
     for ctype, n in ranks:
         for idx in _spellings(ctype, n):
-            args = _column_char_args(idx)
+            # a size-0 column names no generators, and character_of_index
+            # skips it
+            args = [(t, col) for t, col in _column_char_args(idx) if col[0] != 0]
             spelled.update(args)
             if not validate(idx):
                 valid.update(args)
     assert {args for args in spelled if _takes(*args)} == valid
+
+
+def test_column_char_refuses_every_size_0_column():
+    # validate still accepts some of them in column 0 of B and D
+    empty = {
+        (ctype, col)
+        for t, n in SPELLED_RANKS
+        for idx in _spellings(t, n)
+        for ctype, col in _column_char_args(idx)
+        if col[0] == 0
+    }
+    assert {ctype for ctype, _ in empty} == {"A", "B", "D"}
+    for ctype, col in empty:
+        with pytest.raises(ValueError, match=f"no type {ctype} column"):
+            column_char(ctype, col)
+
+
+# the valid normal columns of each block at sizes 0, 1, 2, ... (in A at
+# |alpha|), counted from the hand-written enumerators the column-kind table
+# replaced; D has no size-1 sign block
+BLOCK_COLUMN_COUNTS = {
+    "A": (1, 1, 2, 2, 6, 2, 6, 2, 6, 2, 6, 2, 6, 2, 6, 2, 6),
+    "B": (1, 2, 10, 12, 18, 20, 26, 28, 34),
+    "D": (1, 0, 4, 6, 20, 10, 16, 14, 20),
+}
+# every block size up to A16, B8 and D8, and D's flipped symmetric block
+BLOCK_SIZES = {"A": [*range(17), *range(-8, 0)], "B": range(9), "D": range(9)}
+
+
+def _block_spellings(block, a):
+    return _symmetric_spellings(a) if block == "A" else _sign_spellings(a)
+
+
+def _placed(block, col):
+    """Indexes that hold col in its block beside valid normal columns, one
+    for each index type that has such a column."""
+    a = col[0]
+    if block != "A":
+        return [ModelIndex(block, [col, (2, "id", "triv")])]
+    if a < 0:
+        return [ModelIndex("D", [(0, "id", "triv"), col])]
+    if a == 0:
+        return [ModelIndex(t, [(2, "id", "triv"), col]) for t in "BD"]
+    return [ModelIndex("A", [col]), *(ModelIndex(t, [(0, "id", "triv"), col]) for t in "BD")]
+
+
+@pytest.mark.parametrize("block", "ABD")
+def test_block_columns_are_the_valid_normal_spellings_up_to_the_caps(block):
+    for a in BLOCK_SIZES[block]:
+        want = set()
+        for col in _block_spellings(block, a):
+            verdicts = {not validate(idx) and normalize(idx) == idx for idx in _placed(block, col)}
+            assert len(verdicts) == 1, col
+            if verdicts.pop():
+                want.add(col)
+        got = _block_columns(block, a)
+        assert len(got) == len(set(got)) == BLOCK_COLUMN_COUNTS[block][abs(a)], (block, a)
+        assert set(got) == want, (block, a)
+
+
+def test_every_column_kind_takes_a_valid_column_up_to_size_8():
+    # so that no entry of the table is dead
+    labels = [kind[1] for kind in ind.COLUMN_KINDS.values()]
+    assert len(set(labels)) == len(labels)
+    reached = {
+        column_kind(block, col)
+        for block in "ABD"
+        for a in range(9)
+        for col in _block_spellings(block, a)
+        if not any(validate(idx) for idx in _placed(block, col))
+    }
+    assert set(labels) <= reached
+
+
+def test_the_multiplicity_free_filter_validates_nothing(monkeypatch):
+    # its indexes come from _raw_columns, valid by construction
+    inside, filtered, calls = [False], [], []
+    real_validate, real_filter = mx.validate, mx.multiplicity_free_characters
+
+    def counted(idx):
+        if inside[0]:
+            calls.append(idx)
+        return real_validate(idx)
+
+    def mf_filter(ctype, n):
+        filtered.append((ctype, n))
+        inside[0] = True
+        try:
+            return real_filter(ctype, n)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(mx, "validate", counted)
+    monkeypatch.setattr(cl, "multiplicity_free_characters", mf_filter)
+    classify("B", 8)
+    assert filtered == [("B", 8)]
+    assert calls == []
+    # outside input keeps its check
+    with pytest.raises(ValueError, match="invalid index"):
+        character_of_index(mi("B", (1, "id", "pm"), (2, "id", "triv")))
