@@ -7,7 +7,10 @@ files before the oracle moved onto integer Cayley tables; any drift in a
 class representative, an ordering or a count shows up here as a diff.
 `cli_messages.json` holds the exit code, stdout and stderr of `run()` on
 help, usage errors and one valid run, recorded at a terminal width of 80
-columns before the parser was built per command.  `oracle search` A6 and
+columns before the parser was built per command, and on six ranks outside
+their type's range (`oracle` at A0, B0, D1, I2(1) and H3 rank 4, `verify`
+at `family:H3:2`), recorded before the oracle read its groups from one
+table keyed by Coxeter type.  `oracle search` A6 and
 D5 and `oracle classes` B5 were recorded before the search induced each
 class-sum key once, so every `oracle` argv the benchmark runs is pinned
 here too; each `oracle` file whose argv the benchmark reference records
