@@ -467,7 +467,7 @@ def verify_h3_model(model) -> bool:
     """Is one model of (J, signs) members one of the oracle's covers of H3?"""
     from . import oracle as oc
 
-    group = oc.group_of("H3", 3)
+    group = oc.get_group("H3", 3)
     return _model_characters(group, model) in _oracle_covers(group)
 
 
@@ -492,7 +492,7 @@ def classify_h3(n: int = 3) -> dict:
     """
     from . import oracle as oc
 
-    group = oc.group_of("H3", n)
+    group = oc.get_group("H3", n)
     cover_pools = (
         [sorted({_h3_triple_key(group, d) for d in descs}) for _, descs in cover]
         for cover in oc.oracle_search(group)

@@ -173,7 +173,7 @@ def _load_model(text: str):
 def _oracle_check_model(indices) -> bool:
     from . import oracle as oc
 
-    group = oc.group_of(indices[0].ctype, indices[0].rank)
+    group = oc.get_group(indices[0].ctype, indices[0].rank)
     chars = [oc.oracle_char_of_index(group, idx) for idx in indices]
     return oc.oracle_is_perfect(group, chars) and all(
         oc.index_agrees_with_oracle(group, idx, orc) for idx, orc in zip(indices, chars)
@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
         if ok and (args.oracle or ctype == "H3"):
             from . import oracle as oc
 
-            ok = cl.known_models_are_oracle_covers(oc.group_of(ctype, n), models)
+            ok = cl.known_models_are_oracle_covers(oc.get_group(ctype, n), models)
         _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
         return 0 if ok else 2
     _, _, indices = kind
@@ -269,7 +269,7 @@ def _cmd_classify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle as oc
 
-    group = oc.group_of(args.type, args.rank)
+    group = oc.get_group(args.type, args.rank)
     if args.action == "classes":
         classes = sorted(
             oc.perfect_classes(group),
@@ -397,30 +397,17 @@ def _add_option(parser, opt: Option) -> None:
     parser.add_argument(opt.name, **kwargs)
 
 
-def build_parser(command: str | None = None):
-    """The CLI's argparse parser: every subcommand, or only `command`'s.
+def build_parser():
+    """The CLI's argparse parser, one subparser per command.
 
-    A job names its command first, and building one subparser instead of
-    five is most of a short job's parsing cost.  The one-command parser
-    names all five in its usage line, so its messages match the full one.
     This is the only place that imports argparse: `run()` needs it only
     for help and errors (see `_plain_args`).
     """
     import argparse
 
     p = argparse.ArgumentParser(prog="coxmodel")
-    if command is None:
-        names = list(COMMANDS)
-        sub = p.add_subparsers(dest="command", required=True)
-    else:
-        names = [command]
-        # only here: in the full parser a metavar would also rename the
-        # argument in "argument command: invalid choice" errors
-        sub = p.add_subparsers(
-            dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS)
-        )
-    for name in names:
-        help_line, options, _ = COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, options, _) in COMMANDS.items():
         parser = sub.add_parser(name, help=help_line)
         for opt in options:
             _add_option(parser, opt)
@@ -484,9 +471,8 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        command = argv[0] if argv and argv[0] in COMMANDS else None
         try:
-            args = build_parser(command).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 1 if exc.code not in (0, None) else 0
     try:

@@ -1,20 +1,22 @@
 """Brute-force finite group oracle for the reflection groups in scope.
 
-Groups are enumerated element by element (signed permutations for the
-classical series, rotation/flip pairs for the dihedral groups, a signed
-permutation realization for the rank three icosahedral group).  One BFS
-numbers the elements.  It runs on compact keys: a signed permutation w of
-at most 127 letters is keyed by the bytes of w^-1, so a product by a
-generator is one `bytes.translate`; dihedral elements and wider
-permutations are their own keys.  Everything downstream runs on the
-integer ids through the tables of right products by a generator, the BFS
-parents and one inverse table: subgroups, conjugacy classes, twisted
-involution classes, the perfection test, twisted centralizers, induced
-characters, square-root counts.  Element tuples are decoded one at a time,
-only where a value leaves the oracle: class representatives (for cycle
-types and output), the minimum of a perfect class (and its elements for
-`perfect_classes` alone; the triples read the classes on ids), and the
-tuple-to-id lookups of `sqrt_count` and the twisted centralizers.
+Each group is enumerated element by element from one table keyed by
+Coxeter type, `GROUP_TYPES`: signed permutations for A, B and D,
+rotation/flip pairs for I2, products of commuting D6 reflections for H3.
+`get_group` builds each (type, rank) once, and its cache holds a bounded
+number of elements.  One BFS numbers the elements.  It runs on compact
+keys: a signed permutation w of at most 127 letters is keyed by the bytes
+of w^-1, so a product by a generator is one `bytes.translate`; dihedral
+elements and wider permutations are their own keys.  Everything
+downstream runs on the integer ids through the tables of right products
+by a generator, the BFS parents and one inverse table: subgroups,
+conjugacy classes, twisted involution classes, the perfection test,
+twisted centralizers, induced characters, square-root counts.  Element
+tuples are decoded one at a time, only where a value leaves the oracle:
+class representatives (for cycle types and output), the minimum of a
+perfect class (and its elements for `perfect_classes` alone; the triples
+read the classes on ids), and the tuple-to-id lookups of `sqrt_count`
+and the twisted centralizers.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition; each distinct induced character must come out
@@ -41,7 +43,7 @@ import os
 from functools import cached_property
 from itertools import chain, compress, permutations, product, repeat
 from operator import add, eq, mul
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from . import partitions as pt
 from .char_ring import (  # mn_value_a and mn_value_b are re-exported
@@ -87,30 +89,8 @@ def _sp_inverse(w):
     return tuple(inv)
 
 
-def _dih_mult_factory(m):
-    def mult(x, y):
-        k1, f1 = x
-        k2, f2 = y
-        return ((k1 + (k2 if f1 == 0 else -k2)) % m, f1 ^ f2)
-
-    return mult
-
-
 def _sp_identity(n):
     return tuple(range(1, n + 1))
-
-
-def _transposition(n, i, j):
-    w = list(range(1, n + 1))
-    w[i - 1], w[j - 1] = j, i
-    return tuple(w)
-
-
-def _neg_transposition(n):
-    """The generator 1 -> -2, 2 -> -1 used at the forked end of type D."""
-    w = list(range(1, n + 1))
-    w[0], w[1] = -2, -1
-    return tuple(w)
 
 
 # --- element keys ---------------------------------------------------------------
@@ -200,14 +180,14 @@ class Group:
     `parent_ids` and `gen_ids` map its ids and generators to the parent's.
     """
 
-    def __init__(self, kind, gens, mult, identity):
-        self.kind = kind
+    def __init__(self, name, gens, mult, identity):
+        self.name = name
         self.gens = tuple(gens)
         self.mult = mult
         self.identity = identity
         for g in self.gens:
             if mult(g, g) != identity:
-                raise ValueError(f"generator {g} of {kind} is not an involution")
+                raise ValueError(f"generator {g} of {name} is not an involution")
         codec = self._codec = _keys_for(mult, identity)
         letters = [codec.letter(g) for g in self.gens]
         self._keys, self._ids = self._enumerate(codec.encode(identity), codec.times, letters)
@@ -219,7 +199,7 @@ class Group:
     def _parabolic(cls, parent, gen_ids):
         """The subgroup on `gen_ids`, enumerated on the parent's right rows."""
         sub = cls.__new__(cls)
-        sub.kind = f"{parent.kind}|{gen_ids}"
+        sub.name = f"{parent.name}|{gen_ids}"
         sub.gens = tuple(parent.gens[i] for i in gen_ids)
         sub.mult = parent.mult
         sub.identity = parent.identity
@@ -280,7 +260,7 @@ class Group:
                 if seen is None:
                     seen = index[v] = len(keys)
                     if seen >= cap:
-                        raise CapExceeded(f"group {self.kind} exceeds cap {cap}")
+                        raise CapExceeded(f"group {self.name} exceeds cap {cap}")
                     if seen == len(row):
                         for r in right:
                             r.extend([-1] * seen)
@@ -469,59 +449,86 @@ class Group:
         return sub
 
 
-# The group kind of each type.
-GROUP_KIND = {"A": "symA", "B": "symB", "D": "symD", "I2": "dihedral", "H3": "h3"}
-
-# The least rank at which each classical family's generators make sense.
-_MIN_RANK = {"symA": 1, "symB": 1, "symD": 2, "dihedral": 2}
+# --- the group of each Coxeter type -----------------------------------------
 
 
-def build_group(kind: str, n: int = 0) -> Group:
-    if n < _MIN_RANK.get(kind, n):
-        raise ValueError(f"{kind} needs rank >= {_MIN_RANK[kind]}, got {n}")
-    if kind == "symA":
-        # the symmetric group on n letters
-        gens = [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symA", gens, _sp_mult, _sp_identity(n))
-    if kind == "symB":
-        s0 = tuple([-1] + list(range(2, n + 1)))
-        gens = [s0] + [_transposition(n, i, i + 1) for i in range(1, n)]
-        return Group("symB", gens, _sp_mult, _sp_identity(n))
-    if kind == "symD":
-        gens = [_neg_transposition(n)] + [
-            _transposition(n, i, i + 1) for i in range(1, n)
-        ]
-        return Group("symD", gens, _sp_mult, _sp_identity(n))
-    if kind == "dihedral":
-        # s and t as (rotation, flip) pairs
-        return Group(f"dihedral{n}", [(0, 1), (1, 1)], _dih_mult_factory(n), (0, 0))
-    if kind == "h3":
-        size = 6
-        s = [_neg_transposition(size)] + [
-            _transposition(size, i, i + 1) for i in range(1, size)
-        ]
-        h1 = _sp_mult(s[1], s[3])
-        h2 = _sp_mult(s[2], s[4])
-        h3 = _sp_mult(s[0], s[5])
-        return Group("h3", [h1, h2, h3], _sp_mult, _sp_identity(size))
-    raise ValueError(f"unknown group kind: {kind!r}")
+def _signed(first=None):
+    """n signed letters: `first(n)`, if given, then s_i swapping i and i + 1."""
+
+    def group(n):
+        swaps = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
+        return ([first(n)] if first else []) + swaps, _sp_mult, _sp_identity(n)
+
+    return group
 
 
-def _order_passes(kind: str, n: int, cap: int) -> bool:
-    """Whether the order of the group of one kind and rank passes `cap`.
+def _dihedral(m):
+    """s and t as (rotation, flip) pairs of the group of order 2m."""
 
-    The orders are n!, 2^n n!, 2^(n-1) n!, 2m and 120.  The product stops
-    as soon as it passes the cap, so a huge rank costs nothing.
-    """
-    factors = {
-        "symA": range(2, n + 1),
-        "symB": chain(repeat(2, n), range(2, n + 1)),
-        "symD": chain(repeat(2, n - 1), range(2, n + 1)),
-        "dihedral": (2 * n,),
-        "h3": (120,),
-    }.get(kind, ())
+    def mult(x, y):
+        (k1, f1), (k2, f2) = x, y
+        return ((k1 - k2 if f1 else k1 + k2) % m, f1 ^ f2)
+
+    return [(0, 1), (1, 1)], mult, (0, 0)
+
+
+def _h3(n):
+    """s1 s3, s2 s4 and s0 s5 of D6, each a product of commuting reflections."""
+    gens = [(2, 1, 4, 3, 5, 6), (1, 3, 2, 5, 4, 6), (-2, -1, 3, 4, 6, 5)]
+    return gens, _sp_mult, _sp_identity(6)
+
+
+# Coxeter type -> how the oracle builds its group: `label` names the group
+# in messages (`{n}` is the rank), `least` is the least rank (the only one
+# if `one_rank`), `group(n)` gives the generators, their product and the
+# identity, and the product of `factors(n)` is the order.
+GROUP_TYPES = MappingProxyType({
+    "A": SimpleNamespace(
+        label="symA", least=1, one_rank=False, group=_signed(),
+        factors=lambda n: range(2, n + 1),
+    ),
+    "B": SimpleNamespace(
+        label="symB", least=1, one_rank=False, group=_signed(lambda n: (-1, *range(2, n + 1))),
+        factors=lambda n: chain(repeat(2, n), range(2, n + 1)),
+    ),
+    "D": SimpleNamespace(
+        label="symD", least=2, one_rank=False, group=_signed(lambda n: (-2, -1, *range(3, n + 1))),
+        factors=lambda n: chain(repeat(2, n - 1), range(2, n + 1)),
+    ),
+    "I2": SimpleNamespace(
+        label="dihedral{n}", least=2, one_rank=False, group=_dihedral,
+        factors=lambda m: (2 * m,),
+    ),
+    "H3": SimpleNamespace(
+        label="h3", least=3, one_rank=True, group=_h3,
+        factors=lambda n: (120,),
+    ),
+})
+
+
+def _group_type(ctype: str, n: int) -> SimpleNamespace:
+    """The entry of `ctype`, once `n` is one of its ranks."""
+    entry = GROUP_TYPES.get(ctype)
+    if entry is None:
+        raise ValueError(f"unknown Coxeter type: {ctype!r}")
+    if entry.one_rank and n != entry.least:
+        raise ValueError(f"{ctype} exists at rank {entry.least} only")
+    if n < entry.least:
+        # the family's name: the label without a rank
+        raise ValueError(f"{entry.label.format(n='')} needs rank >= {entry.least}, got {n}")
+    return entry
+
+
+def build_group(ctype: str, n: int) -> Group:
+    """The group of type `ctype` at rank `n`, enumerated afresh."""
+    entry = _group_type(ctype, n)
+    return Group(entry.label.format(n=n), *entry.group(n))
+
+
+def _order_passes(ctype: str, n: int, cap: int) -> bool:
+    """Whether the group's order passes `cap`; a huge rank stops early."""
     order = 1
-    for f in factors:
+    for f in GROUP_TYPES[ctype].factors(n):
         order *= f
         if order > cap:
             break
@@ -529,29 +536,33 @@ def _order_passes(kind: str, n: int, cap: int) -> bool:
 
 
 _GROUP_CACHE: dict = {}
+# the most elements the cached groups hold together: twice the default cap
+GROUP_CACHE_ELEMENTS = 2_000_000
 
 
-def get_group(kind: str, n: int = 0) -> Group:
-    """The group of one kind and rank, built once; H3 has one rank only.
+def get_group(ctype: str, n: int) -> Group:
+    """The group of type `ctype` at rank `n`, built once.
 
     A group whose order passes the element cap is refused before it is
-    built; the BFS checks the cap again as it goes.
+    built; the BFS checks the cap again as it goes.  A new group pushes
+    the oldest out of the cache until the cached orders add up to at most
+    `GROUP_CACHE_ELEMENTS`, and stays itself.
     """
-    key = (kind, 0 if kind == "h3" else n)
-    if key not in _GROUP_CACHE:
+    key = (ctype, n)
+    group = _GROUP_CACHE.get(key)
+    if group is None:
+        entry = _group_type(ctype, n)
         cap = oracle_cap()
-        if _order_passes(kind, n, cap):
-            name = f"dihedral{n}" if kind == "dihedral" else kind
-            raise CapExceeded(f"group {name} exceeds cap {cap}")
-        _GROUP_CACHE[key] = build_group(kind, n)
-    return _GROUP_CACHE[key]
-
-
-def group_of(ctype: str, n: int) -> Group:
-    """The group of type `ctype` at rank `n`; H3 has rank 3 only."""
-    if ctype == "H3" and n != 3:
-        raise ValueError("H3 exists at rank 3 only")
-    return get_group(GROUP_KIND[ctype], n)
+        if _order_passes(ctype, n, cap):
+            raise CapExceeded(f"group {entry.label.format(n=n)} exceeds cap {cap}")
+        group = build_group(ctype, n)
+        held = group.order + sum(g.order for g in _GROUP_CACHE.values())
+        for old in list(_GROUP_CACHE):
+            if held <= GROUP_CACHE_ELEMENTS:
+                break
+            held -= _GROUP_CACHE.pop(old).order
+        _GROUP_CACHE[key] = group
+    return group
 
 
 # --- square roots and inner products ------------------------------------------
@@ -1069,7 +1080,7 @@ def _sign_block(n, a0, beta, gamma, type_d):
     return w, theta, [signs[k > 0] for k in range(a0)]
 
 
-def index_to_triple(group: Group, idx):
+def index_to_triple(idx):
     """Concrete (J, minimal element, theta, sigma) for a model index.
 
     J lists generator ids in increasing order; theta maps positions in J
@@ -1082,7 +1093,7 @@ def index_to_triple(group: Group, idx):
     if signed:
         (offset, beta, gamma), *blocks = idx.columns
         if offset:
-            w, theta, sigma = _sign_block(n, offset, beta, gamma, group.kind == "symD")
+            w, theta, sigma = _sign_block(n, offset, beta, gamma, idx.ctype == "D")
             ids = list(range(offset))
     for a, beta, gamma in blocks:
         a = abs(a)
@@ -1109,12 +1120,12 @@ def index_to_triple(group: Group, idx):
 
 def oracle_char_of_index(group: Group, idx):
     """Induced character of an index computed entirely inside the oracle."""
-    return triple_character(group, index_to_triple(group, idx))
+    return triple_character(group, index_to_triple(idx))
 
 
 def check_index_against_oracle(idx) -> bool:
     """Symbolic and group-theoretic characters of one index must agree."""
-    group = group_of(idx.ctype, idx.rank)
+    group = get_group(idx.ctype, idx.rank)
     return index_agrees_with_oracle(group, idx, oracle_char_of_index(group, idx))
 
 

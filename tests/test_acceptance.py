@@ -39,8 +39,7 @@ from coxmodel.model_index import (
 
 
 def _oracle_perfect(model):
-    kind = {"A": "symA", "B": "symB", "D": "symD"}[model[0].ctype]
-    group = oc.get_group(kind, model[0].rank)
+    group = oc.get_group(model[0].ctype, model[0].rank)
     chars = [oc.oracle_char_of_index(group, idx) for idx in model]
     return oc.oracle_is_perfect(group, chars)
 
@@ -86,7 +85,7 @@ def test_criterion_3_type_d():
         assert is_perfect_symbolic(known_model("PD", n))["status"] == "perfect"
     assert _oracle_perfect(known_model("PD", 5))
     assert classify("D", 5, "strong")["count"] == 2
-    assert oc.oracle_search(oc.get_group("symD", 4)) == []
+    assert oc.oracle_search(oc.get_group("D", 4)) == []
     for n in (6, 8):
         cert = d_even_nonexistence(n)
         assert cert["stage"] in ("degenerate-selection", "exhaustive")
@@ -98,7 +97,7 @@ def test_criterion_4_dihedral():
         want = 2 if m % 2 else 4
         assert classify_dihedral(m, "strong")["count"] == want
         if m <= 12:
-            assert len(oc.oracle_search(oc.get_group("dihedral", m))) == want
+            assert len(oc.oracle_search(oc.get_group("I2", m))) == want
 
 
 def test_criterion_5_h3():
@@ -289,13 +288,13 @@ def test_corank_two_parabolic_inductions_are_never_multiplicity_free():
     # the paper's technical result: no linear character of a standard
     # parabolic of corank >= 2 induces multiplicity-freely
     for (ctype, n), count in PARABOLIC_INDUCTIONS.items():
-        found = list(_parabolic_inductions(oc.group_of(ctype, n), corank=2))
+        found = list(_parabolic_inductions(oc.get_group(ctype, n), corank=2))
         assert [(J, sigma) for J, sigma, mf in found if mf] == [], (ctype, n)
         assert len(found) == count, (ctype, n)
     # the check can fail: at corank 1 the trivial character of
     # S_{n-1} x S_1 induces trivial + standard, which is MF
     for n in range(4, 7):
-        group = oc.group_of("A", n)
+        group = oc.get_group("A", n)
         J = tuple(range(n - 2))
         found = {(j, sigma): mf for j, sigma, mf in _parabolic_inductions(group, corank=1)}
         assert found[J, (1,) * len(J)] is True
@@ -304,37 +303,37 @@ def test_corank_two_parabolic_inductions_are_never_multiplicity_free():
 # inventories frozen from the oracle after checking the published class
 # tables entry by entry: (generator permutation, minimal element, size)
 INVENTORIES = {
-    ("symA", 2): [((0,), (1, 2), 1), ((0,), (2, 1), 1)],
-    ("symA", 3): [((0, 1), (1, 2, 3), 1), ((1, 0), (3, 2, 1), 1)],
-    ("symA", 4): [
+    ("A", 2): [((0,), (1, 2), 1), ((0,), (2, 1), 1)],
+    ("A", 3): [((0, 1), (1, 2, 3), 1), ((1, 0), (3, 2, 1), 1)],
+    ("A", 4): [
         ((0, 1, 2), (1, 2, 3, 4), 1),
         ((0, 1, 2), (2, 1, 4, 3), 3),
         ((2, 1, 0), (1, 2, 3, 4), 3),
         ((2, 1, 0), (4, 3, 2, 1), 1),
     ],
-    ("symA", 5): [
+    ("A", 5): [
         ((0, 1, 2, 3), (1, 2, 3, 4, 5), 1),
         ((3, 2, 1, 0), (5, 4, 3, 2, 1), 1),
     ],
-    ("symA", 6): [
+    ("A", 6): [
         ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5, 6), 1),
         ((0, 1, 2, 3, 4), (2, 1, 4, 3, 6, 5), 15),
         ((4, 3, 2, 1, 0), (1, 2, 3, 4, 5, 6), 15),
         ((4, 3, 2, 1, 0), (6, 5, 4, 3, 2, 1), 1),
     ],
-    ("symB", 2): [
+    ("B", 2): [
         ((0, 1), (-1, -2), 1),
         ((0, 1), (-1, 2), 2),
         ((0, 1), (1, 2), 1),
         ((0, 1), (2, 1), 2),
     ],
-    ("symB", 3): [
+    ("B", 3): [
         ((0, 1, 2), (-1, -2, -3), 1),
         ((0, 1, 2), (-1, -2, 3), 3),
         ((0, 1, 2), (-1, 2, 3), 3),
         ((0, 1, 2), (1, 2, 3), 1),
     ],
-    ("symB", 4): [
+    ("B", 4): [
         ((0, 1, 2, 3), (-1, -2, -3, -4), 1),
         ((0, 1, 2, 3), (-1, -2, -3, 4), 4),
         ((0, 1, 2, 3), (-1, -2, 3, 4), 6),
@@ -342,7 +341,7 @@ INVENTORIES = {
         ((0, 1, 2, 3), (1, 2, 3, 4), 1),
         ((0, 1, 2, 3), (2, 1, 4, 3), 12),
     ],
-    ("symB", 5): [
+    ("B", 5): [
         ((0, 1, 2, 3, 4), (-1, -2, -3, -4, -5), 1),
         ((0, 1, 2, 3, 4), (-1, -2, -3, -4, 5), 5),
         ((0, 1, 2, 3, 4), (-1, -2, -3, 4, 5), 10),
@@ -350,20 +349,20 @@ INVENTORIES = {
         ((0, 1, 2, 3, 4), (-1, 2, 3, 4, 5), 5),
         ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), 1),
     ],
-    ("symD", 2): [
+    ("D", 2): [
         ((0, 1), (-2, -1), 1),
         ((0, 1), (-1, -2), 1),
         ((0, 1), (1, 2), 1),
         ((0, 1), (2, 1), 1),
         ((1, 0), (1, 2), 2),
     ],
-    ("symD", 3): [
+    ("D", 3): [
         ((0, 1, 2), (-1, -2, 3), 3),
         ((0, 1, 2), (1, 2, 3), 1),
         ((1, 0, 2), (1, -2, -3), 1),
         ((1, 0, 2), (1, 2, 3), 3),
     ],
-    ("symD", 4): [
+    ("D", 4): [
         ((0, 1, 2, 3), (-2, -1, 4, 3), 6),
         ((0, 1, 2, 3), (-1, -2, -3, -4), 1),
         ((0, 1, 2, 3), (-1, -2, 3, 4), 6),
@@ -376,7 +375,7 @@ INVENTORIES = {
         ((3, 1, 2, 0), (-4, 3, 2, -1), 4),
         ((3, 1, 2, 0), (1, 2, 3, 4), 4),
     ],
-    ("symD", 5): [
+    ("D", 5): [
         ((0, 1, 2, 3, 4), (-1, -2, -3, -4, 5), 5),
         ((0, 1, 2, 3, 4), (-1, -2, 3, 4, 5), 10),
         ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), 1),
@@ -388,18 +387,18 @@ INVENTORIES = {
 
 
 def test_criterion_8_oracle_consistency():
-    for (kind, n), want in INVENTORIES.items():
-        group = oc.get_group(kind, n)
+    for (ctype, n), want in INVENTORIES.items():
+        group = oc.get_group(ctype, n)
         got = sorted(
             ((c["theta"], c["min"], len(c["elements"])) for c in oc.perfect_classes(group)),
             key=lambda t: (t[0], t[1]),
         )
-        assert got == want, (kind, n)
+        assert got == want, (ctype, n)
     # the degree sum equals the involution count in every oracle group
-    groups = [oc.get_group(k, n) for (k, n) in INVENTORIES] + [
-        oc.get_group("dihedral", 7),
-        oc.get_group("dihedral", 8),
-        oc.get_group("h3"),
+    groups = [oc.get_group(ctype, n) for (ctype, n) in INVENTORIES] + [
+        oc.get_group("I2", 7),
+        oc.get_group("I2", 8),
+        oc.get_group("H3", 3),
     ]
     for group in groups:
         _, reps, _ = group.conjugacy_classes()

@@ -46,9 +46,9 @@ def test_known_families_are_perfect(family, ranks):
 
 def test_known_families_are_perfect_by_the_oracle():
     # independent route: induce every member inside the group and sum
-    cases = [("PA", "symA", 4), ("PB", "symB", 3), ("PD", "symD", 3), ("B3extra1", "symB", 3)]
-    for family, kind, n in cases:
-        group = oc.get_group(kind, n)
+    cases = [("PA", "A", 4), ("PB", "B", 3), ("PD", "D", 3), ("B3extra1", "B", 3)]
+    for family, ctype, n in cases:
+        group = oc.get_group(ctype, n)
         chars = [oc.oracle_char_of_index(group, idx) for idx in known_model(family, n)]
         assert oc.oracle_is_perfect(group, chars), family
 
@@ -112,7 +112,7 @@ def test_search_respects_rank_caps():
 
 def test_search_and_verdict_respect_rank_floors():
     # at D2 = A1 x A1 the indexes give 7 covers where the oracle finds 11
-    assert len(oc.oracle_search(oc.get_group("symD", 2))) == 11
+    assert len(oc.oracle_search(oc.get_group("D", 2))) == 11
     for ctype, n in (("A", 0), ("B", 0), ("D", 2), ("D", 1), ("D", -1)):
         with pytest.raises(ValueError, match=f"type {ctype} needs rank >= "):
             search_perfect_models(ctype, n)
@@ -163,8 +163,8 @@ def test_classify_a4_contains_the_extra_model():
 
 def test_classify_agrees_with_the_group_oracle():
     # every class representative must be perfect inside the group too
-    for ctype, kind, n in [("A", "symA", 4), ("B", "symB", 3)]:
-        group = oc.get_group(kind, n)
+    for ctype, n in [("A", 4), ("B", 3)]:
+        group = oc.get_group(ctype, n)
         for model in classify(ctype, n, "strong")["models"]:
             chars = [oc.oracle_char_of_index(group, idx) for idx in model]
             assert oc.oracle_is_perfect(group, chars)
@@ -240,9 +240,9 @@ def test_h3_has_one_group_and_one_cover_search(monkeypatch):
     calls = []
     all_triples = oc.all_triples
     monkeypatch.setattr(oc, "all_triples", lambda group: calls.append(group) or all_triples(group))
-    group = oc.group_of("H3", 3)
-    assert oc.get_group("h3") is group
-    assert list(oc._GROUP_CACHE) == [("h3", 0)]
+    group = oc.get_group("H3", 3)
+    assert oc.get_group("H3", 3) is group
+    assert list(oc._GROUP_CACHE) == [("H3", 3)]
     for model in h3_known_models():
         assert verify_h3_model(model)
     assert calls == [group]
@@ -262,7 +262,7 @@ def test_h3_known_models_verify():
     for model in models:
         assert verify_h3_model(model)
     # degree bookkeeping: members sum to the involution count both ways
-    group = oc.get_group("h3")
+    group = oc.get_group("H3", 3)
     _, reps, _ = group.conjugacy_classes()
     iid = reps.index(group.identity)
     invol = oc.sqrt_count(group)[iid]

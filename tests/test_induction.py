@@ -322,7 +322,7 @@ def test_column_char_d_fpf_pair():
 def test_column_char_d_rank_two_fpf_mixed_characters():
     # D2 is abelian: an fpf column of size 2 induces nothing, so its
     # mixed characters are gamma's own linear characters of D2
-    group = oc.build_group("symD", 2)
+    group = oc.build_group("D", 2)
     _, reps, _ = group.conjugacy_classes()
     for gamma, signs in (("pm", (1, -1)), ("mp", (-1, 1))):
         values = group.linear_values(signs)

@@ -87,7 +87,7 @@ oc.irr_column = flipped
 for ctype, n in (("A", 4), ("B", 3), ("D", 4)):
     calls.clear()
     try:
-        oc._irr_table(oc.build_group(oc.GROUP_KIND[ctype], n), ctype, n)
+        oc._irr_table(oc.build_group(ctype, n), ctype, n)
     except RuntimeError:
         print(f"{ctype}{n}: RuntimeError")
     else:

@@ -3,6 +3,7 @@
 import ast
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from coxmodel.classification import search_perfect_models
 from coxmodel.cli import run
 from coxmodel.model_index import ModelIndex, enumerate_indices, transform, validate
 from coxmodel.oracle import (
-    GROUP_KIND,
     Group,
     all_triples,
     _split_sign,
@@ -34,18 +34,16 @@ from coxmodel.oracle import (
 )
 
 
+# Node ids spell each group by the label the oracle's messages print
+# (symA, dihedral, h3; H3 as rank 0), so a test keeps its id whichever
+# way its arguments are spelled.
 @pytest.mark.parametrize(
-    "kind,n,order",
-    [
-        ("symA", 4, 24),
-        ("symB", 3, 48),
-        ("symD", 4, 192),
-        ("dihedral", 7, 14),
-        ("h3", 0, 120),
-    ],
+    "ctype,n,order",
+    [("A", 4, 24), ("B", 3, 48), ("D", 4, 192), ("I2", 7, 14), ("H3", 3, 120)],
+    ids=["symA-4-24", "symB-3-48", "symD-4-192", "dihedral-7-14", "h3-0-120"],
 )
-def test_group_orders(kind, n, order):
-    assert get_group(kind, n).order == order
+def test_group_orders(ctype, n, order):
+    assert get_group(ctype, n).order == order
 
 
 def test_sqrt_count_at_identity_is_sum_of_degrees():
@@ -53,7 +51,7 @@ def test_sqrt_count_at_identity_is_sum_of_degrees():
 
     from coxmodel import partitions as pt
 
-    g = get_group("symA", 4)
+    g = get_group("A", 4)
     _, reps, _ = g.conjugacy_classes()
     counts = sqrt_count(g)
     i = reps.index(g.identity)
@@ -64,25 +62,23 @@ def test_sqrt_count_at_identity_is_sum_of_degrees():
     assert inner_product(g, counts, counts) == len(reps)
 
 
+PERFECT_CLASS_COUNTS = [
+    ("A", 2, 2), ("A", 3, 2), ("A", 4, 4), ("B", 2, 4), ("B", 3, 4),
+    ("D", 3, 4), ("D", 4, 11), ("D", 5, 6),
+]
+
+
 @pytest.mark.parametrize(
-    "kind,n,count",
-    [
-        ("symA", 2, 2),
-        ("symA", 3, 2),
-        ("symA", 4, 4),
-        ("symB", 2, 4),
-        ("symB", 3, 4),
-        ("symD", 3, 4),
-        ("symD", 4, 11),
-        ("symD", 5, 6),
-    ],
+    "ctype,n,count",
+    PERFECT_CLASS_COUNTS,
+    ids=[f"sym{t}-{n}-{count}" for t, n, count in PERFECT_CLASS_COUNTS],
 )
-def test_perfect_class_counts(kind, n, count):
-    assert len(perfect_classes(get_group(kind, n))) == count
+def test_perfect_class_counts(ctype, n, count):
+    assert len(perfect_classes(get_group(ctype, n))) == count
 
 
 def test_perfect_class_minima_are_involutions():
-    g = get_group("symB", 3)
+    g = get_group("B", 3)
     for cls in perfect_classes(g):
         w = cls["min"]
         tw = g.elements[g.theta_ids(cls["theta"])[g.index[w]]]
@@ -105,13 +101,8 @@ def test_character_tables_are_orthonormal():
     # square-root count must be multiplicity one across the board
     from coxmodel.oracle import decompose
 
-    for kind, ctype, n in [
-        ("symA", "A", 4),
-        ("symB", "B", 3),
-        ("symD", "D", 4),
-        ("symD", "D", 6),
-    ]:
-        g = get_group(kind, n)
+    for ctype, n in [("A", 4), ("B", 3), ("D", 4), ("D", 6)]:
+        g = get_group(ctype, n)
         dec = decompose(g, ctype, n, sqrt_count(g))
         assert set(dec.coeffs.values()) == {1}
 
@@ -138,7 +129,7 @@ def test_symbolic_characters_match_the_oracle(idx):
 def test_split_sign_tells_the_two_halves_apart(n):
     # on each B class that splits in D_n (all cycles positive and even),
     # the sign is constant on each D class and opposite on the two halves
-    g = get_group("symD", n)
+    g = get_group("D", n)
     class_of, _, _ = g.conjugacy_classes()
     halves = {}
     for i, w in enumerate(g.elements):
@@ -198,7 +189,7 @@ COVER_RANKS = [("A", n) for n in range(2, 9)] + [("B", n) for n in range(2, 7)] 
 def test_symbolic_covers_are_the_oracle_covers(ctype, n):
     # each cover is compared as a set of class functions, the covers as a
     # multiset
-    g = get_group(GROUP_KIND[ctype], n)
+    g = get_group(ctype, n)
     symbolic = Counter(
         frozenset(virtual_char_values(g, chi) for chi, _ in cover)
         for cover in search_perfect_models(ctype, n)
@@ -211,19 +202,19 @@ def test_oracle_character_values_match_symbolic_expansion():
     from coxmodel.model_index import character_of_index
 
     idx = ModelIndex("B", [(2, "id", "pm"), (1, "id", "sgn")])
-    g = get_group("symB", 3)
+    g = get_group("B", 3)
     assert oracle_char_of_index(g, idx) == virtual_char_values(
         g, character_of_index(idx)
     )
 
 
 def test_dihedral_search_finds_all_covers():
-    assert len(oracle_search(get_group("dihedral", 5))) == 2
-    assert len(oracle_search(get_group("dihedral", 6))) == 4
+    assert len(oracle_search(get_group("I2", 5))) == 2
+    assert len(oracle_search(get_group("I2", 6))) == 4
 
 
 def test_search_covers_are_perfect():
-    g = get_group("dihedral", 6)
+    g = get_group("I2", 6)
     for cover in oracle_search(g):
         chars = [chi for chi, _ in cover]
         assert oracle_is_perfect(g, chars)
@@ -234,26 +225,28 @@ def test_search_covers_are_perfect():
                 assert triple_character(g, triple) == chi
 
 
-# (kind, n, Coxeter matrix, number of conjugacy classes, diagram automorphisms)
+# (type, rank, Coxeter matrix, number of conjugacy classes, diagram automorphisms)
 PINNED = [
-    ("symA", 4, ((1, 3, 2), (3, 1, 3), (2, 3, 1)), 5, 2),
-    ("symB", 3, ((1, 4, 2), (4, 1, 3), (2, 3, 1)), 10, 1),
+    ("A", 4, ((1, 3, 2), (3, 1, 3), (2, 3, 1)), 5, 2),
+    ("B", 3, ((1, 4, 2), (4, 1, 3), (2, 3, 1)), 10, 1),
     (
-        "symD",
+        "D",
         4,
         ((1, 2, 3, 2), (2, 1, 3, 2), (3, 3, 1, 3), (2, 2, 3, 1)),
         13,
         6,  # triality: every permutation of the three outer nodes
     ),
-    ("dihedral", 6, ((1, 6), (6, 1)), 6, 2),
-    ("h3", 0, ((1, 5, 2), (5, 1, 3), (2, 3, 1)), 10, 1),
+    ("I2", 6, ((1, 6), (6, 1)), 6, 2),
+    ("H3", 3, ((1, 5, 2), (5, 1, 3), (2, 3, 1)), 10, 1),
 ]
-PINNED_IDS = [f"{kind}{n}" if n else kind for kind, n, *_ in PINNED]
+PINNED_IDS = ["symA4", "symB3", "symD4", "dihedral6", "h3"]
+FIVE = [(ctype, n) for ctype, n, *_ in PINNED]
+FIVE_IDS = ["symA-4", "symB-3", "symD-4", "dihedral-6", "h3-0"]
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_theta_is_the_word_walk(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_theta_is_the_word_walk(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     assert len(g.diagram_automorphisms()) == autos
     for pi in g.diagram_automorphisms():
         theta = g.theta_ids(pi)
@@ -270,17 +263,17 @@ def test_theta_is_the_word_walk(kind, n, matrix, classes, autos):
             assert g.elements[theta[i]] == walked
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_reflections_are_all_conjugates_of_generators(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_reflections_are_all_conjugates_of_generators(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     inverse = {x: y for x in g.elements for y in g.elements if g.mult(x, y) == g.identity}
     brute = {g.mult(g.mult(x, s), inverse[x]) for s in g.gens for x in g.elements}
     assert {g.elements[t] for t in g.reflections()} == brute
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_coxeter_matrix_and_classes(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_coxeter_matrix_and_classes(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     assert g.coxeter_matrix() == matrix
     class_of, reps, sizes = g.conjugacy_classes()
     assert len(reps) == classes
@@ -291,18 +284,18 @@ def test_coxeter_matrix_and_classes(kind, n, matrix, classes, autos):
         assert rep == members[0]  # the least BFS index in its class
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_parabolic_subgroups_are_built_once(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_parabolic_subgroups_are_built_once(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     k = len(g.gens)
     for J in [(), (0,), tuple(range(k)), tuple(range(1, k))]:
         assert g.subgroup(J) is g.subgroup(J)
         assert g.subgroup(J).gens == tuple(g.gens[i] for i in J)
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_tables_are_the_tuple_products(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_tables_are_the_tuple_products(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     mult, elements, index = g.mult, g.elements, g.index
     assert elements[0] == g.identity and len(index) == g.order
     inverse = g.inverse
@@ -334,9 +327,9 @@ def test_tables_are_the_tuple_products(kind, n, matrix, classes, autos):
                 assert elements[theta[index[mult(w, gen)]]] == image
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_subgroups_from_tables_are_the_standalone_groups(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_subgroups_from_tables_are_the_standalone_groups(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     k = len(g.gens)
     for mask in range(1 << k):
         J = tuple(i for i in range(k) if mask >> i & 1)
@@ -370,11 +363,11 @@ def _queue_bfs(gens, mult, identity):
     return tuple(elements), lengths, rparent, rgen, right
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_numbering_is_the_one_queue_bfs(kind, n, matrix, classes, autos):
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_numbering_is_the_one_queue_bfs(ctype, n, matrix, classes, autos):
     # the subgroup test above compares two outputs of the same BFS; this
     # pins the numbering itself, for the group and every parabolic subgroup
-    g = get_group(kind, n)
+    g = get_group(ctype, n)
     k = len(g.gens)
     for mask in range(1 << k):
         sub = g.subgroup(tuple(i for i in range(k) if mask >> i & 1))
@@ -382,9 +375,11 @@ def test_numbering_is_the_one_queue_bfs(kind, n, matrix, classes, autos):
         assert got == _queue_bfs(sub.gens, g.mult, g.identity)
 
 
-@pytest.mark.parametrize("kind,n", [("symA", 5), ("symB", 4), ("symD", 5), ("h3", 0)])
-def test_byte_keys_round_trip(kind, n):
-    g = oc.build_group(kind, n)
+@pytest.mark.parametrize(
+    "ctype,n", [("A", 5), ("B", 4), ("D", 5), ("H3", 3)], ids=["symA-5", "symB-4", "symD-5", "h3-0"]
+)
+def test_byte_keys_round_trip(ctype, n):
+    g = oc.build_group(ctype, n)
     codec = g._codec
     assert isinstance(codec, oc._ByteKeys)
     # the lazy tuples are the plain queue's, in the same order
@@ -399,7 +394,7 @@ def test_byte_keys_round_trip(kind, n):
 
 
 def test_dihedral_and_wide_groups_keep_tuple_keys():
-    assert isinstance(get_group("dihedral", 6)._codec, oc._TupleKeys)
+    assert isinstance(get_group("I2", 6)._codec, oc._TupleKeys)
     assert isinstance(oc._keys_for(oc._sp_mult, oc._sp_identity(127)), oc._ByteKeys)
     assert isinstance(oc._keys_for(oc._sp_mult, oc._sp_identity(128)), oc._TupleKeys)
 
@@ -418,7 +413,7 @@ def test_no_collection_fires_while_a_group_is_built():
     gc.collect()
     gc.callbacks.append(record)
     try:
-        g = oc.build_group("symD", 6)
+        g = oc.build_group("D", 6)
     finally:
         gc.callbacks.remove(record)
     assert g.order == 23040
@@ -438,11 +433,9 @@ def _brute_theta(sub, pi):
     return images
 
 
-@pytest.mark.parametrize(
-    "kind,n", [("symA", 4), ("symB", 3), ("symD", 4), ("dihedral", 6), ("h3", 0)]
-)
-def test_twisted_centralizer_is_the_tuple_filter(kind, n):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n", FIVE, ids=FIVE_IDS)
+def test_twisted_centralizer_is_the_tuple_filter(ctype, n):
+    g = get_group(ctype, n)
     triples = all_triples(g)
     assert triples
     for t in triples:
@@ -475,18 +468,18 @@ def _tuple_orbits(g, pi):
     return seen
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_twisted_orbit_is_the_tuple_closure(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_twisted_orbit_is_the_tuple_closure(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     for pi in g.diagram_automorphisms():
         orbits = _tuple_orbits(g, pi)
         for i, x in enumerate(g.elements):
             assert {g.elements[y] for y in g.twisted_orbit(i, pi)} == orbits[x]
 
 
-@pytest.mark.parametrize("kind,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
-def test_perfection_on_ids_is_the_tuple_formula(kind, n, matrix, classes, autos):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_perfection_on_ids_is_the_tuple_formula(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
     mult, e = g.mult, g.identity
     inverse = {x: y for x in g.elements for y in g.elements if mult(x, y) == e}
     refl = {mult(mult(x, s), inverse[x]) for s in g.gens for x in g.elements}
@@ -509,11 +502,9 @@ def test_perfection_on_ids_is_the_tuple_formula(kind, n, matrix, classes, autos)
     assert checked
 
 
-@pytest.mark.parametrize(
-    "kind,n", [("symA", 4), ("symB", 3), ("symD", 4), ("dihedral", 6), ("h3", 0)]
-)
-def test_triple_character_is_the_induced_restricted_character(kind, n):
-    g = get_group(kind, n)
+@pytest.mark.parametrize("ctype,n", FIVE, ids=FIVE_IDS)
+def test_triple_character_is_the_induced_restricted_character(ctype, n):
+    g = get_group(ctype, n)
     class_of, _, sizes = g.conjugacy_classes()
     for t in all_triples(g):
         values = restricted_character(g, t)
@@ -532,7 +523,7 @@ def test_a_class_without_a_unique_minimum_is_dropped(monkeypatch):
     # S3 has two perfect classes; taking every twisted involution class as
     # perfect must add every class but the transpositions, whose minima are
     # s1 and s2
-    g = oc.build_group("symA", 3)
+    g = oc.build_group("A", 3)
     s1, s2 = g.gens
     monkeypatch.setattr(oc, "_is_perfect", lambda *args: True)
     got = {(c["theta"], c["elements"]) for c in perfect_classes(g)}
@@ -590,7 +581,7 @@ def test_no_tuple_product_after_the_bfs(argv, golden, capsys, monkeypatch):
 
 
 def test_the_identity_automorphism_walks_nothing(monkeypatch):
-    g = oc.build_group("symD", 4)
+    g = oc.build_group("D", 4)
     walks = []
     walk = Group._walk
 
@@ -607,7 +598,7 @@ def test_the_identity_automorphism_walks_nothing(monkeypatch):
 
 
 def test_sqrt_count_is_computed_once_per_group():
-    g = get_group("symB", 4)
+    g = get_group("B", 4)
     assert sqrt_count(g) is sqrt_count(g)
 
 
@@ -618,7 +609,7 @@ def test_audited_tables_do_not_outlive_their_group():
     from coxmodel.model_index import character_of_index
     from coxmodel.oracle import build_group
 
-    g = build_group("symB", 3)
+    g = build_group("B", 3)
     idx = ModelIndex("B", [(3, "id", "pm"), (0, "id", "triv")])
     first = virtual_char_values(g, character_of_index(idx))
     assert virtual_char_values(g, character_of_index(idx)) == first
@@ -630,7 +621,7 @@ def test_audited_tables_do_not_outlive_their_group():
 
 def test_wrong_length_class_functions_do_not_pair():
     # zip and map stop at the shorter input: a dropped class must raise
-    g = get_group("symB", 3)
+    g = get_group("B", 3)
     r2 = sqrt_count(g)
     assert inner_product(g, r2, r2) == 10
     for f, h in [(r2[:-1], r2), (r2, r2[:-1]), (r2 + (0,), r2), (r2, r2 + (0,))]:
@@ -643,7 +634,7 @@ def test_wrong_length_class_functions_do_not_pair():
 
 
 def test_batched_pairs_are_the_single_pairs_with_their_checks():
-    g = get_group("symB", 3)
+    g = get_group("B", 3)
     r2 = sqrt_count(g)
     table = list(oc._irr_table(g, "B", 3).values())
     weighed = oc.weigh(g, r2)
@@ -671,14 +662,14 @@ def test_a_flipped_table_value_fails_the_audit(ctype, n, monkeypatch):
         return tuple(values)
 
     monkeypatch.setattr(oc, "irr_column", flipped)
-    g = oc.build_group(GROUP_KIND[ctype], n)
+    g = oc.build_group(ctype, n)
     with pytest.raises(RuntimeError, match="orthonormal|integral"):
         oc._irr_table(g, ctype, n)
     assert g._irr == {}
 
 
 def test_wrong_length_class_functions_are_not_a_model():
-    g = get_group("symB", 3)
+    g = get_group("B", 3)
     r2 = sqrt_count(g)
     assert oracle_is_perfect(g, [r2])
     for chars in ([r2[:-1]], [r2 + (0,)], [r2, ()]):
@@ -731,7 +722,7 @@ SEARCH_RANKS = (
 
 @pytest.mark.parametrize("ctype,n", SEARCH_RANKS, ids=[f"{t}{n}" for t, n in SEARCH_RANKS])
 def test_pruned_search_finds_the_unpruned_covers_in_order(ctype, n):
-    g = oc.group_of(ctype, n)
+    g = get_group(ctype, n)
     assert oracle_search(g) == _reference_covers(g)
 
 
@@ -745,9 +736,9 @@ def _fresh_key(g, triple):
     return tuple(sums), len(restricted)
 
 
-@pytest.mark.parametrize("kind", ["symB", "symD"])
-def test_kept_inductions_are_the_fresh_ones(kind):
-    g = oc.build_group(kind, 4)
+@pytest.mark.parametrize("ctype", ["B", "D"], ids=["symB", "symD"])
+def test_kept_inductions_are_the_fresh_ones(ctype):
+    g = oc.build_group(ctype, 4)
     oracle_search(g)
     for triple in all_triples(g):
         sums, order = _fresh_key(g, triple)
@@ -766,7 +757,7 @@ def test_each_class_sum_key_is_induced_once_per_group(monkeypatch):
         return real(group, sums, h)
 
     monkeypatch.setattr(oc, "induced_character", counted)
-    g = oc.build_group("symB", 5)
+    g = oc.build_group("B", 5)
     assert g._induced == {}
     oracle_search(g)
     triples = all_triples(g)
@@ -778,7 +769,7 @@ def test_each_class_sum_key_is_induced_once_per_group(monkeypatch):
         assert triple_character(g, t) is g._induced[_fresh_key(g, t)]
     assert len(induced) == len(keys)
     # a new group, and a new subgroup, start empty; the memo dies with its group
-    assert oc.build_group("symB", 5)._induced == {}
+    assert oc.build_group("B", 5)._induced == {}
     assert g.subgroup((0, 1))._induced == {}
     ref = weakref.ref(g)
     del g
@@ -786,13 +777,13 @@ def test_each_class_sum_key_is_induced_once_per_group(monkeypatch):
     assert ref() is None
 
 
-@pytest.mark.parametrize("kind,n", [("symB", 5), ("symD", 5)])
-def test_all_triples_decode_only_the_class_minima(kind, n, monkeypatch):
+@pytest.mark.parametrize("ctype,n", [("B", 5), ("D", 5)], ids=["symB-5", "symD-5"])
+def test_all_triples_decode_only_the_class_minima(ctype, n, monkeypatch):
     # the triples are the perfect classes of every parabolic, each class
     # once per linear character, read off the one id-level walk; only a
     # class minimum is decoded (the walk's orbits were decoded too: 249
     # unused elements at B5, 251 at D5)
-    g = oc.build_group(kind, n)
+    g = oc.build_group(ctype, n)
     decoded = []
     real = Group.element
     monkeypatch.setattr(Group, "element", lambda self, i: decoded.append(i) or real(self, i))
@@ -832,12 +823,56 @@ def test_the_oracle_never_names_the_column_kind_table():
 
 
 @pytest.mark.parametrize(
-    "kind,ranks",
-    [("symA", range(1, 8)), ("symB", range(1, 6)), ("symD", range(2, 7)),
-     ("dihedral", range(2, 9)), ("h3", [3])],
+    "ctype,ranks",
+    [("A", range(1, 8)), ("B", range(1, 6)), ("D", range(2, 7)), ("I2", range(2, 9)), ("H3", [3])],
+    ids=[f"{label}-ranks{i}" for i, label in enumerate(["symA", "symB", "symD", "dihedral", "h3"])],
 )
-def test_the_order_formula_is_the_order_the_group_walk_finds(kind, ranks):
+def test_the_order_formula_is_the_order_the_group_walk_finds(ctype, ranks):
     for n in ranks:
-        order = get_group(kind, n).order
-        assert not oc._order_passes(kind, n, order), (kind, n)
-        assert oc._order_passes(kind, n, order - 1), (kind, n)
+        order = get_group(ctype, n).order
+        assert not oc._order_passes(ctype, n, order), (ctype, n)
+        assert oc._order_passes(ctype, n, order - 1), (ctype, n)
+
+
+def test_groups_are_keyed_by_coxeter_type(monkeypatch):
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    ranks = [("A", 3), ("B", 2), ("D", 3), ("I2", 5), ("H3", 3)]
+    for ctype, n in ranks:
+        assert get_group(ctype, n) is get_group(ctype, n)
+    assert list(oc._GROUP_CACHE) == ranks
+    for ctype, entry in oc.GROUP_TYPES.items():
+        with pytest.raises(ValueError, match=f"rank >= {entry.least}, got|rank {entry.least} only"):
+            get_group(ctype, entry.least - 1)
+    for wrong in ("E", "symA", "h3"):
+        with pytest.raises(ValueError, match="unknown Coxeter type"):
+            get_group(wrong, 4)
+    # H3's one rank is the table's
+    at_4 = SimpleNamespace(**{**vars(oc.GROUP_TYPES["H3"]), "least": 4})
+    monkeypatch.setattr(oc, "GROUP_TYPES", {**oc.GROUP_TYPES, "H3": at_4})
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    with pytest.raises(ValueError, match="^H3 exists at rank 4 only$"):
+        get_group("H3", 3)
+
+
+def test_the_group_cache_holds_twice_the_default_cap(monkeypatch):
+    # B6, the largest group tier-1 builds, has 46,080 elements
+    monkeypatch.delenv("COXMODEL_ORACLE_CAP", raising=False)
+    assert oc.GROUP_CACHE_ELEMENTS == 2 * oc.oracle_cap() == 2_000_000
+    assert sum(g.order for g in oc._GROUP_CACHE.values()) <= oc.GROUP_CACHE_ELEMENTS
+
+
+def test_the_group_cache_drops_its_oldest_groups_first(monkeypatch):
+    monkeypatch.setattr(oc, "_GROUP_CACHE", {})
+    monkeypatch.setattr(oc, "GROUP_CACHE_ELEMENTS", 200)
+    a4 = get_group("A", 4)
+    for ctype, n in [("B", 3), ("I2", 50), ("I2", 10)]:
+        get_group(ctype, n)
+    # 24 + 48 + 100 + 20 elements
+    assert list(oc._GROUP_CACHE) == [("A", 4), ("B", 3), ("I2", 50), ("I2", 10)]
+    get_group("A", 5)  # 120 more: A4, B3 and I2(50) go
+    assert list(oc._GROUP_CACHE) == [("I2", 10), ("A", 5)]
+    assert get_group("A", 4) is not a4
+    # a group past the bound on its own stays, alone
+    b4 = get_group("B", 4)
+    assert list(oc._GROUP_CACHE) == [("B", 4)] and b4.order == 384
+    assert get_group("B", 4) is b4
