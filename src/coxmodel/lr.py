@@ -38,7 +38,9 @@ from .partitions import Partition, contains, standard_tableau_count, transpose
 # sweep A1-A16, B1-B8, D3-D8 in one process; 297 / 292 / 1,174 for one lr-table pass.
 GROW_CACHE_SIZE = 1024  # _grow and _transposed
 EXPAND_CACHE_SIZE = 4096
-COEFFICIENT_CACHE_SIZE = 1024  # `lr --nu` and library callers; no classify calls it
+# `lr --nu` and library callers; no classify calls it.  The cache stays although
+# lr_expand's holds the same expansions: the benchmark reads its hit counts.
+COEFFICIENT_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=GROW_CACHE_SIZE)

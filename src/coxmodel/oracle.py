@@ -7,16 +7,16 @@ rotation/flip pairs for I2, products of commuting D6 reflections for H3.
 number of elements.  One BFS numbers the elements.  It runs on compact
 keys: a signed permutation w of at most 127 letters is keyed by the bytes
 of w^-1, so a product by a generator is one `bytes.translate`; dihedral
-elements and wider permutations are their own keys.  Everything
-downstream runs on the integer ids through the tables of right products
-by a generator, the BFS parents and one inverse table: subgroups,
-conjugacy classes, twisted involution classes, the perfection test,
-twisted centralizers, induced characters, square-root counts.  Element
-tuples are decoded one at a time, only where a value leaves the oracle:
-class representatives (for cycle types and output), the minimum of a
-perfect class (and its elements for `perfect_classes` alone; the triples
-read the classes on ids), and the tuple-to-id lookups of `sqrt_count`
-and the twisted centralizers.
+elements and wider permutations are their own keys.  The BFS fills every
+per-element table from finished rows: right products by a generator,
+both parents, the inverse.  Everything downstream runs on them:
+subgroups, conjugacy and twisted involution classes (one marked walk
+each), the perfection test, twisted centralizers, induced characters,
+square-root counts.  Element tuples are decoded one at a time, only where
+a value leaves the oracle: class representatives (for cycle types and
+output), the minimum of a perfect class (and its elements for
+`perfect_classes` alone; the triples read the classes on ids), and the
+tuple-to-id lookups of `sqrt_count` and the twisted centralizers.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition; each distinct induced character must come out
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property
-from itertools import chain, compress, permutations, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, eq, mul
 from types import MappingProxyType, SimpleNamespace
 
@@ -239,6 +239,13 @@ class Group:
         {w, w s} is multiplied once, from the end the queue reaches first.
         A product already known must then lie one layer up, which checks
         the exchange condition on every pair.
+
+        The queue finishes a layer before it starts the next, so each
+        table reads only finished rows.  An element first met as w = w' t
+        takes its first letter s from w' and its left parent
+        s w = (s w') t from the row of s w', a layer below w'.  A layer's
+        inverses are filled when the queue reaches it, all found and the
+        layer below finished: (s w)^-1 = w^-1 s reads the row of w^-1.
         """
         cap = oracle_cap()
         index = {start: 0}
@@ -246,12 +253,19 @@ class Group:
         lengths = [0]
         rparent = [-1]
         rgen = [-1]
+        lgen = [-1]
+        lparent = [-1]
+        inverse = [0]
         # -1 until the product is known; rows double in length as ids outgrow them
         right = [[-1] for _ in self.gens]
         gens = list(zip(range(len(letters)), letters, right))
         # the queue is `keys` itself, which grows under the loop
         for base, w in enumerate(keys):
             length = lengths[base]
+            if base == len(inverse):
+                # the first element of a layer, and the whole layer is found
+                for s, p in zip(lgen[base:], lparent[base:]):
+                    inverse.append(right[s][inverse[p]])
             for gi, letter, row in gens:
                 if row[base] >= 0:
                     continue
@@ -268,6 +282,12 @@ class Group:
                     lengths.append(length + 1)
                     rparent.append(base)
                     rgen.append(gi)
+                    if base:
+                        lgen.append(lgen[base])
+                        lparent.append(row[lparent[base]])
+                    else:
+                        lgen.append(gi)
+                        lparent.append(0)
                 elif lengths[seen] != length + 1:
                     raise RuntimeError("length function is not Coxeter-like")
                 row[base] = seen
@@ -281,27 +301,14 @@ class Group:
         self.lengths = lengths
         self.rparent = rparent
         self.rgen = rgen
+        self.lgen = lgen
+        self.lparent = lparent
+        self.inverse = inverse
         self.right = right
         return keys, index
 
     def _derive(self):
-        """Left parents from the right parents, in BFS order; empty caches.
-
-        For w = w' t, a left descent s of w' stays one of w, so the first
-        letter passes from w' to w and s w = (s w') t.
-        """
-        right, rparent, rgen = self.right, self.rparent, self.rgen
-        lgen = [-1]
-        lparent = [-1]
-        for p, t in zip(rparent[1:], rgen[1:]):
-            if p == 0:
-                lgen.append(t)
-                lparent.append(0)
-            else:
-                lgen.append(lgen[p])
-                lparent.append(right[t][lparent[p]])
-        self.lgen = lgen
-        self.lparent = lparent
+        """Empty the memos of a freshly enumerated group."""
         self._classes = None
         self._sqrt = None
         self._covers = None
@@ -331,19 +338,6 @@ class Group:
             b = lparent[b]
         return a
 
-    @cached_property
-    def inverse(self):
-        """inverse[i] is the id of w_i^-1: (s w)^-1 = w^-1 s.
-
-        The left parent is one letter shorter, so it comes earlier in BFS
-        order and its inverse is already known.
-        """
-        right = self.right
-        inverse = [0]
-        for s, p in zip(self.lgen[1:], self.lparent[1:]):
-            inverse.append(right[s][inverse[p]])
-        return inverse
-
     def theta_ids(self, pi):
         """Ids of the images under s_i -> s_pi[i]: theta(w t) = theta(w) pi(t).
 
@@ -367,36 +361,42 @@ class Group:
             values = self._linear[signs] = self._walk(1, rows)
         return values
 
-    def twisted_orbit(self, x, pi):
-        """Ids of the twisted conjugacy orbit of id x: y = s x pi(s).
+    def twisted_orbits(self, pi, seeds):
+        """(seed, ids of its orbit) per seed that no earlier orbit reached.
 
-        s x is (x^-1 s)^-1: each x taken from the stack is inverted once,
-        and each step inverts once more.
+        The orbits are the twisted classes, closed under x -> s x pi(s), and
+        one byte per id marks what they have reached.  s x is (x^-1 s)^-1:
+        each x in an orbit is inverted once, and each step once more.
         """
         inverse, right = self.inverse, self.right
         steps = [(right[g], right[pi[g]]) for g in range(len(self.gens))]
-        orbit = {x}
-        stack = [x]
-        while stack:
-            xi = inverse[stack.pop()]
-            for row, twisted in steps:
-                y = twisted[inverse[row[xi]]]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        return orbit
+        reached = bytearray(self.order)
+        for seed in seeds:
+            if reached[seed]:
+                continue
+            reached[seed] = 1
+            orbit = [seed]  # the queue, which grows under the loop
+            for x in orbit:
+                xi = inverse[x]
+                for row, twisted in steps:
+                    y = twisted[inverse[row[xi]]]
+                    if not reached[y]:
+                        reached[y] = 1
+                        orbit.append(y)
+            yield seed, orbit
+
+    def twisted_orbit(self, x, pi):
+        """Ids of the twisted conjugacy orbit of id x: y = s x pi(s)."""
+        return set(next(self.twisted_orbits(pi, (x,)))[1])
 
     def conjugacy_classes(self):
         """(class_of: id -> class id, reps, sizes); a rep is first in BFS order."""
         if self._classes is None:
             ident = tuple(range(len(self.gens)))
-            class_of = [-1] * self.order
+            class_of = [0] * self.order
             reps = []
             sizes = []
-            for i in range(self.order):
-                if class_of[i] >= 0:
-                    continue
-                orbit = self.twisted_orbit(i, ident)
+            for i, orbit in self.twisted_orbits(ident, range(self.order)):
                 for x in orbit:
                     class_of[x] = len(reps)
                 reps.append(self.element(i))
@@ -405,9 +405,10 @@ class Group:
         return self._classes
 
     def reflections(self):
-        """Ids of the conjugates of the generators."""
+        """Ids of the conjugates of the generators, in increasing order."""
         ident = tuple(range(len(self.gens)))
-        return set().union(*(self.twisted_orbit(row[0], ident) for row in self.right))
+        orbits = self.twisted_orbits(ident, [row[0] for row in self.right])
+        return sorted(chain.from_iterable(orbit for _, orbit in orbits))
 
     # diagram automorphisms ----------------------------------------------
 
@@ -425,15 +426,7 @@ class Group:
 
     def diagram_automorphisms(self):
         """All generator permutations preserving the Coxeter matrix."""
-        m = self.coxeter_matrix()
-        k = len(self.gens)
-        out = []
-        for pi in permutations(range(k)):
-            if all(
-                m[pi[i]][pi[j]] == m[i][j] for i in range(k) for j in range(k)
-            ):
-                out.append(pi)
-        return tuple(out)
+        return tuple(_matrix_automorphisms(self.coxeter_matrix()))
 
     def subgroup(self, gen_ids):
         """Parabolic subgroup on a subset of the generators, built once.
@@ -447,6 +440,20 @@ class Group:
         if sub is None:
             sub = self._subgroups[gen_ids] = Group._parabolic(self, gen_ids)
         return sub
+
+
+def _matrix_automorphisms(m, pi=()):
+    """The permutations with m[pi[i]][pi[j]] == m[i][j] that extend `pi`, in
+    lexicographic order: letter i tries each free image in increasing
+    order that keeps its bonds to the letters before it (`m` is symmetric).
+    """
+    i = len(pi)
+    if i == len(m):
+        yield pi
+        return
+    for image in range(len(m)):
+        if image not in pi and all(m[image][p] == m[i][j] for j, p in enumerate(pi)):
+            yield from _matrix_automorphisms(m, pi + (image,))
 
 
 # --- the group of each Coxeter type -----------------------------------------
@@ -646,31 +653,22 @@ def linear_characters(group: Group):
 
 
 def _involutive_autos(group: Group):
+    """The diagram automorphisms whose square is the identity, in order."""
     autos = group.diagram_automorphisms()
-    ident = tuple(range(len(group.gens)))
-    out = []
-    for pi in autos:
-        sq = tuple(pi[pi[i]] for i in range(len(pi)))
-        if sq == ident:
-            out.append(pi)
-    return tuple(out)
+    return tuple(pi for pi in autos if all(pi[p] == i for i, p in enumerate(pi)))
 
 
 def _perfect_class_ids(group: Group):
     """(theta, class ids, id of the minimum) per perfect class with a unique
     minimal-length element: the one walk that `perfect_classes` and
     `all_triples` read."""
-    refl = sorted(group.reflections())
+    refl = group.reflections()
     inverse, lengths = group.inverse, group.lengths
     for pi in _involutive_autos(group):
         theta = group.theta_ids(pi)
-        seen = set()
         # w theta(w) = 1 exactly when theta(w) is the inverse of w
-        for w in compress(range(group.order), map(eq, theta, inverse)):
-            if w in seen:
-                continue
-            orbit = group.twisted_orbit(w, pi)
-            seen |= orbit
+        twisted = compress(range(group.order), map(eq, theta, inverse))
+        for w, orbit in group.twisted_orbits(pi, twisted):
             # perfection is a class property, so test it on w only
             if not _is_perfect(group, w, theta, refl):
                 continue

@@ -138,6 +138,9 @@ def test_traced_boundaries_resolve():
         if not callable(found):
             missing.append(f"{mod}.{attr}")
     assert missing == []
+    # perfbench/run.py reads the hit counts of this cache, and the tracer
+    # records only functions with `cache_info`
+    assert hasattr(importlib.import_module("coxmodel.lr").lr_coefficient, "cache_info")
     # the enumeration measure reads these arguments by name
     enumerate_indices = importlib.import_module("coxmodel.model_index").enumerate_indices
     assert list(inspect.signature(enumerate_indices).parameters) == ["ctype", "n", "mf_only"]

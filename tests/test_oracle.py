@@ -2,10 +2,12 @@
 
 import ast
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxmodel import induction
 from coxmodel import oracle as oc
@@ -284,6 +286,42 @@ def test_coxeter_matrix_and_classes(ctype, n, matrix, classes, autos):
         assert rep == members[0]  # the least BFS index in its class
 
 
+def _permutation_filter(m):
+    """Every permutation of the generators that keeps the Coxeter matrix m."""
+    k = len(m)
+    return tuple(
+        pi
+        for pi in permutations(range(k))
+        if all(m[pi[i]][pi[j]] == m[i][j] for i in range(k) for j in range(k))
+    )
+
+
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_diagram_automorphisms_are_the_permutation_filter(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
+    k = len(g.gens)
+    for mask in range(1 << k):
+        sub = g.subgroup(tuple(i for i in range(k) if mask >> i & 1))
+        assert sub.diagram_automorphisms() == _permutation_filter(sub.coxeter_matrix())
+
+
+@st.composite
+def _coxeter_matrices(draw):
+    """A symmetric matrix with 1 on the diagonal and bonds 2-6 off it."""
+    k = draw(st.integers(1, 6))
+    m = [[1] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            m[i][j] = m[j][i] = draw(st.integers(2, 6))
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coxeter_matrices())
+def test_backtracked_automorphisms_are_the_permutation_filter(m):
+    assert tuple(oc._matrix_automorphisms(m)) == _permutation_filter(m)
+
+
 @pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
 def test_parabolic_subgroups_are_built_once(ctype, n, matrix, classes, autos):
     g = get_group(ctype, n)
@@ -340,6 +378,23 @@ def test_subgroups_from_tables_are_the_standalone_groups(ctype, n, matrix, class
         assert sub.right == alone.right
         assert sub.inverse == alone.inverse
         assert [g.elements[x] for x in sub.parent_ids] == list(sub.elements)
+
+
+@pytest.mark.parametrize("ctype,n", FIVE, ids=FIVE_IDS)
+def test_the_bfs_fills_every_per_element_table(ctype, n):
+    # the left parents and the inverse are plain lists the moment the BFS
+    # ends, for the group and every parabolic subgroup, not derived on use
+    g = oc.build_group(ctype, n)
+    k = len(g.gens)
+    subs = [Group._parabolic(g, tuple(i for i in range(k) if mask >> i & 1)) for mask in range(1 << k)]
+    for group in [g, *subs]:
+        tables = vars(group)
+        for name in ("lgen", "lparent", "inverse"):
+            assert type(tables[name]) is list and len(tables[name]) == group.order, name
+        inverse, lengths = tables["inverse"], group.lengths
+        for i in range(group.order):
+            assert inverse[inverse[i]] == i
+            assert lengths[inverse[i]] == lengths[i]
 
 
 def _queue_bfs(gens, mult, identity):
@@ -475,6 +530,33 @@ def test_twisted_orbit_is_the_tuple_closure(ctype, n, matrix, classes, autos):
         orbits = _tuple_orbits(g, pi)
         for i, x in enumerate(g.elements):
             assert {g.elements[y] for y in g.twisted_orbit(i, pi)} == orbits[x]
+
+
+@pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
+def test_twisted_orbits_walk_each_class_once(ctype, n, matrix, classes, autos):
+    g = get_group(ctype, n)
+    ids = range(g.order)
+    orders = {
+        "forward": list(ids),
+        "reversed": list(reversed(ids)),
+        "repeated": [i for i in ids for _ in range(2)],
+        "every third": list(ids[::3]),
+    }
+    for pi in oc._involutive_autos(g):
+        orbits = _tuple_orbits(g, pi)
+        for order, seeds in orders.items():
+            # a seed starts a class exactly when no earlier seed lies in it
+            want, held = [], set()
+            for x in seeds:
+                orbit = orbits[g.elements[x]]
+                if orbit not in held:
+                    held.add(orbit)
+                    want.append((x, orbit))
+            got = list(g.twisted_orbits(pi, seeds))
+            assert [(x, frozenset(g.elements[y] for y in orbit)) for x, orbit in got] == want
+            # disjoint: every id of the closure is walked once
+            walked = [y for _, orbit in got for y in orbit]
+            assert len(walked) == len(set(walked)) == sum(len(o) for o in held), (pi, order)
 
 
 @pytest.mark.parametrize("ctype,n,matrix,classes,autos", PINNED, ids=PINNED_IDS)
