@@ -521,8 +521,7 @@ def _group_type(ctype: str, n: int) -> SimpleNamespace:
     if entry.one_rank and n != entry.least:
         raise ValueError(f"{ctype} exists at rank {entry.least} only")
     if n < entry.least:
-        # the family's name: the label without a rank
-        raise ValueError(f"{entry.label.format(n='')} needs rank >= {entry.least}, got {n}")
+        raise ValueError(f"type {ctype} needs rank >= {entry.least}, got {n}")
     return entry
 
 

@@ -10,12 +10,14 @@ help, usage errors and one valid run, recorded at a terminal width of 80
 columns before the parser was built per command, and on six ranks outside
 their type's range (`oracle` at A0, B0, D1, I2(1) and H3 rank 4, `verify`
 at `family:H3:2`), recorded before the oracle read its groups from one
-table keyed by Coxeter type.  `oracle search` A6 and
-D5 and `oracle classes` B5 were recorded before the search induced each
-class-sum key once, so every `oracle` argv the benchmark runs is pinned
-here too; each `oracle` file whose argv the benchmark reference records
-must hash to the digest recorded there.  No file pins `verify`: its
-positive `--oracle` jobs are checked against the reference digests.
+table keyed by Coxeter type; the A0, B0, D1 and I2(1) refusals were
+re-recorded when they came to name the type, not the group.  `oracle
+search` A6 and D5 and `oracle classes` B5 were recorded before the search
+induced each class-sum key once, so every `oracle` argv the benchmark
+runs is pinned here too; each `oracle` file whose argv the benchmark
+reference records must hash to the digest recorded there.  No file pins
+`verify`: its positive `--oracle` jobs are checked against the reference
+digests.
 """
 
 import hashlib
