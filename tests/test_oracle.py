@@ -386,8 +386,8 @@ def test_the_bfs_fills_every_per_element_table(ctype, n):
     # ends, for the group and every parabolic subgroup, not derived on use
     g = oc.build_group(ctype, n)
     k = len(g.gens)
-    subs = [Group._parabolic(g, tuple(i for i in range(k) if mask >> i & 1)) for mask in range(1 << k)]
-    for group in [g, *subs]:
+    subsets = [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
+    for group in [g, *(Group._parabolic(g, J) for J in subsets)]:
         tables = vars(group)
         for name in ("lgen", "lparent", "inverse"):
             assert type(tables[name]) is list and len(tables[name]) == group.order, name
