@@ -112,22 +112,10 @@ def degree(ctype: str, label) -> int:
     """Dimension of the irreducible representation with this label."""
     if ctype == "A":
         return pt.standard_tableau_count(label)
-    if ctype == "B":
-        lam, mu = label
+    if ctype == "B" or label[0] == "set":
+        lam, mu = label if ctype == "B" else label[1:]
         n = sum(lam) + sum(mu)
-        return (
-            comb(n, sum(lam))
-            * pt.standard_tableau_count(lam)
-            * pt.standard_tableau_count(mu)
-        )
-    if label[0] == "set":
-        lam, mu = label[1], label[2]
-        n = sum(lam) + sum(mu)
-        return (
-            comb(n, sum(lam))
-            * pt.standard_tableau_count(lam)
-            * pt.standard_tableau_count(mu)
-        )
+        return comb(n, sum(lam)) * pt.standard_tableau_count(lam) * pt.standard_tableau_count(mu)
     core = label[1]
     n = 2 * sum(core)
     full = comb(n, n // 2) * pt.standard_tableau_count(core) ** 2

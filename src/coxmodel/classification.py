@@ -317,70 +317,78 @@ def dihedral_labels(m: int):
     return tuple(out)
 
 
+# The four linear characters by their signs on the generators (s, t); for
+# odd m, s and t are conjugate and only triv and sgn exist.  The parabolics
+# that carry a model member, by generator ids.  A member (J name, character
+# name) is (J, signs) on the group: its perfect class is the identity class,
+# since `dihedral_triples` folds the longest twisted involution into it.
+DIHEDRAL_SIGNS = {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}
+DIHEDRAL_GENS = {"st": (0, 1), "s": (0,), "t": (1,)}
+DIHEDRAL_MEMBER = {
+    (J, sigma): (gens, tuple(signs[i] for i in gens))
+    for J, gens in DIHEDRAL_GENS.items()
+    for sigma, signs in DIHEDRAL_SIGNS.items()
+}
+
+
 def dihedral_triples(m: int):
-    """All model triples with their character label multisets.
+    """All model triples with their character constituents.
 
     Triples are (J, sigma) with J one of "st", "s", "t"; the perfect class
     is forced (the identity and the longest twisted involution induce the
-    same character, so classes are folded into the character).
+    same character, so classes are folded into the character).  By
+    Frobenius reciprocity the character of (J, sigma) holds each linear
+    character with sigma's signs on J.  A one-generator J also holds every
+    2-dimensional irreducible once; each of those lies in exactly the four
+    one-generator characters, so one constituent "rho" stands for all.
     """
-    rhos = [lab for lab in dihedral_labels(m) if isinstance(lab, tuple)]
+    linear = list(DIHEDRAL_SIGNS)[: 2 if m % 2 else 4]
     out = []
-    for sigma in ("triv", "sgn") + (("pm", "mp") if m % 2 == 0 else ()):
-        out.append((("st", sigma), {sigma: 1}))
-    for J in ("s", "t"):
-        for sigma in ("triv", "sgn"):
-            char = {lab: 1 for lab in rhos}
-            if m % 2 == 1:
-                char[sigma] = 1
-            else:
-                mixed = {
-                    ("s", "triv"): "pm",
-                    ("s", "sgn"): "mp",
-                    ("t", "triv"): "mp",
-                    ("t", "sgn"): "pm",
-                }[(J, sigma)]
-                char[sigma] = 1
-                char[mixed] = 1
-            out.append(((J, sigma), char))
+    for J in DIHEDRAL_GENS:
+        for sigma in linear if J == "st" else ("triv", "sgn"):
+            signs = DIHEDRAL_MEMBER[J, sigma][1]
+            char = {lam: 1 for lam in linear if DIHEDRAL_MEMBER[J, lam][1] == signs}
+            out.append(((J, sigma), char if J == "st" else {**char, "rho": 1}))
     return out
 
 
 def _dihedral_triple_canonical(m: int, triple, relation: str):
-    """Orbit-least name of a dihedral triple under the chosen relation."""
-    J, sigma = triple
-    orbit = {(J, sigma)}
-    frontier = [(J, sigma)]
-    bar = {"triv": "sgn", "sgn": "triv", "pm": "mp", "mp": "pm"}
-    while frontier:
-        j, s = frontier.pop()
-        images = []
-        if m % 2 == 1 and j in ("s", "t"):
-            # the two reflection classes are conjugate
-            images.append(("t" if j == "s" else "s", s))
-        if relation == "full":
-            images.append((j, bar[s]))
-            if m % 2 == 0:
-                # outer swap of the two generators
-                jj = {"s": "t", "t": "s", "st": "st"}[j]
-                ss = {"pm": "mp", "mp": "pm"}.get(s, s)
-                images.append((jj, ss))
-        for img in images:
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return min(orbit, key=lambda t: (t[0], str(t[1])))
+    """Orbit-least name of a dihedral triple under the chosen relation.
+
+    Swapping s and t and reversing the signs is conjugation for odd m,
+    whose linear characters have equal signs on s and t, and the outer
+    automorphism for even m, which only the full relation takes.  The
+    full relation adds the sign twist, which negates the signs.  These
+    maps commute and square to 1, so applying each once to the growing
+    orbit closes it.
+    """
+    swap = {"st": "st", "s": "t", "t": "s"}
+    maps = [lambda J, e: (swap[J], e[::-1])] if m % 2 or relation == "full" else []
+    if relation == "full":
+        maps.append(lambda J, e: (J, (-e[0], -e[1])))
+    orbit = {(triple[0], DIHEDRAL_SIGNS[triple[1]])}
+    for f in maps:
+        orbit |= {f(*x) for x in orbit}
+    names = {signs: name for name, signs in DIHEDRAL_SIGNS.items()}
+    return min((J, names[e]) for J, e in orbit)
 
 
 def classify_dihedral(m: int, relation: str = "strong") -> dict:
-    """Closed-form perfect model classification for the dihedral groups."""
+    """Closed-form perfect model classification for the dihedral groups.
+
+    The columns are the constituents in the order the triples first name
+    them: the linear labels in `dihedral_labels` order, then "rho".
+    Distinct reflection classes with equal characters share a row, which
+    matches strong equivalence.
+    """
+    if relation not in ("strong", "full"):
+        raise ValueError(f"bad relation: {relation!r}")
     if m < 5:
         raise ValueError("dihedral classification needs m >= 5")
-    labels = dihedral_labels(m)
-    # distinct reflection classes with equal characters share a row, which
-    # matches strong equivalence
-    rows, masks = _cover_rows(labels, ((name, char, char) for name, char in dihedral_triples(m)))
-    covers = exact_covers(masks, (1 << len(labels)) - 1)
+    triples = dihedral_triples(m)
+    columns = list(dict.fromkeys(lab for _, char in triples for lab in char))
+    rows, masks = _cover_rows(columns, ((name, char, char) for name, char in triples))
+    covers = exact_covers(masks, (1 << len(columns)) - 1)
     return _expand_classes(
         "I2",
         m,
@@ -404,16 +412,6 @@ def dihedral_known_models(m: int):
         (("st", "sgn"), ("st", "mp"), ("s", "triv")),
         (("st", "sgn"), ("st", "pm"), ("t", "triv")),
     )
-
-
-# (J name, character name) of a dihedral model member -> (J, signs).  The
-# perfect class is the identity class, since `dihedral_triples` folds the
-# longest twisted involution into it.  "pm" is +1 on s and -1 on t.
-DIHEDRAL_MEMBER = {
-    (J, sigma): (gen_ids, tuple(signs[i] for i in gen_ids))
-    for J, gen_ids in {"st": (0, 1), "s": (0,), "t": (1,)}.items()
-    for sigma, signs in {"triv": (1, 1), "sgn": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}.items()
-}
 
 
 # --- known models against the oracle --------------------------------------------

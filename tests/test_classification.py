@@ -5,9 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coxmodel import oracle as oc
+from coxmodel import classification as cl, oracle as oc, partitions as pt
+from coxmodel.char_ring import irr_universe
 from coxmodel.classification import (
+    DIHEDRAL_MEMBER,
     KNOWN_FAMILIES,
+    _cover_rows,
+    _dihedral_triple_canonical,
     classify,
     classify_dihedral,
     classify_h3,
@@ -18,11 +22,12 @@ from coxmodel.classification import (
     h3_known_models,
     is_perfect_symbolic,
     known_model,
+    known_models_are_oracle_covers,
     replay_certificate,
     search_perfect_models,
     verify_h3_model,
 )
-from coxmodel.model_index import ModelIndex, canonical_form, normalize
+from coxmodel.model_index import ModelIndex, canonical_form, character_of_index, normalize
 
 
 @pytest.mark.parametrize(
@@ -51,6 +56,47 @@ def test_known_families_are_perfect_by_the_oracle():
         group = oc.get_group(ctype, n)
         chars = [oc.oracle_char_of_index(group, idx) for idx in known_model(family, n)]
         assert oc.oracle_is_perfect(group, chars), family
+
+
+def _odd_parts(ctype, label):
+    """The odd parts of a label in total; a degenerate [nu, +-] counts 2 odd(nu)."""
+    if ctype == "A":
+        return pt.odd_part_count(label)
+    if ctype == "D":
+        if label[0] == "deg":
+            return 2 * pt.odd_part_count(label[1])
+        label = label[1:]
+    return sum(map(pt.odd_part_count, label))
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("PA", range(1, 21)), ("PB", range(2, 17)), ("PD", range(3, 18, 2)), ("PBhat", range(2, 15))],
+    ids=["PA-1-20", "PB-2-16", "PD-3-17", "PBhat-2-14"],
+)
+def test_family_members_are_the_odd_part_classes(family, ranks):
+    """Member k of a family at rank n holds each label with n - 2k odd parts once.
+
+    In type A this is the involution model of Inglis, Richardson and Saxl
+    ("An explicit model for the complex representations of S_n", Arch. Math.
+    54, 1990).  In types B and D it is an observed identity.  PBhat splits
+    PB's class k = 1: its mp member takes the bipartitions whose first part
+    has all parts <= 1, and its triv member the rest.  Nothing here reads
+    `lr`, `induction` or `bullet`.
+    """
+    ctype = "A" if family == "PA" else family[1]
+    for n in ranks:
+        classes = {}
+        for lab in irr_universe(ctype, n):
+            classes.setdefault((n - _odd_parts(ctype, lab)) // 2, []).append(lab)
+        expected = [classes.get(k, []) for k in range(n // 2 + 1)]
+        if family == "PBhat":
+            column = [lab for lab in expected[1] if all(part <= 1 for part in lab[0])]
+            expected[1:2] = [[lab for lab in expected[1] if lab not in column], column]
+        members = known_model(family, n)
+        assert len(members) == len(expected), (family, n)
+        for member, labels in zip(members, expected):
+            assert character_of_index(member).coeffs == dict.fromkeys(labels, 1), (n, member)
 
 
 def test_is_perfect_accepts_index_documents():
@@ -221,8 +267,6 @@ def test_dihedral_known_models_are_classes():
         result = classify_dihedral(m)
         found = {frozenset(model) for model in result["models"]}
         for model in dihedral_known_models(m):
-            from coxmodel.classification import _dihedral_triple_canonical
-
             key = frozenset(
                 _dihedral_triple_canonical(m, t, "strong") for t in model
             )
@@ -254,6 +298,63 @@ def test_h3_has_one_group_and_one_cover_search(monkeypatch):
 def test_dihedral_full_relation_merges():
     assert classify_dihedral(7, "full")["count"] == 1
     assert classify_dihedral(8, "full")["count"] == 1
+
+
+@pytest.mark.parametrize("ctype,n", [("A", 4), ("B", 3), ("D", 5), ("I2", 7), ("I2", 8)])
+def test_every_symbolic_type_refuses_a_bad_relation(ctype, n):
+    with pytest.raises(ValueError, match="bad relation: 'weak'"):
+        classify(ctype, n, "weak")
+
+
+@pytest.mark.parametrize("m", range(5, 17))
+def test_dihedral_classes_are_the_oracle_covers(m):
+    models = [[DIHEDRAL_MEMBER[member] for member in model] for model in classify_dihedral(m)["models"]]
+    assert known_models_are_oracle_covers(oc.get_group("I2", m), models)
+
+
+def _reference_dihedral_covers(m):
+    """The covers as first built: a column per label, mixed characters by hand."""
+    labels = dihedral_labels(m)
+    rhos = [lab for lab in labels if isinstance(lab, tuple)]
+    linear = ("triv", "sgn") + (("pm", "mp") if m % 2 == 0 else ())
+    triples = [(("st", sigma), {sigma: 1}) for sigma in linear]
+    mixed = {("s", "triv"): "pm", ("s", "sgn"): "mp", ("t", "triv"): "mp", ("t", "sgn"): "pm"}
+    for J in ("s", "t"):
+        for sigma in ("triv", "sgn"):
+            char = dict.fromkeys(rhos + [sigma] + ([mixed[J, sigma]] if m % 2 == 0 else []), 1)
+            triples.append(((J, sigma), char))
+    rows, masks = _cover_rows(labels, ((name, char, char) for name, char in triples))
+    return [[rows[r][1] for r in cover] for cover in exact_covers(masks, (1 << len(labels)) - 1)]
+
+
+@pytest.mark.parametrize("m", [*range(5, 41), 97, 98])
+def test_dihedral_covers_are_the_reference_covers_in_order(m, monkeypatch):
+    seen = []
+    expand = cl._expand_classes
+
+    def spy(ctype, n, relation, cover_pools, *rest):
+        seen.append([list(pools) for pools in cover_pools])
+        return expand(ctype, n, relation, seen[-1], *rest)
+
+    monkeypatch.setattr(cl, "_expand_classes", spy)
+    reference = _reference_dihedral_covers(m)
+    for relation in ("strong", "full"):
+        result = classify_dihedral(m, relation)
+        assert result == expand(
+            "I2", m, relation, reference, lambda t: _dihedral_triple_canonical(m, t, relation), str
+        )
+    assert seen == [reference, reference]
+
+
+def test_the_dihedral_cover_has_one_column_per_linear_character_and_one_for_rho(monkeypatch):
+    primaries = []
+    covers = cl.exact_covers
+    monkeypatch.setattr(
+        cl, "exact_covers", lambda masks, primary: primaries.append(primary) or covers(masks, primary)
+    )
+    assert classify_dihedral(10**5)["count"] == 4
+    assert classify_dihedral(10**5 + 1)["count"] == 2
+    assert [primary.bit_length() for primary in primaries] == [5, 3]
 
 
 def test_h3_known_models_verify():

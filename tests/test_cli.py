@@ -551,6 +551,12 @@ _FAMILIES = st.sampled_from(
 )
 
 
+def _rank(draw, top, dihedral):
+    """A small rank; for I2 also one from 10^6 to 10^7, which the closed form answers at once."""
+    small = st.integers(-1, top)
+    return str(draw(st.one_of(small, st.integers(10**6, 10**7)) if dihedral else small))
+
+
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(["lr", "char", "verify", "classify", "oracle", "junk"]))
@@ -562,14 +568,15 @@ def _argvs(draw):
         argv = ["char", "--index", json.dumps(draw(_INDEX_DOCS))]
     elif command == "verify":
         if draw(st.booleans()):
-            model = f"family:{draw(_FAMILIES)}:{draw(st.integers(-1, 7))}"
+            family = draw(_FAMILIES)
+            model = f"family:{family}:{_rank(draw, 7, family in ('I2odd', 'I2even'))}"
         else:
             model = json.dumps(draw(st.lists(_INDEX_DOCS, max_size=3)))
         argv = ["verify", "--model", model] + (["--oracle"] if draw(st.booleans()) else [])
     elif command == "classify":
         ctype = draw(_TYPES)
         top = 6 if ctype in ("A", "B", "D") else 12
-        argv = ["classify", "--type", ctype, "--rank", str(draw(st.integers(-1, top)))]
+        argv = ["classify", "--type", ctype, "--rank", _rank(draw, top, ctype == "I2")]
         argv += ["--relation", draw(st.sampled_from(["strong", "full", "weak"]))]
     elif command == "oracle":
         action = draw(st.sampled_from(["search", "classes", "orbits"]))
