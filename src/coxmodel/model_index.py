@@ -149,10 +149,21 @@ def _trusted_index(ctype: str, columns: tuple) -> ModelIndex:
     return idx
 
 
+_JSON_SHAPE = "an index is a JSON object with type and the lists alpha, beta and gamma"
+
+
 def from_json(doc) -> ModelIndex:
+    """The index a JSON object (or its text) states; see `_JSON_SHAPE`."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(_JSON_SHAPE)
+    missing = [key for key in ("type", "alpha", "beta", "gamma") if key not in doc]
+    if missing:
+        raise ValueError(f"missing {', '.join(map(repr, missing))}; {_JSON_SHAPE}")
     alphas, betas, gammas = doc["alpha"], doc["beta"], doc["gamma"]
+    if not all(isinstance(v, list) for v in (alphas, betas, gammas)):
+        raise ValueError(_JSON_SHAPE)
     if not (len(alphas) == len(betas) == len(gammas)):
         raise ValueError("alpha/beta/gamma length mismatch")
     return ModelIndex(doc["type"], list(zip(alphas, betas, gammas)))

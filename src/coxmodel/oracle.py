@@ -7,16 +7,18 @@ rotation/flip pairs for I2, products of commuting D6 reflections for H3.
 number of elements.  One BFS numbers the elements.  It runs on compact
 keys: a signed permutation w of at most 127 letters is keyed by the bytes
 of w^-1, so a product by a generator is one `bytes.translate`; dihedral
-elements and wider permutations are their own keys.  The BFS fills every
-per-element table from finished rows: right products by a generator,
-both parents, the inverse.  Everything downstream runs on them:
-subgroups, conjugacy and twisted involution classes (one marked walk
-each), the perfection test, twisted centralizers, induced characters,
-square-root counts.  Element tuples are decoded one at a time, only where
-a value leaves the oracle: class representatives (for cycle types and
-output), the minimum of a perfect class (and its elements for
-`perfect_classes` alone; the triples read the classes on ids), and the
-tuple-to-id lookups of `sqrt_count` and the twisted centralizers.
+elements and wider permutations are their own keys.  The BFS fills the
+right products by a generator and both parents; every other per-element
+map (the inverse, theta images, linear characters, a centralizer's class
+positions) is one walk along a parent array.  Everything downstream runs
+on them: subgroups, conjugacy and twisted involution classes (one marked
+walk each), the perfection test, twisted centralizers (read off their
+class orbits), induced characters, square-root counts.  Element tuples
+are decoded one at a time, only where a value leaves the oracle: class
+representatives (for cycle types and output), the minimum of a perfect
+class (and its elements for `perfect_classes` alone; the triples read
+the classes on ids), and the tuple-to-id lookups of `sqrt_count` and the
+twisted centralizers.
 
 The oracle validates itself as it goes: BFS lengths are checked against
 the exchange condition; each distinct induced character must come out
@@ -42,7 +44,7 @@ from __future__ import annotations
 import os
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import add, eq, mul
+from operator import add, eq, mul, not_
 from types import MappingProxyType, SimpleNamespace
 
 from . import partitions as pt
@@ -172,12 +174,14 @@ class Group:
       parent one letter shorter; lgen[i] is the least left descent, the
       first letter of the BFS word.
 
-    Left products go through the inverse: s_g w_i is
+    `_walk` is the one recurrence over these parents; the inverse walks
+    the left ones.  Left products go through the inverse: s_g w_i is
     `inverse[right[g][inverse[i]]]`, since s y = (y^-1 s)^-1.
 
     Generators must be involutions, so twisted conjugation by s is
     x -> s x pi(s).  A parabolic subgroup numbers its own elements;
-    `parent_ids` and `gen_ids` map its ids and generators to the parent's.
+    `parent_ids` and `gen_ids` map its ids and generators to the parent's,
+    and its {key: id} dict, for `id_of`, is built on first use.
     """
 
     def __init__(self, name, gens, mult, identity):
@@ -216,8 +220,14 @@ class Group:
         return self._codec.decode(self._keys[i])
 
     def id_of(self, w):
-        """The id of the tuple w; a parabolic keeps no {key: id} dict."""
+        """The id of the tuple w."""
         return self._ids[self._codec.encode(w)]
+
+    @cached_property
+    def _ids(self):
+        """{key: id}: the BFS keeps it on a root group; a parabolic, whose
+        BFS ran on parent ids, builds it from its keys on first use."""
+        return dict(zip(self._keys, range(self.order)))
 
     @cached_property
     def elements(self):
@@ -243,9 +253,9 @@ class Group:
         The queue finishes a layer before it starts the next, so each
         table reads only finished rows.  An element first met as w = w' t
         takes its first letter s from w' and its left parent
-        s w = (s w') t from the row of s w', a layer below w'.  A layer's
-        inverses are filled when the queue reaches it, all found and the
-        layer below finished: (s w)^-1 = w^-1 s reads the row of w^-1.
+        s w = (s w') t from the row of s w', a layer below w'.  The
+        inverse is one walk of the left parents after the loop:
+        (s w)^-1 = w^-1 s reads the row of s at the inverse of w.
         """
         cap = oracle_cap()
         index = {start: 0}
@@ -255,17 +265,12 @@ class Group:
         rgen = [-1]
         lgen = [-1]
         lparent = [-1]
-        inverse = [0]
         # -1 until the product is known; rows double in length as ids outgrow them
         right = [[-1] for _ in self.gens]
         gens = list(zip(range(len(letters)), letters, right))
         # the queue is `keys` itself, which grows under the loop
         for base, w in enumerate(keys):
             length = lengths[base]
-            if base == len(inverse):
-                # the first element of a layer, and the whole layer is found
-                for s, p in zip(lgen[base:], lparent[base:]):
-                    inverse.append(right[s][inverse[p]])
             for gi, letter, row in gens:
                 if row[base] >= 0:
                     continue
@@ -303,8 +308,8 @@ class Group:
         self.rgen = rgen
         self.lgen = lgen
         self.lparent = lparent
-        self.inverse = inverse
         self.right = right
+        self.inverse = self._walk(0, right, lparent, lgen)
         return keys, index
 
     def _derive(self):
@@ -319,14 +324,17 @@ class Group:
         self._irr = {}
         self._subgroups = {}
 
-    def _walk(self, start, rows):
+    def _walk(self, start, rows, parents=None, letters=None):
         """A map on ids from its value at the identity and its steps.
 
         values[i] = rows[t][values[p]] for w_i = w_p s_t: one lookup per
-        element, from its value at the right parent.
+        element, from its value at the right parent.  Given `parents` and
+        `letters`, it walks those instead: the left ones for w_i = s_t w_p.
         """
+        if parents is None:
+            parents, letters = self.rparent, self.rgen
         values = [start]
-        for p, t in zip(self.rparent[1:], self.rgen[1:]):
+        for p, t in zip(parents[1:], letters[1:]):
             values.append(rows[t][values[p]])
         return values
 
@@ -431,10 +439,12 @@ class Group:
     def subgroup(self, gen_ids):
         """Parabolic subgroup on a subset of the generators, built once.
 
-        On every generator it is the group itself.
+        On every generator of a root group it is the group itself.  A
+        parabolic's `gen_ids` and `parent_ids` map into its own parent, so
+        its subgroup on every generator is built like any other.
         """
         gen_ids = tuple(gen_ids)
-        if gen_ids == tuple(range(len(self.gens))):
+        if gen_ids == tuple(range(len(self.gens))) and isinstance(self.parent_ids, range):
             return self
         sub = self._subgroups.get(gen_ids)
         if sub is None:
@@ -709,29 +719,30 @@ def _is_perfect(group: Group, w, theta, refl) -> bool:
 
 
 def twisted_centralizer(group: Group, sub: Group, w, pi):
-    """Ids in `sub` of its g with g w = w theta(g); w is an id of `group`.
+    """Ids in `sub` of its g with g w theta(g)^-1 = w; w is an id of `group`.
 
-    One pass in BFS order on right rows only.  For g = s g' (left parent)
-    (g w)^-1 = (g' w)^-1 s, and for g = g'' t (right parent)
-    w theta(g) = (w theta(g'')) pi(t); g is kept when the first is the
-    inverse of the second.
+    One walk of the twisted class of w under `sub`, with the step
+    s x theta(s) of `twisted_orbits`, numbers its points (w is 0) and keeps
+    a row per generator over them.  The image of g = s g' (left parent) is
+    row s at the image of g', so one `_walk` of the left parents numbers
+    every image, and the centralizer is read off as the g at 0.
     """
-    right, inverse = group.right, group.inverse
-    lrows = [right[j] for j in sub.gen_ids]
-    rrows = [right[sub.gen_ids[j]] for j in pi]
-    gw_inv = [inverse[w]]
-    wt = [w]
-    out = [0]
-    steps = zip(sub.lgen, sub.lparent, sub.rgen, sub.rparent)
-    next(steps)  # the identity
-    for g, (s, lp, t, rp) in enumerate(steps, 1):
-        a = lrows[s][gw_inv[lp]]
-        b = rrows[t][wt[rp]]
-        gw_inv.append(a)
-        wt.append(b)
-        if a == inverse[b]:
-            out.append(g)
-    return out
+    inverse, right = group.inverse, group.right
+    steps = [(right[sub.gen_ids[j]], right[sub.gen_ids[p]]) for j, p in enumerate(pi)]
+    number = {w: 0}
+    orbit = [w]  # the queue, which grows under the loop
+    rows = [[] for _ in steps]
+    for x in orbit:
+        xi = inverse[x]
+        for (row, twisted), out in zip(steps, rows):
+            y = twisted[inverse[row[xi]]]
+            k = number.get(y)
+            if k is None:
+                k = number[y] = len(orbit)
+                orbit.append(y)
+            out.append(k)
+    images = sub._walk(0, rows, sub.lparent, sub.lgen)
+    return list(compress(range(sub.order), map(not_, images)))
 
 
 def induced_character(group: Group, sums, h):

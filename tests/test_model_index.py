@@ -96,6 +96,21 @@ def test_json_roundtrip_and_format():
     assert format_index(idx) == "B[3,2;(2,1),id;mp,sgn]"
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (5, "an index is a JSON object"),
+        ([], "an index is a JSON object"),
+        ({"type": "A"}, "missing 'alpha', 'beta', 'gamma'"),
+        ({"alpha": [2], "beta": ["id"], "gamma": ["triv"]}, "missing 'type'; an index is"),
+        ({"type": "A", "alpha": 2, "beta": ["id"], "gamma": ["triv"]}, "the lists alpha, beta and gamma"),
+    ],
+)
+def test_from_json_names_the_missing_key_or_the_shape(doc, message):
+    with pytest.raises(ValueError, match=message):
+        from_json(doc)
+
+
 def test_dual_is_an_involution():
     samples = [
         mi("A", (3, "id", "triv"), (2, "id", "sgn")),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxmodel import induction
 from coxmodel import oracle as oc
-from coxmodel.classification import search_perfect_models
+from coxmodel.classification import KNOWN_FAMILIES, known_model, search_perfect_models
 from coxmodel.cli import run
 from coxmodel.model_index import ModelIndex, enumerate_indices, transform, validate
 from coxmodel.oracle import (
@@ -500,6 +500,104 @@ def test_twisted_centralizer_is_the_tuple_filter(ctype, n):
         brute = [x for x in sub.elements if g.mult(x, w) == g.mult(w, theta[x])]
         cent = twisted_centralizer(g, sub, g.index[w], t["theta"])
         assert [sub.elements[x] for x in cent] == brute
+
+
+def _two_recurrence_centralizer(group, sub, w, pi):
+    """The centralizer by its earlier formula, kept as the reference: for
+    g = s g' (left parent) (g w)^-1 = (g' w)^-1 s, for g = g'' t (right
+    parent) w theta(g) = (w theta(g'')) pi(t), and g is kept when the first
+    is the inverse of the second."""
+    right, inverse = group.right, group.inverse
+    lrows = [right[j] for j in sub.gen_ids]
+    rrows = [right[sub.gen_ids[j]] for j in pi]
+    gw_inv = [inverse[w]]
+    wt = [w]
+    out = [0]
+    steps = zip(sub.lgen, sub.lparent, sub.rgen, sub.rparent)
+    next(steps)  # the identity
+    for g, (s, lp, t, rp) in enumerate(steps, 1):
+        a = lrows[s][gw_inv[lp]]
+        b = rrows[t][wt[rp]]
+        gw_inv.append(a)
+        wt.append(b)
+        if a == inverse[b]:
+            out.append(g)
+    return out
+
+
+def _known_triples(ctype, n):
+    """The `index_to_triple` triple of every known-model index of type ctype at rank n."""
+    out = []
+    for family in KNOWN_FAMILIES:
+        try:
+            model = known_model(family, n)
+        except ValueError:
+            continue  # the family has no model at this rank
+        out += [oc.index_to_triple(idx) for idx in model if idx.ctype == ctype]
+    return out
+
+
+CENTRALIZER_RANKS = (
+    [("A", n) for n in range(2, 8)]
+    + [("B", n) for n in range(2, 6)]
+    + [("D", n) for n in range(3, 6)]
+    + [("H3", 3)]
+    + [("I2", m) for m in range(5, 9)]
+)
+
+
+@pytest.mark.parametrize(
+    "ctype,n",
+    CENTRALIZER_RANKS,
+    ids=["H3" if t == "H3" else f"I2-{n}" if t == "I2" else f"{t}{n}" for t, n in CENTRALIZER_RANKS],
+)
+def test_the_centralizer_read_off_the_class_is_the_two_recurrence_one(ctype, n):
+    g = get_group(ctype, n)
+    known = _known_triples(ctype, n)
+    assert known or ctype in ("D", "H3", "I2")
+    for J, w, pi in dict.fromkeys((t["J"], t["min"], t["theta"]) for t in [*all_triples(g), *known]):
+        sub = g.subgroup(J)
+        cent = twisted_centralizer(g, sub, g.id_of(w), pi)
+        assert cent == _two_recurrence_centralizer(g, sub, g.id_of(w), pi), (J, w, pi)
+
+
+def test_a_build_walks_once_and_a_centralizer_once(monkeypatch):
+    walks = []
+    walk = Group._walk
+
+    def counted(self, start, rows, *parents):
+        walks.append(self.order)
+        return walk(self, start, rows, *parents)
+
+    g = oc.build_group("D", 4)
+    triple = next(t for t in all_triples(g) if t["J"] == (0, 1, 2) and t["theta"] != (0, 1, 2))
+    monkeypatch.setattr(Group, "_walk", counted)
+    # the inverse table, once per group and once per parabolic subgroup
+    oc.build_group("D", 4)
+    assert walks == [g.order]
+    sub = Group._parabolic(g, triple["J"])
+    assert walks == [g.order, sub.order]
+    walks.clear()
+    twisted_centralizer(g, sub, g.id_of(triple["min"]), triple["theta"])
+    assert walks == [sub.order]
+
+
+PARABOLIC_GROUPS = [("B", 4, (0, 1, 2)), ("D", 5, (0, 1, 2, 3)), ("A", 6, (0, 1, 2, 3)), ("B", 3, (1, 2))]
+
+
+@pytest.mark.parametrize(
+    "ctype,n,J", PARABOLIC_GROUPS, ids=["B4-B3", "D5-D4", "S6-S5", "B3-12"]
+)
+def test_a_parabolic_answers_as_the_group_on_its_generators(ctype, n, J):
+    g = oc.build_group(ctype, n)
+    sub = g.subgroup(J)
+    alone = Group("alone", sub.gens, g.mult, g.identity)
+    assert [sub.id_of(sub.element(i)) for i in range(sub.order)] == list(range(sub.order))
+    assert sqrt_count(sub) == sqrt_count(alone)
+    covers = oracle_search(sub)
+    assert covers == oracle_search(alone)
+    for cover in covers:
+        assert oracle_is_perfect(sub, [chi for chi, _ in cover])
 
 
 def _tuple_orbits(g, pi):
