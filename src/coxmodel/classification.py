@@ -92,7 +92,7 @@ def known_model(family: str, n: int) -> tuple[ModelIndex, ...]:
     raise ValueError(f"unknown family: {family!r}")
 
 
-KNOWN_FAMILIES = ("PA", "PB", "PBhat", "PD", "Aextra4", "B3extra1", "B3extra2")
+KNOWN_FAMILIES = (*_P_TYPES, *_ONE_RANK)
 
 
 # --- perfection test -----------------------------------------------------------

@@ -15,7 +15,12 @@ and "mp" (negative there).  Which (alpha, beta, gamma) a block takes is
 read from one table, induction.COLUMN_KINDS, which also gives each
 column's character; validate keeps only the rules of a whole index
 (column count, rank 0, signs of the sizes, the fpf floor of column 1).
-The enumerator spells each block's columns from that table, keeping the normal ones.
+
+The normal form of an index is each column's normal form in its block,
+one rule for every block (`_normal_column`), with type A's empty columns
+dropped.  The enumerator spells each block's columns from the table and
+keeps those that rule leaves as they are; the projections to type A
+return the normal form of the columns they spell.
 
 Two indexes are strongly equivalent when related by value-preserving
 rewrites, duality, or inner diagram symmetries; full equivalence also
@@ -237,16 +242,18 @@ def check_valid(idx: ModelIndex) -> ModelIndex:
 # --- rewrites and transforms ---------------------------------------------------
 
 
-def _normalize_a_column(col):
-    """Value-preserving collapse of a symmetric-group column."""
+def _normal_column(block: str, col: tuple) -> tuple:
+    """The value-preserving normal form of one column of a block ("A", "B"
+    or "D"): the spelling of its parabolic, class and character that
+    `_block_columns` keeps."""
     a, b, g = col
     if a == 0:
         return (0, "id", "triv")
-    if b == "idplus":
+    if b == "idplus" or (block != "B" and abs(a) <= 2):
+        # S_1, S_2 and D_2 = A_1 x A_1 are abelian: every class symbol
+        # names a central singleton with full centralizer
         b = "id"
-    if abs(a) <= 2:
-        b = "id"
-    if abs(a) == 1:
+    if block == "A" and abs(a) == 1:
         g = "triv"
     return (a, b, g)
 
@@ -256,23 +263,10 @@ def _normal_columns(ctype: str, cols: tuple) -> tuple:
     if ctype == "A":
         # a zero-width column names no generators at all, so dropping it
         # leaves the same parabolic, class, and character
-        kept = tuple(
-            _normalize_a_column(c) for c in cols if c[0] != 0
-        )
+        kept = tuple(_normal_column("A", c) for c in cols if c[0] != 0)
         return kept or ((0, "id", "triv"),)
-    (a0, b0, g0), col1 = cols
-    col1 = _normalize_a_column(col1)
-    if a0 == 0:
-        col0 = (0, "id", "triv")
-    else:
-        if b0 == "idplus":
-            b0 = "id"
-        if ctype == "D" and a0 == 2:
-            # the rank-2 subgroup is abelian: every class symbol here names
-            # a central singleton with full centralizer.
-            b0 = "id"
-        col0 = (a0, b0, g0)
-    return (col0, col1)
+    col0, col1 = cols
+    return (_normal_column(ctype, col0), _normal_column("A", col1))
 
 
 def normalize(idx: ModelIndex) -> ModelIndex:
@@ -531,58 +525,37 @@ def _character(ctype: str, cols: tuple) -> VirtualCharacter:
 # --- index-level projections ----------------------------------------------------
 
 
-def _strip_zero_columns(ctype, cols):
-    kept = [c for c in cols if c[0] != 0]
-    if not kept:
-        raise ValueError("projection produced an empty index")
-    return normalize(ModelIndex(ctype, kept))
+# The one survival rule of a sign block: the characters each projection
+# keeps, and the symmetric-group character each restricts to.
+_KEPT = {"piL": ("triv", "pm"), "piR": ("mp", "sgn"), "piD": ("triv", "sgn")}
+_RESTRICTED = {"triv": "triv", "mp": "triv", "pm": "sgn", "sgn": "sgn"}
 
 
 def project_index(kind: str, idx: ModelIndex):
-    """Index image under the symmetric-group projections; None means zero."""
+    """Index image under the symmetric-group projections; None means zero.
+
+    The sign block becomes one symmetric column, or two identity columns
+    for a split class, and the image is the normal form of those columns
+    beside the symmetric block, where an empty block drops out.
+    """
     check_valid(idx)
-    if kind in ("piL", "piR"):
-        if idx.ctype != "B":
-            raise ValueError(f"{kind} applies to type B indexes")
-        (a0, b0, g0), col1 = idx.columns
-        if a0 == 0:
-            return _strip_zero_columns("A", [col1])
-        if b0 == "fpf":
-            return _strip_zero_columns("A", [(a0, "fpf", g0), col1])
-        left = kind == "piL"
-        if isinstance(b0, tuple):  # split class: two identity columns
-            survives = g0 in (("triv", "pm") if left else ("mp", "sgn"))
-            if not survives:
-                return None
-            g = "triv" if g0 in ("triv", "mp") else "sgn"
-            cols = [(b0[1], "id", g), (b0[2], "id", g), col1]
-            return _strip_zero_columns("A", cols)
-        if a0 == 1:
-            survives = g0 == "triv" if left else g0 == "sgn"
-            gmap = {"triv": "triv", "sgn": "sgn"}
-        else:
-            survives = g0 in (("triv", "pm") if left else ("mp", "sgn"))
-            gmap = {"triv": "triv", "pm": "sgn", "mp": "triv", "sgn": "sgn"}
-        if not survives:
+    if kind not in _KEPT:
+        raise ValueError(f"unknown projection: {kind!r}")
+    ctype = "D" if kind == "piD" else "B"
+    if idx.ctype != ctype:
+        raise ValueError(f"{kind} applies to type {ctype} indexes")
+    (a0, b0, g0), (a1, b1, g1) = idx.columns
+    # in type B a fixed-point-free centralizer misses the sign-change
+    # generator, so piL and piR both keep its triv and sgn
+    if a0 and (kind == "piD" or b0 != "fpf"):
+        if g0 not in _KEPT[kind]:
             return None
-        return _strip_zero_columns("A", [(a0, "id", gmap[g0]), col1])
-    if kind == "piD":
-        if idx.ctype != "D":
-            raise ValueError("piD applies to type D indexes")
-        (a0, b0, g0), (a1, b1, g1) = idx.columns
-        if a0 == 0:
-            return _strip_zero_columns("A", [(abs(a1), b1, g1)])
-        if g0 not in ("triv", "sgn"):
-            return None
-        col1 = (abs(a1), b1, g1)
-        if isinstance(b0, tuple) and b0[0] == "pq":
-            cols = [(b0[1], "id", g0), (b0[2], "id", g0), col1]
-        elif b0 in ("fpf", "fpfdiamond"):
-            cols = [(a0, "fpf", g0), col1]
-        else:
-            cols = [(a0, "id", g0), col1]
-        return _strip_zero_columns("A", cols)
-    raise ValueError(f"unknown projection: {kind!r}")
+        g0 = _RESTRICTED[g0]
+    if isinstance(b0, tuple) and b0[0] == "pq":  # split class: two identity columns
+        cols = [(b0[1], "id", g0), (b0[2], "id", g0)]
+    else:
+        cols = [(a0, "fpf" if _fpfish(b0) else "id", g0)]
+    return normalize(ModelIndex("A", [*cols, (abs(a1), b1, g1)]))
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -595,13 +568,10 @@ BLOCK_COLUMNS_CACHE_SIZE = 256
 
 @lru_cache(maxsize=BLOCK_COLUMNS_CACHE_SIZE)
 def _block_columns(block: str, alpha: int) -> tuple:
-    """The valid normal columns of size alpha in a block, read off the
-    column-kind table; a negative alpha is D's flipped symmetric block."""
-    if block == "A":
-        return tuple([col for col in columns_of(block, alpha) if _normalize_a_column(col) == col])
-    # _normal_columns normalizes the two columns of a B or D index apart
-    pairs = [(col, (0, "id", "triv")) for col in columns_of(block, alpha)]
-    return tuple([cols[0] for cols in pairs if _normal_columns(block, cols) == cols])
+    """The valid normal columns of size alpha in a block: the spellings of
+    the column-kind table that `_normal_column` leaves as they are.  A
+    negative alpha is D's flipped symmetric block."""
+    return tuple([col for col in columns_of(block, alpha) if _normal_column(block, col) == col])
 
 
 def _compositions(n: int, parts: int):

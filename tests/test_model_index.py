@@ -437,15 +437,19 @@ def test_lemma_prunes_only_repeated_constituents():
 
 
 def test_lemma_prunes_repeat_a_constituent_above_the_caps():
-    # every index _lemma_excludes_mf prunes at B11-B13 and D11-D13, above
-    # the B and D caps, has a character with a repeated constituent
+    # every index _lemma_excludes_mf prunes at B11-B14 and D11-D14, above
+    # the B and D caps, has a character with a repeated constituent; the
+    # ledger in notes/decisions.md, "Prune checks above the caps", goes on
+    # to B20 and D21
     want = {
         ("B", 11): 580,
         ("B", 12): 766,
         ("B", 13): 886,
+        ("B", 14): 1112,
         ("D", 11): 290,
         ("D", 12): 460,
         ("D", 13): 446,
+        ("D", 14): 648,
     }
     for ctype, n in want:
         pruned = 0
@@ -758,3 +762,131 @@ def test_the_multiplicity_free_filter_validates_nothing(monkeypatch):
     # outside input keeps its check
     with pytest.raises(ValueError, match="invalid index"):
         character_of_index(mi("B", (1, "id", "pm"), (2, "id", "triv")))
+
+
+# --- the normal form and the projections against their earlier spelling -------
+
+
+def _reference_normalize_a_column(col):
+    """A symmetric-block column's normal form, as written before
+    `_normal_column` served every block."""
+    a, b, g = col
+    if a == 0:
+        return (0, "id", "triv")
+    if b == "idplus":
+        b = "id"
+    if abs(a) <= 2:
+        b = "id"
+    if abs(a) == 1:
+        g = "triv"
+    return (a, b, g)
+
+
+def _reference_normal_columns(ctype, cols):
+    if ctype == "A":
+        kept = tuple(_reference_normalize_a_column(c) for c in cols if c[0] != 0)
+        return kept or ((0, "id", "triv"),)
+    (a0, b0, g0), col1 = cols
+    col1 = _reference_normalize_a_column(col1)
+    if a0 == 0:
+        col0 = (0, "id", "triv")
+    else:
+        if b0 == "idplus":
+            b0 = "id"
+        if ctype == "D" and a0 == 2:
+            b0 = "id"
+        col0 = (a0, b0, g0)
+    return (col0, col1)
+
+
+def _reference_strip_zero_columns(ctype, cols):
+    kept = [c for c in cols if c[0] != 0]
+    if not kept:
+        raise ValueError("projection produced an empty index")
+    return ModelIndex(ctype, _reference_normal_columns(ctype, kept))
+
+
+def _reference_project_index(kind, idx):
+    """project_index as written with one restriction rule per class."""
+    check_valid(idx)
+    if kind in ("piL", "piR"):
+        (a0, b0, g0), col1 = idx.columns
+        if a0 == 0:
+            return _reference_strip_zero_columns("A", [col1])
+        if b0 == "fpf":
+            return _reference_strip_zero_columns("A", [(a0, "fpf", g0), col1])
+        left = kind == "piL"
+        if isinstance(b0, tuple):
+            if g0 not in (("triv", "pm") if left else ("mp", "sgn")):
+                return None
+            g = "triv" if g0 in ("triv", "mp") else "sgn"
+            return _reference_strip_zero_columns(
+                "A", [(b0[1], "id", g), (b0[2], "id", g), col1]
+            )
+        if a0 == 1:
+            survives = g0 == "triv" if left else g0 == "sgn"
+            gmap = {"triv": "triv", "sgn": "sgn"}
+        else:
+            survives = g0 in (("triv", "pm") if left else ("mp", "sgn"))
+            gmap = {"triv": "triv", "pm": "sgn", "mp": "triv", "sgn": "sgn"}
+        if not survives:
+            return None
+        return _reference_strip_zero_columns("A", [(a0, "id", gmap[g0]), col1])
+    (a0, b0, g0), (a1, b1, g1) = idx.columns
+    if a0 == 0:
+        return _reference_strip_zero_columns("A", [(abs(a1), b1, g1)])
+    if g0 not in ("triv", "sgn"):
+        return None
+    col1 = (abs(a1), b1, g1)
+    if isinstance(b0, tuple) and b0[0] == "pq":
+        cols = [(b0[1], "id", g0), (b0[2], "id", g0), col1]
+    elif b0 in ("fpf", "fpfdiamond"):
+        cols = [(a0, "fpf", g0), col1]
+    else:
+        cols = [(a0, "id", g0), col1]
+    return _reference_strip_zero_columns("A", cols)
+
+
+@cache
+def valid_two_column_spellings():
+    """Every valid spelling of a rank-n index at B1-B8 and D3-D8."""
+    ranks = [*(("B", n) for n in range(1, 9)), *(("D", n) for n in range(3, 9))]
+    return tuple(idx for t, n in ranks for idx in _spellings(t, n) if not validate(idx))
+
+
+def test_normal_form_is_the_reference_on_every_valid_spelling():
+    spellings = valid_two_column_spellings()
+    # 3,056 at B1-B8 and 2,464 at D3-D8, as VALID_SPELLINGS pins to rank 7
+    assert len(spellings) == 5520
+    for idx in spellings:
+        assert normalize(idx).columns == _reference_normal_columns(idx.ctype, idx.columns), idx
+
+
+@pytest.mark.parametrize("block", "ABD")
+def test_normal_form_is_the_reference_on_every_spelled_column(block):
+    # normalize reads no validity, so a column is checked in every index
+    # that can hold it, and its verdict must agree across them
+    spelled = 0
+    for a in range(-9, 10) if block == "A" else range(10):
+        kept = []
+        for col in ind.columns_of(block, a):
+            verdicts = set()
+            for idx in _placed(block, col):
+                want = _reference_normal_columns(idx.ctype, idx.columns)
+                assert normalize(idx).columns == want, idx
+                verdicts.add(want == idx.columns)
+            assert len(verdicts) == 1, col
+            if verdicts.pop():
+                kept.append(col)
+            spelled += 1
+        assert _block_columns(block, a) == tuple(kept), (block, a)
+    assert spelled == {"A": 112, "B": 226, "D": 142}[block]
+
+
+def test_projections_are_the_reference_on_every_valid_spelling():
+    projected = 0
+    for idx in valid_two_column_spellings():
+        for kind in ("piL", "piR") if idx.ctype == "B" else ("piD",):
+            assert project_index(kind, idx) == _reference_project_index(kind, idx), (kind, idx)
+            projected += 1
+    assert projected == 2 * 3056 + 2464
