@@ -11,16 +11,19 @@ columns before the parser was built per command, and on six ranks outside
 their type's range (`oracle` at A0, B0, D1, I2(1) and H3 rank 4, `verify`
 at `family:H3:2`), recorded before the oracle read its groups from one
 table keyed by Coxeter type; the A0, B0, D1 and I2(1) refusals were
-re-recorded when they came to name the type, not the group.  Its last
-three entries, `char --index` on an object without the lists and on a
-number and `verify --model '[5]'`, were recorded when `from_json` came to
-name the missing key or the expected shape.  `oracle
-search` A6 and D5 and `oracle classes` B5 were recorded before the search
-induced each class-sum key once, so every `oracle` argv the benchmark
-runs is pinned here too; each `oracle` file whose argv the benchmark
-reference records must hash to the digest recorded there.  No file pins
-`verify`: its positive `--oracle` jobs are checked against the reference
-digests.
+re-recorded when they came to name the type, not the group.  The next
+three, `char --index` on an object without the lists and on a number and
+`verify --model '[5]'`, were recorded when `from_json` came to name the
+missing key or the expected shape.  Four refusals that no other test
+reached follow them: `verify --model` on `family:PA` (no rank),
+`family:PA:x` (a rank that is not a number) and `family:I2odd:8` (even m
+for the odd family), and `classify --type I2 --rank 4` (m below 5).
+`oracle search` A6 and D5 and `oracle classes` B5 were recorded before
+the search induced each class-sum key once, so every `oracle` argv the
+benchmark runs is pinned here too; each `oracle` file whose argv the
+benchmark reference records must hash to the digest recorded there.  No
+file pins `verify`: its positive `--oracle` jobs are checked against the
+reference digests.
 """
 
 import hashlib
