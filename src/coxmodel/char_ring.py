@@ -27,7 +27,8 @@ form one column {label: value}, built by adding the first cycle's border
 strips to the cached column of the remaining cycles.  In type B a strip
 goes on either component, and a negative cycle flips the sign of strips
 on the second.  `mn_value_a`, `mn_value_b` and `difference_value` read
-these columns.  Every cache here is an `lru_cache` with a stated bound.
+these columns.  Every cache here is an `lru_cache` bounded by
+`partitions.CACHE_KEYS`.
 
 A `VirtualCharacter` is immutable: built once from its terms, with a
 read-only `coeffs`, and `add` returns a new value.  So a cache can hand
@@ -88,11 +89,7 @@ def label_sort_key(ctype: str, n: int, label) -> int:
     return _universe_index(ctype, n)[label]
 
 
-# (type, rank) keys: the three types at ranks 0 to 41
-UNIVERSE_INDEX_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=UNIVERSE_INDEX_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _universe_index(ctype: str, n: int) -> MappingProxyType:
     """{label: position in `irr_universe(ctype, n)`}, read-only."""
     return MappingProxyType({lab: i for i, lab in enumerate(irr_universe(ctype, n))})
@@ -129,14 +126,7 @@ def degree(ctype: str, label) -> int:
 # One column per cycle type (see the module docstring); cycle types that
 # share a tail share its column.
 
-# every (partition, length) with weight + length <= 21 (10,980 pairs)
-STRIP_CACHE_SIZE = 16384
-# every type A cycle type of weight <= 21 with its tails (3,506 partitions),
-# and every signed cycle type of weight <= 12 (3,132 bipartitions)
-COLUMN_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=STRIP_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _strip_additions(nu: Partition, length: int) -> tuple:
     """(larger partition, height sign) pairs after adding a border strip.
 
@@ -164,7 +154,7 @@ def _strip_additions(nu: Partition, length: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=COLUMN_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def mn_column_a(cycles: tuple) -> MappingProxyType:
     """{lam: chi^lam(cycles)} over the partitions lam where it is nonzero."""
     if not cycles:
@@ -177,7 +167,7 @@ def mn_column_a(cycles: tuple) -> MappingProxyType:
     return MappingProxyType({lam: v for lam, v in col.items() if v})
 
 
-@lru_cache(maxsize=COLUMN_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def mn_column_b(cycles: tuple) -> MappingProxyType:
     """{(lam, mu): value} of the hyperoctahedral characters, where nonzero.
 

@@ -41,13 +41,7 @@ from .partitions import Partition
 # --- the bullet products ------------------------------------------------------
 
 
-# Each bound is above the keys that one classify at SEARCH_CAPS (both
-# relations) touches, and those of the sweep A1-A16, B1-B8, D3-D8 in one
-# process.  Label pairs: at most 314 per classify (B8), 913 per sweep.
-BULLET_B_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=BULLET_B_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _bullet_b_labels(lab1, lab2) -> Mapping:
     (l1, l2), (m1, m2) = lab1, lab2
     out = {}
@@ -112,11 +106,7 @@ def taylor_coefficient(lab1, lab2, out) -> int:
     return num // 2
 
 
-# label pairs: at most 120 per classify (D8), 296 per sweep
-BULLET_D_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=BULLET_D_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _bullet_d_labels(lab1, lab2) -> Mapping:
     """Full D product of two labels, with the type-B lift consistency check."""
     a1, a2 = _lift_components(lab1)
@@ -180,11 +170,7 @@ def bullet(ctype: str, f: VirtualCharacter, g: VirtualCharacter) -> VirtualChara
 # S_n read only the pairs inside nu, from the cached `lr_expand`.
 
 
-# partitions: at most 15 per classify (B8), 15 per sweep
-INSIDE_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=INSIDE_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _inside(nu: Partition) -> tuple[tuple[Partition, ...], ...]:
     """The partitions whose diagrams fit inside nu's, by size, each size in
     `partitions_of` order."""
@@ -230,11 +216,7 @@ def ind_A_to_B(chi: VirtualCharacter) -> VirtualCharacter:
     return VirtualCharacter("B", chi.rank, terms)
 
 
-# (partition, core) pairs: at most 22 per classify (D8), 22 per sweep
-DIFFERENCE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=DIFFERENCE_CACHE_SIZE)
+@lru_cache(maxsize=pt.CACHE_KEYS)
 def _restricted_difference(nu: Partition, core: Partition) -> int:
     """<chi^nu, Res_{S_n} delta_core>, summed over the classes 2mu of S_n.
 

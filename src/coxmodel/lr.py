@@ -31,19 +31,10 @@ from math import comb
 from operator import add
 from types import MappingProxyType
 
-from .partitions import Partition, contains, standard_tableau_count, transpose
-
-# Keys per cache, _grow / _transposed / lr_expand: at most 128 / 123 / 273 for
-# one classify at SEARCH_CAPS, both relations (A16); 462 / 442 / 986 for the
-# sweep A1-A16, B1-B8, D3-D8 in one process; 297 / 292 / 1,174 for one lr-table pass.
-GROW_CACHE_SIZE = 1024  # _grow and _transposed
-EXPAND_CACHE_SIZE = 4096
-# `lr --nu` and library callers; no classify calls it.  The cache stays although
-# lr_expand's holds the same expansions: the benchmark reads its hit counts.
-COEFFICIENT_CACHE_SIZE = 1024
+from .partitions import CACHE_KEYS, Partition, contains, standard_tableau_count, transpose
 
 
-@lru_cache(maxsize=GROW_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """The LR tableaux of content mu grown on lam, counted by outer shape.
 
@@ -113,13 +104,13 @@ def _grow(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     return MappingProxyType(dict(sorted(found.items(), reverse=True)))
 
 
-@lru_cache(maxsize=GROW_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def _transposed(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     terms = ((transpose(nu), c) for nu, c in _grow(lam, mu).items())
     return MappingProxyType(dict(sorted(terms, reverse=True)))
 
 
-@lru_cache(maxsize=EXPAND_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """{nu: c^nu_{lam,mu}}, read-only, keys in `partitions_of` order."""
     lc, mc = transpose(lam), transpose(mu)
@@ -130,7 +121,9 @@ def lr_expand(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     return (_transposed if conjugate else _grow)(base, content)
 
 
-@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
+# `lr --nu` and library callers; no classify calls it.  The cache stays although
+# lr_expand's holds the same expansions: the benchmark reads its hit counts.
+@lru_cache(maxsize=CACHE_KEYS)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient c^nu_{lam,mu}."""
     # A caller may ask for any lam and mu of |nu| (`lr --nu`, library code);

@@ -47,6 +47,7 @@ from itertools import product
 
 from .char_ring import VirtualCharacter, is_multiplicity_free
 from .induction import bullet, column_char, column_kind, columns_of, ind_A_to_B, ind_A_to_D
+from .partitions import CACHE_KEYS
 
 _BETA_ORDER = {"id": 0, "idplus": 1, "fpf": 2, "fpfplus": 3, "fpfdiamond": 4}
 _GAMMA_ORDER = {"triv": 0, "sgn": 1, "pm": 2, "mp": 3}
@@ -385,8 +386,8 @@ def _b2_swap(ctype: str, cols: tuple):
         g0 = _swap_pm(g0)
         if b0 == "fpf":
             # the centralizer misses the sign generator, so the mixed
-            # characters restrict like triv/sgn.
-            g0 = {"pm": "sgn", "mp": "triv"}.get(g0, g0)
+            # characters restrict like triv/sgn, as in the projections.
+            g0 = _RESTRICTED[g0]
         return ((2, b0, g0), (0, "id", "triv"))
     if (a0, a1) == (1, 1):
         return ((0, "id", "triv"), (2, "id", g0))
@@ -435,12 +436,8 @@ def _orbit_columns(ctype: str, cols: tuple, relation: str) -> set:
 
 
 # {(ctype, columns, relation): least member of the orbit} on valid normal
-# columns, at most ORBIT_CACHE_SIZE keys.  A walk fills every member of its
-# orbit at once, and empties the cache first when they would pass the
-# bound.  One classify at SEARCH_CAPS touches at most 296 keys (A16, both
-# relations), and an unpruned enumeration up to A11 at most 14,215, so
-# these walk each orbit once.
-ORBIT_CACHE_SIZE = 1 << 14
+# columns, at most CACHE_KEYS keys.  A walk fills every member of its orbit
+# at once, and empties the cache first when they would pass the bound.
 _ORBIT_CACHE: dict = {}
 
 
@@ -450,7 +447,7 @@ def _least(ctype: str, cols: tuple, relation: str) -> ModelIndex:
     if least is None:
         orbit = _orbit_columns(ctype, cols, relation)
         least = _trusted_index(ctype, min(orbit, key=_columns_key))
-        if len(_ORBIT_CACHE) + len(orbit) > ORBIT_CACHE_SIZE:
+        if len(_ORBIT_CACHE) + len(orbit) > CACHE_KEYS:
             _ORBIT_CACHE.clear()
         for member in orbit:
             _ORBIT_CACHE[(ctype, member, relation)] = least
@@ -477,12 +474,7 @@ def canonical_form(idx: ModelIndex, relation: str = "strong") -> ModelIndex:
 # --- characters ----------------------------------------------------------------
 
 
-# (type, column, induced) keys: at most 69 per classify at SEARCH_CAPS, both
-# relations (B8); 257 for the sweep A1-A16, B1-B8, D3-D8 in one process
-COLUMN_CHAR_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=COLUMN_CHAR_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def _column(ctype: str, column: tuple, induced: bool) -> VirtualCharacter:
     """One column's character, built once and shared.
 
@@ -561,12 +553,7 @@ def project_index(kind: str, idx: ModelIndex):
 # --- enumeration -----------------------------------------------------------------
 
 
-# (block, size) keys: at most 19 per classify at SEARCH_CAPS, both
-# relations (D8); 41 for the sweep A1-A16, B1-B8, D3-D8 in one process
-BLOCK_COLUMNS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=BLOCK_COLUMNS_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def _block_columns(block: str, alpha: int) -> tuple:
     """The valid normal columns of size alpha in a block: the spellings of
     the column-kind table that `_normal_column` leaves as they are.  A

@@ -17,6 +17,10 @@ from typing import Iterator
 Partition = tuple[int, ...]
 BiPartition = tuple[Partition, Partition]
 
+# The bound of every `lru_cache` in the symbolic modules (partitions, lr,
+# char_ring, induction, model_index) and of model_index's orbit cache.
+CACHE_KEYS = 1 << 14
+
 
 def is_partition(p) -> bool:
     """True when p is a tuple of weakly decreasing positive integers."""
@@ -38,11 +42,7 @@ def sort_key(p: Partition) -> tuple:
     return (sum(p), tuple(-x for x in p))
 
 
-# at least the 3,506 partitions of weight <= 21 (B20, D21 and the LR layer)
-TRANSPOSE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=TRANSPOSE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def transpose(p: Partition) -> Partition:
     """Conjugate partition (reflect the diagram across the main diagonal)."""
     out: list[int] = []
@@ -70,12 +70,7 @@ def contains(big: Partition, small: Partition) -> bool:
     return all(small[i] <= big[i] for i in range(len(small)))
 
 
-# (n, max_part) keys: 111 per classify at SEARCH_CAPS (A16), 153 for the
-# sweep A1-A16, B1-B8, D3-D8 in one process, 253 for every n <= 21
-PARTITIONS_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_KEYS)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, grevlex order."""
     if n < 0:
@@ -146,13 +141,7 @@ def unordered_pair(lam: Partition, mu: Partition) -> BiPartition:
     return (lam, mu) if lam > mu else (mu, lam)
 
 
-# The label families below are keyed by size alone, so this holds every
-# size up to 63.  The keys one classify at SEARCH_CAPS touches are beside
-# each; the sweep A1-A16, B1-B8, D3-D8 touches at most 13 (erows).
-FAMILY_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 1 per classify (D8)
+@lru_cache(maxsize=CACHE_KEYS)
 def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
     """Unordered pairs {lam, mu} of distinct partitions with |lam| + |mu| = n.
 
@@ -166,13 +155,13 @@ def unordered_bipartitions_of(n: int) -> tuple[BiPartition, ...]:
 # --- filtered families ------------------------------------------------------
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 9 per classify (B8, D8)
+@lru_cache(maxsize=CACHE_KEYS)
 def erows(n: int) -> tuple[Partition, ...]:
     """Partitions of n with all parts even."""
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == 0)
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 7 per classify (A16)
+@lru_cache(maxsize=CACHE_KEYS)
 def ecols(n: int) -> tuple[Partition, ...]:
     out = [transpose(p) for p in erows(n)]
     return tuple(sorted(out, key=sort_key))
@@ -185,7 +174,7 @@ def orows(n: int, q: int) -> tuple[Partition, ...]:
     return tuple(p for p in partitions_of(n) if odd_part_count(p) == q)
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 4 per classify (B8)
+@lru_cache(maxsize=CACHE_KEYS)
 def erows_b(n: int) -> tuple[BiPartition, ...]:
     """Bipartitions of n where both components have all even parts."""
     return tuple(
@@ -193,7 +182,7 @@ def erows_b(n: int) -> tuple[BiPartition, ...]:
     )
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 4 per classify (B8)
+@lru_cache(maxsize=CACHE_KEYS)
 def ecols_b(n: int) -> tuple[BiPartition, ...]:
     out = [(transpose(lam), transpose(mu)) for lam, mu in erows_b(n)]
     # `bipartitions_of` order: on partitions of one weight, `partitions_of`
@@ -201,13 +190,13 @@ def ecols_b(n: int) -> tuple[BiPartition, ...]:
     return tuple(sorted(out, key=lambda bp: (sum(bp[0]), bp), reverse=True))
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 3 per classify (D8)
+@lru_cache(maxsize=CACHE_KEYS)
 def erows_d(n: int) -> tuple[BiPartition, ...]:
     """Unordered bipartitions {lam, mu} of n, lam != mu, all parts even."""
     return tuple(unordered_pair(*bp) for bp in erows_b(n) if _heavier_first(*bp))
 
 
-@lru_cache(maxsize=FAMILY_CACHE_SIZE)  # 3 per classify (D8)
+@lru_cache(maxsize=CACHE_KEYS)
 def ecols_d(n: int) -> tuple[BiPartition, ...]:
     return tuple(unordered_pair(*bp) for bp in ecols_b(n) if _heavier_first(*bp))
 

@@ -268,12 +268,12 @@ def test_columns_are_read_only_and_cycles_positive():
 def test_char_ring_caches_are_bounded():
     # each cache is an lru_cache whose bound holds what the program reaches
     partition_counts = [len(pt.partitions_of(w)) for w in range(22)]
-    assert cr._universe_index.cache_info().maxsize == cr.UNIVERSE_INDEX_CACHE_SIZE >= 3 * 42
+    assert cr._universe_index.cache_info().maxsize == pt.CACHE_KEYS >= 3 * 42
     # every (partition, strip length) with weight + length <= 21
-    assert cr._strip_additions.cache_info().maxsize == cr.STRIP_CACHE_SIZE
-    assert cr.STRIP_CACHE_SIZE >= sum(p * (21 - w) for w, p in enumerate(partition_counts)) == 10980
+    assert cr._strip_additions.cache_info().maxsize == pt.CACHE_KEYS
+    assert pt.CACHE_KEYS >= sum(p * (21 - w) for w, p in enumerate(partition_counts)) == 10980
     # every cycle type of weight <= 21, and every signed one of weight <= 12
     for column in (mn_column_a, mn_column_b):
-        assert column.cache_info().maxsize == cr.COLUMN_CACHE_SIZE
-    assert cr.COLUMN_CACHE_SIZE >= sum(partition_counts) == 3506
-    assert cr.COLUMN_CACHE_SIZE >= sum(1 for w in range(13) for _ in pt.bipartitions_of(w)) == 3132
+        assert column.cache_info().maxsize == pt.CACHE_KEYS
+    assert pt.CACHE_KEYS >= sum(partition_counts) == 3506
+    assert pt.CACHE_KEYS >= sum(1 for w in range(13) for _ in pt.bipartitions_of(w)) == 3132

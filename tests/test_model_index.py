@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from coxmodel import char_ring as cr
 from coxmodel import classification as cl
 from coxmodel import induction as ind
 from coxmodel import lr
@@ -263,10 +264,11 @@ def test_one_classify_at_the_caps_fits_the_orbit_cache(ctype, monkeypatch):
     monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
     for relation in ("strong", "full"):
         classify(ctype, SEARCH_CAPS[ctype], relation)
-    assert 0 < len(mx._ORBIT_CACHE) < mx.ORBIT_CACHE_SIZE
+    assert 0 < len(mx._ORBIT_CACHE) < mx.CACHE_KEYS
 
 
-# the keys one classify at SEARCH_CAPS, both relations, touches per cache
+# the keys one classify at SEARCH_CAPS, both relations, touches per cache;
+# every other cache of `symbolic_caches` takes none
 CLASSIFY_CACHE_KEYS = {
     "A": {
         "_column": 51,
@@ -274,6 +276,7 @@ CLASSIFY_CACHE_KEYS = {
         "_grow": 128,
         "_transposed": 123,
         "lr_expand": 273,
+        "transpose": 321,
         "partitions_of": 111,
         "erows": 7,
         "ecols": 7,
@@ -286,6 +289,7 @@ CLASSIFY_CACHE_KEYS = {
         "lr_expand": 136,
         "_bullet_b_labels": 314,
         "_inside": 15,
+        "transpose": 59,
         "partitions_of": 45,
         "erows": 9,
         "erows_b": 4,
@@ -301,6 +305,9 @@ CLASSIFY_CACHE_KEYS = {
         "_bullet_d_labels": 120,
         "_inside": 13,
         "_restricted_difference": 22,
+        "_strip_additions": 40,
+        "mn_column_a": 20,
+        "transpose": 59,
         "partitions_of": 45,
         "unordered_bipartitions_of": 1,
         "erows": 9,
@@ -311,32 +318,29 @@ CLASSIFY_CACHE_KEYS = {
         "ecols_d": 3,
     },
 }
-PARTITION_CACHES = (
-    "partitions_of",
-    "unordered_bipartitions_of",
-    "erows",
-    "ecols",
-    "erows_b",
-    "ecols_b",
-    "erows_d",
-    "ecols_d",
-)
+
+
+def symbolic_caches() -> dict:
+    """{name: function} for every `lru_cache` the symbolic modules define."""
+    return {
+        name: f
+        for module in (pt, lr, cr, ind, mx)
+        for name, f in vars(module).items()
+        if hasattr(f, "cache_info") and f.__module__ == module.__name__
+    }
+
+
+def test_every_symbolic_cache_reads_the_one_bound():
+    caches = symbolic_caches()
+    assert len(caches) == 23
+    assert {name: f.cache_info().maxsize for name, f in caches.items()} == dict.fromkeys(
+        caches, pt.CACHE_KEYS
+    )
 
 
 @pytest.mark.parametrize("ctype", sorted(SEARCH_CAPS))
 def test_one_classify_at_the_caps_fits_the_character_caches(ctype, monkeypatch):
-    caches = {
-        "_column": mx._column,
-        "_block_columns": mx._block_columns,
-        "_grow": lr._grow,
-        "_transposed": lr._transposed,
-        "lr_expand": lr.lr_expand,
-        "_bullet_b_labels": ind._bullet_b_labels,
-        "_bullet_d_labels": ind._bullet_d_labels,
-        "_inside": ind._inside,
-        "_restricted_difference": ind._restricted_difference,
-        **{name: getattr(pt, name) for name in PARTITION_CACHES},
-    }
+    caches = symbolic_caches()
     for f in caches.values():
         f.cache_clear()
     monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
@@ -351,7 +355,7 @@ def test_one_classify_at_the_caps_fits_the_character_caches(ctype, monkeypatch):
 
 def test_a_full_orbit_cache_is_emptied_and_refilled(monkeypatch):
     monkeypatch.setattr(mx, "_ORBIT_CACHE", {})
-    monkeypatch.setattr(mx, "ORBIT_CACHE_SIZE", 10)
+    monkeypatch.setattr(mx, "CACHE_KEYS", 10)
     for ctype, n in (("A", 6), ("B", 5), ("D", 5)):
         assert mx._strong_representatives(ctype, n, False) == (
             reference_strong_representatives(ctype, n, False)

@@ -152,5 +152,5 @@ def test_sort_key_total_order(p, q):
 def test_transpose_cache_is_bounded_above_weight_21():
     # B20 and D21 conjugate every partition of weight <= 21; the cache holds
     # them all, and no more than a fixed number of entries
-    assert pt.transpose.cache_info().maxsize == pt.TRANSPOSE_CACHE_SIZE
-    assert pt.TRANSPOSE_CACHE_SIZE >= sum(len(pt.partitions_of(n)) for n in range(22)) == 3506
+    assert pt.transpose.cache_info().maxsize == pt.CACHE_KEYS
+    assert pt.CACHE_KEYS >= sum(len(pt.partitions_of(n)) for n in range(22)) == 3506
