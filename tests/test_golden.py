@@ -18,6 +18,11 @@ missing key or the expected shape.  Four refusals that no other test
 reached follow them: `verify --model` on `family:PA` (no rank),
 `family:PA:x` (a rank that is not a number) and `family:I2odd:8` (even m
 for the odd family), and `classify --type I2 --rank 4` (m below 5).
+Five more were recorded before the CLI read each input kind with one
+reader: `verify --model` on a list of a type A and a type B index (mixed
+types), `classify --golden` on a file that does not exist, and
+`char --index` on a negative block size, a block size that is not a
+number and the type E.
 `oracle search` A6 and D5 and `oracle classes` B5 were recorded before
 the search induced each class-sum key once, so every `oracle` argv the
 benchmark runs is pinned here too; each `oracle` file whose argv the
