@@ -89,59 +89,46 @@ def _render(x, newline: str, write) -> None:
         raise TypeError(f"cannot render {type(x).__name__}")
 
 
+def _document(doc: dict) -> str:
+    """The text of one document: what `_emit` writes, `--golden` compares."""
+    return render({"schema": SCHEMA, **doc}) + "\n"
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(render({"schema": SCHEMA, **doc}) + "\n")
+    sys.stdout.write(_document(doc))
 
 
-def _parse_partition_arg(text: str) -> tuple:
+def _read(parse, value, what: str):
+    """`parse(value)`, with any failure a ValueError that names `what`."""
     try:
-        return pt.parse_partition(text)
+        return parse(value)
     except Exception as exc:
-        raise ValueError(f"bad partition {text!r}: {exc}") from exc
+        raise ValueError(f"bad {what} {value!r}: {exc}") from exc
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"bad JSON: {exc}") from exc
 
 
 def _cmd_lr(args) -> int:
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
+    lam = _read(pt.parse_partition, args.lam, "partition")
+    mu = _read(pt.parse_partition, args.mu, "partition")
+    doc = {"command": "lr", "lam": pt.format_partition(lam), "mu": pt.format_partition(mu)}
     if args.nu is not None:
-        nu = _parse_partition_arg(args.nu)
-        c = lr_coefficient(lam, mu, nu)
-        _emit(
-            {
-                "command": "lr",
-                "lam": pt.format_partition(lam),
-                "mu": pt.format_partition(mu),
-                "nu": pt.format_partition(nu),
-                "coefficient": c,
-            }
-        )
-        return 0
-    _emit(
-        {
-            "command": "lr",
-            "lam": pt.format_partition(lam),
-            "mu": pt.format_partition(mu),
-            "expansion": [
-                [pt.format_partition(nu), c] for nu, c in lr_expand(lam, mu).items()
-            ],
-        }
-    )
+        nu = _read(pt.parse_partition, args.nu, "partition")
+        doc["nu"] = pt.format_partition(nu)
+        doc["coefficient"] = lr_coefficient(lam, mu, nu)
+    else:
+        doc["expansion"] = [[pt.format_partition(nu), c] for nu, c in lr_expand(lam, mu).items()]
+    _emit(doc)
     return 0
 
 
-def _load_index(doc) -> ModelIndex:
-    try:
-        return from_json(doc)
-    except Exception as exc:
-        raise ValueError(f"bad model index {doc!r}: {exc}") from exc
-
-
 def _cmd_char(args) -> int:
-    try:
-        doc = json.loads(args.index)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"bad JSON: {exc}") from exc
-    idx = _load_index(doc)
+    idx = _read(from_json, _json(args.index), "model index")
     chi = character_of_index(idx)
     _emit({"command": "char", "index": format_index(idx), "character": chi.to_json()})
     return 0
@@ -161,13 +148,10 @@ def _load_model(text: str):
         if name in ("I2odd", "I2even", "H3"):
             return (name[:2], name, n)  # the type, I2 or H3
         return ("index", name, cl.known_model(name, n))
-    try:
-        docs = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"bad JSON: {exc}") from exc
+    docs = _json(text)
     if not isinstance(docs, list) or not docs:
         raise ValueError("model JSON must be a nonempty list of indexes")
-    return ("index", None, tuple(_load_index(d) for d in docs))
+    return ("index", None, tuple(_read(from_json, d, "model index") for d in docs))
 
 
 def _oracle_check_model(indices) -> bool:
@@ -182,6 +166,7 @@ def _oracle_check_model(indices) -> bool:
 
 def _cmd_verify(args) -> int:
     kind = _load_model(args.model)
+    doc = {"command": "verify", "model": args.model}
     if kind[0] in ("I2", "H3"):
         # the known models must be exactly the oracle's covers; I2 first
         # checks its closed form, and asks the oracle only under --oracle
@@ -192,34 +177,28 @@ def _cmd_verify(args) -> int:
             if n < 5 or (n % 2 == 0) != (name == "I2even"):
                 raise ValueError(f"{name} needs matching parity and m >= 5")
             wanted = cl.dihedral_known_models(n)
-            found = {frozenset(map(str, model)) for model in cl.classify_dihedral(n)["models"]}
-            ok = all(frozenset(map(str, model)) in found for model in wanted)
+            found = {frozenset(model) for model in cl.classify_dihedral(n)["models"]}
+            ok = all(frozenset(model) in found for model in wanted)
             models = [[cl.DIHEDRAL_MEMBER[member] for member in model] for model in wanted]
         if ok and (args.oracle or ctype == "H3"):
             from . import oracle as oc
 
             ok = cl.known_models_are_oracle_covers(oc.get_group(ctype, n), models)
-        _emit({"command": "verify", "model": args.model, "status": "perfect" if ok else "not_perfect"})
-        return 0 if ok else 2
-    _, _, indices = kind
-    verdict = cl.is_perfect_symbolic(indices)
-    ok = verdict["status"] == "perfect"
-    if ok and args.oracle:
-        ok = _oracle_check_model(indices)
-        if not ok:
-            verdict = {"status": "oracle_mismatch"}
-    payload = {
-        "command": "verify",
-        "model": args.model,
-        "indices": [format_index(i) for i in indices],
-        "status": verdict["status"],
-    }
-    if "witness" in verdict:
-        from .char_ring import format_label
+        doc["status"] = "perfect" if ok else "not_perfect"
+    else:
+        _, _, indices = kind
+        verdict = cl.is_perfect_symbolic(indices)
+        ok = verdict["status"] == "perfect"
+        if ok and args.oracle and not _oracle_check_model(indices):
+            ok, verdict = False, {"status": "oracle_mismatch"}
+        doc["indices"] = [format_index(i) for i in indices]
+        doc["status"] = verdict["status"]
+        if "witness" in verdict:
+            from .char_ring import format_label
 
-        payload["witness"] = format_label(indices[0].ctype, verdict["witness"])
-        payload["multiplicity"] = verdict["multiplicity"]
-    _emit(payload)
+            doc["witness"] = format_label(indices[0].ctype, verdict["witness"])
+            doc["multiplicity"] = verdict["multiplicity"]
+    _emit(doc)
     return 0 if ok else 2
 
 
@@ -243,7 +222,7 @@ def _classify_payload(args) -> dict:
 def _cmd_classify(args) -> int:
     payload = _classify_payload(args)
     if args.golden:
-        text = render({"schema": SCHEMA, **payload}) + "\n"
+        text = _document(payload)
         try:
             with open(args.golden, encoding="utf-8") as fh:
                 want = fh.read()
@@ -275,45 +254,35 @@ def _cmd_oracle(args) -> int:
             oc.perfect_classes(group),
             key=lambda c: (c["theta"], str(c["min"])),
         )
-        _emit(
+        key, rows = "classes", [
             {
-                "command": "oracle classes",
-                "type": args.type,
-                "rank": args.rank,
-                "count": len(classes),
-                "classes": [
-                    {
-                        "theta": list(c["theta"]),
-                        "min": list(c["min"]),
-                        "size": len(c["elements"]),
-                    }
-                    for c in classes
-                ],
+                "theta": list(c["theta"]),
+                "min": list(c["min"]),
+                "size": len(c["elements"]),
             }
-        )
-        return 0
-    if args.action == "search":
-        covers = oc.oracle_search(group)
-        _emit(
-            {
-                "command": "oracle search",
-                "type": args.type,
-                "rank": args.rank,
-                "count": len(covers),
-                "covers": [
-                    [
-                        {
-                            "J": list(descs[0][0]),
-                            "triples": len(descs),
-                        }
-                        for _, descs in cover
-                    ]
-                    for cover in covers
-                ],
-            }
-        )
-        return 0
-    raise ValueError(f"bad oracle action {args.action!r}")
+            for c in classes
+        ]
+    else:
+        key, rows = "covers", [
+            [
+                {
+                    "J": list(descs[0][0]),
+                    "triples": len(descs),
+                }
+                for _, descs in cover
+            ]
+            for cover in oc.oracle_search(group)
+        ]
+    _emit(
+        {
+            "command": "oracle " + args.action,
+            "type": args.type,
+            "rank": args.rank,
+            "count": len(rows),
+            key: rows,
+        }
+    )
+    return 0
 
 
 class Option(NamedTuple):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -641,3 +642,36 @@ def test_render_is_json_dumps_on_edge_documents(doc):
 def test_render_rejects_what_it_does_not_write(doc):
     with pytest.raises(TypeError):
         render(doc)
+
+
+@pytest.mark.parametrize("command", ["classify", "oracle"])
+def test_type_choices_are_the_oracle_group_types(command):
+    (option,) = [opt for opt in COMMANDS[command][1] if opt.name == "--type"]
+    assert option.choices == tuple(oc.GROUP_TYPES)
+
+
+def test_each_handler_writes_one_document_and_json_is_read_once():
+    """Each `_cmd_*` handler calls `_emit` at most once, and `cli.py`
+    calls `json.loads` in one place."""
+    tree = ast.parse(Path(coxmodel.cli.__file__).read_text(encoding="utf-8"))
+    handlers = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert sorted(h.name for h in handlers) == sorted(f"_cmd_{name}" for name in COMMANDS)
+    for handler in handlers:
+        emits = [
+            node
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+        ]
+        assert len(emits) <= 1, handler.name
+    loads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "loads"
+        and getattr(node.value, "id", None) == "json"
+    ]
+    assert len(loads) == 1
